@@ -9,7 +9,6 @@ complexity cap hit with no fallback permitted.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
     ZeroDeltaError,
 )
 from .pipeline import run_analysis
+from .sfg import build_full_sfg, reduce_sfg
 from .specfile import (
     NetworkSpec,
     build_report,
@@ -45,18 +45,6 @@ EXIT_COMPLEXITY = 4
 
 def _fmt_set(ids, spec: NetworkSpec) -> str:
     return "{" + ", ".join(spec.label_of(i) for i in sorted(ids)) + "}"
-
-
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("SIGNED_INFLUENCE_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SpecFileError(f"SIGNED_INFLUENCE_JOBS={env!r} is not an integer") from None
-    return 1
 
 
 def cmd_classify(args) -> int:
@@ -98,7 +86,7 @@ def cmd_simulate(args) -> int:
 def cmd_influence(args) -> int:
     spec = load_spec(args.file)
     result = run_analysis(
-        spec.net, spec.params, spec.x0, gain_method=args.method, jobs=_jobs(args),
+        spec.net, spec.params, spec.x0, gain_method=args.method,
         tol=args.tol, max_iters=args.max_iters,
     )
     report = build_report(result, tol=args.tol, max_iters=args.max_iters)
@@ -158,7 +146,10 @@ def cmd_whatif(args) -> int:
 def cmd_export_sfg(args) -> int:
     spec = load_spec(args.file)
     result = run_analysis(spec.net, spec.params, spec.x0, gain_method="solve")
-    g = result.reduced_sfg if args.reduced else result.full_sfg
+    if args.reduced:
+        g = reduce_sfg(result.matrices, result.classification, result.spectra)
+    else:
+        g = build_full_sfg(result.matrices, result.classification)
     labels = spec.labels if spec.labels is not None else None
     text = export_dot(g, args.dot, labels=labels)
     if args.dot is None:
@@ -191,8 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="verify the influence prediction against a simulation run")
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel gain evaluations (default $SIGNED_INFLUENCE_JOBS or 1)")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iters", type=int, default=100_000)
 

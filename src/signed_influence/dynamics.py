@@ -24,16 +24,13 @@ from .graph import AgentClassification, AgentParams, SignedNetwork, SinkKind
 
 _EIG_TOL = 1e-9
 _SOLVE_RESIDUAL_TOL = 1e-8
+_RHO_MAX_ITERS = 2000
+_RHO_RESTARTS = 3
 
 
 @dataclass(frozen=True)
 class ModelMatrices:
-    """Q, P and the stubbornness input matrix, plus the block bookkeeping.
-
-    Matrices are stored in the original agent indexing; ``perm`` maps the
-    block-triangular position to the agent id (followers first, then each
-    sink contiguously).
-    """
+    """Q, P and the stubbornness input matrix, in the original agent indexing."""
 
     n: int
     Q: np.ndarray
@@ -42,8 +39,6 @@ class ModelMatrices:
     stubborn_ids: tuple[int, ...]
     beta: np.ndarray
     gamma: np.ndarray
-    perm: tuple[int, ...]
-    blocks: tuple[tuple[int, int], ...]  # ranges into perm: followers, then sinks
 
     def sink_block(self, classification: AgentClassification, sink: int) -> np.ndarray:
         members = classification.sinks[sink]
@@ -104,11 +99,16 @@ def build_matrices(
 ) -> ModelMatrices:
     n = net.n
     a = net.adjacency
-    absrow = np.abs(a).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowed row is rescaled below
+        absrow = np.abs(a).sum(axis=1)
     q = np.zeros((n, n))
     for i in range(n):
-        if absrow[i] > 0.0:
-            q[i] = a[i] / absrow[i]
+        row, total = a[i], absrow[i]
+        if not np.isfinite(total):  # |a| row sum overflowed: scale by the row maximum first
+            row = row / np.abs(row).max()
+            total = np.abs(row).sum()
+        if total > 0.0:
+            q[i] = row / total
         else:
             q[i, i] = 1.0
     gamma = np.array(params.gamma, dtype=float)
@@ -119,13 +119,6 @@ def build_matrices(
     btilde = np.zeros((n, len(stubborn_ids)))
     for col, i in enumerate(stubborn_ids):
         btilde[i, col] = beta[i]
-
-    m = classification.follower_count
-    blocks = [(0, m)]
-    pos = m
-    for members in classification.sinks:
-        blocks.append((pos, pos + len(members)))
-        pos += len(members)
     return ModelMatrices(
         n=n,
         Q=q,
@@ -134,15 +127,11 @@ def build_matrices(
         stubborn_ids=stubborn_ids,
         beta=beta,
         gamma=gamma,
-        perm=classification.perm,
-        blocks=tuple(blocks),
     )
 
 
-def spectral_radius(
-    m: np.ndarray, max_iters: int = 2000, restarts: int = 3, dense_fallback: bool = True
-) -> float:
-    """Spectral radius estimate: power iteration, Gelfand cross-check, dense fallback.
+def spectral_radius(m: np.ndarray) -> float:
+    """Spectral radius estimate: power iteration, dense eigenvalues as fallback.
 
     Diagnostic only; convergence decisions are structural, never spectral.
     """
@@ -151,11 +140,11 @@ def spectral_radius(
         return 0.0
     rng = np.random.default_rng(0)
     best = None
-    for _ in range(restarts):
+    for _ in range(_RHO_RESTARTS):
         v = rng.standard_normal(m.shape[0])
         v /= np.linalg.norm(v)
         lam = 0.0
-        for _ in range(max_iters):
+        for _ in range(_RHO_MAX_ITERS):
             w = m @ v
             norm = np.linalg.norm(w)
             if norm == 0.0:
@@ -174,12 +163,7 @@ def spectral_radius(
             best = cand if best is None else max(best, cand)
     if best is not None:
         return best
-    if dense_fallback:
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
-    # Gelfand upper-bound style estimate; slow to converge but always defined
-    k = 64
-    mk = np.linalg.matrix_power(m, k)
-    return float(np.linalg.norm(mk, np.inf) ** (1.0 / k))
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def classify_convergence(

@@ -76,12 +76,6 @@ class Condensation:
     edges: tuple[tuple[int, int], ...]
     sinks: tuple[int, ...]
 
-    def component_of(self, node: int) -> int:
-        for idx, comp in enumerate(self.components):
-            if node in comp:
-                return idx
-        raise BadIdError(node)
-
 
 @dataclass(frozen=True)
 class AgentParams:
@@ -136,15 +130,8 @@ class AgentClassification:
     follower_count: int
     perm: tuple[int, ...]  # followers first, then sink members, contiguously
 
-    def sink_members(self, sink: int) -> tuple[int, ...]:
-        return self.sinks[sink]
-
     def sink_has_stubborn(self, sink: int) -> bool:
         return any(m in self.stubborn for m in self.sinks[sink])
-
-    def member_index(self, agent: int) -> int:
-        """Position of a leader inside its sink block (the kappa offset)."""
-        return self.sinks[self.sink_of[agent]].index(agent)
 
 
 def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetwork:

@@ -23,8 +23,6 @@ from .graph import AgentClassification, AgentParams, SignedNetwork, classify
 from .sfg import (
     CollectiveInfluence,
     InfluenceMatrix,
-    SfgGraph,
-    build_full_sfg,
     individual_influence,
     mason_influence,
     reduce_sfg,
@@ -41,8 +39,6 @@ class AnalysisResult:
     matrices: ModelMatrices
     verdict: ConvergenceVerdict
     spectra: dict[int, SinkSpectrum]
-    full_sfg: SfgGraph
-    reduced_sfg: SfgGraph
     collective: CollectiveInfluence
     influence: InfluenceMatrix
     steady: SteadyState
@@ -72,7 +68,6 @@ def run_analysis(
     steady_method: SteadyStateMethod = SteadyStateMethod.DIRECT_SOLVE,
     tol: float = 1e-10,
     max_iters: int = 100_000,
-    jobs: int = 1,
 ) -> AnalysisResult:
     """Run the whole stack and return every intermediate product.
 
@@ -85,22 +80,16 @@ def run_analysis(
     matrices = build_matrices(net, params, cls)
     verdict = classify_convergence(matrices, cls)
     spectra = compute_spectra(matrices, cls)
-    full = build_full_sfg(matrices, cls)
-    reduced = reduce_sfg(full, cls, spectra, matrices)
 
     if gain_method == "solve":
-        collective = solve_gain(reduced)
-        used = "solve"
-    elif gain_method == "mason":
-        collective = mason_influence(reduced, jobs=jobs)
-        used = "mason"
-    elif gain_method == "auto":
+        collective, used = solve_gain(matrices, cls, spectra), "solve"
+    elif gain_method in ("mason", "auto"):
         try:
-            collective = mason_influence(reduced, jobs=jobs)
-            used = "mason"
+            collective, used = mason_influence(reduce_sfg(matrices, cls, spectra)), "mason"
         except ComplexityCapExceededError:
-            collective = solve_gain(reduced)
-            used = "solve"
+            if gain_method == "mason":
+                raise
+            collective, used = solve_gain(matrices, cls, spectra), "solve"
     else:
         raise ValueError(f"unknown gain method {gain_method!r}")
 
@@ -117,8 +106,6 @@ def run_analysis(
         matrices=matrices,
         verdict=verdict,
         spectra=spectra,
-        full_sfg=full,
-        reduced_sfg=reduced,
         collective=collective,
         influence=influence,
         steady=steady,

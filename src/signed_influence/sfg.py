@@ -6,8 +6,12 @@ graph carries one node per final opinion plus one per stubborn initial
 opinion; the reduced graph collapses stubborn-free sinks into collective
 sources so every influential agent (group) is represented by a source.
 
-Gains are evaluated two independent ways: Mason's formula over enumerated
-simple paths and loops, and a direct linear solve of the node equations.
+The production route never builds a graph: `solve_gain` takes the reduced
+node equations straight from P's blocks and solves them, and
+`individual_influence` assembles Θ = G·W from the gains.  Mason's formula
+over enumerated simple paths and loops is the paper's method, the first
+try of the `auto` gain route and the oracle the solve is checked against;
+the `SfgGraph` is built only for it and for DOT export.
 """
 
 from __future__ import annotations
@@ -72,9 +76,6 @@ class SfgGraph:
     def nonsource_agents(self) -> tuple[int, ...]:
         return tuple(i for tag, i in self.nodes if tag == "agent")
 
-    def has_node(self, key: NodeKey) -> bool:
-        return key in self.nodes
-
     def to_networkx(self) -> nx.DiGraph:
         g = nx.DiGraph()
         g.add_nodes_from(self.nodes)
@@ -102,9 +103,6 @@ class CollectiveInfluence:
 
     def row(self, agent: int) -> np.ndarray:
         return self.c[self.agents.index(agent)]
-
-    def gain(self, agent: int, source: int) -> float:
-        return float(self.c[self.agents.index(agent), source])
 
 
 @dataclass(frozen=True)
@@ -197,12 +195,30 @@ def build_full_sfg(matrices: ModelMatrices, classification: AgentClassification)
     )
 
 
-def reduce_sfg(
-    full: SfgGraph,
+def _fold_matrix(sources: tuple[SourceSpec, ...], n: int) -> np.ndarray:
+    """F[j, r] = 1 when agent j is folded into collective source r."""
+    fold = np.zeros((n, len(sources)))
+    for r, spec in enumerate(sources):
+        if spec.kind != SourceKind.STUBBORN_INITIAL:
+            fold[list(spec.members), r] = 1.0
+    return fold
+
+
+@dataclass(frozen=True)
+class _Reduction:
+    """Node equations u = P'u + C_in v of the reduced signal-flow graph."""
+
+    agents: tuple[int, ...]  # non-source agents N
+    sources: tuple[SourceSpec, ...]
+    pprime: np.ndarray  # P[N, N]
+    cin: np.ndarray  # P[N, :] F, stubborn-initial columns from Btilde[N]
+
+
+def _reduction(
+    matrices: ModelMatrices,
     classification: AgentClassification,
     spectra: dict[int, SinkSpectrum],
-    matrices: ModelMatrices,
-) -> SfgGraph:
+) -> _Reduction:
     """Collapse stubborn-free sinks into collective sources.
 
     Singleton leaders stay single sources, cooperative stubborn-free sinks
@@ -216,45 +232,36 @@ def reduce_sfg(
             raise MissingSpectrumError(sink)
 
     sources = source_catalog(cls, matrices.stubborn_ids)
-    source_of_agent: dict[int, int] = {}  # agent folded into source r
-    for r, spec in enumerate(sources):
-        if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.COOPERATIVE_SINK,
-                         SourceKind.BALANCED_PARTITION):
-            for m in spec.members:
-                source_of_agent[m] = r
-
+    fold = _fold_matrix(sources, matrices.n)
+    folded = fold.any(axis=1)
     deleted = set()
     for sink in range(len(cls.sinks)):
         if cls.sink_kind[sink] == SinkKind.UNBALANCED and not cls.sink_has_stubborn(sink):
             deleted.update(cls.sinks[sink])
+    agents = tuple(i for i in range(matrices.n) if not folded[i] and i not in deleted)
 
-    nonsource = [
-        i
-        for i in range(matrices.n)
-        if i not in source_of_agent and i not in deleted
-    ]
-    nodes: list[NodeKey] = [("agent", i) for i in nonsource]
-    nodes += [("source", r) for r in range(len(sources))]
+    rows = matrices.P[list(agents)]
+    cin = rows @ fold
+    cin[:, len(sources) - len(matrices.stubborn_ids):] = matrices.Btilde[list(agents)]
+    return _Reduction(agents, sources, rows[:, list(agents)], cin)
 
+
+def reduce_sfg(
+    matrices: ModelMatrices,
+    classification: AgentClassification,
+    spectra: dict[int, SinkSpectrum],
+) -> SfgGraph:
+    """The reduced signal-flow graph: one branch per nonzero of P' and C_in."""
+    red = _reduction(matrices, classification, spectra)
     branches: list[tuple[NodeKey, NodeKey, float]] = []
-    for i in nonsource:
-        gains: dict[NodeKey, float] = {}
-        for j in range(matrices.n):
-            b = matrices.P[i, j]
-            if b == 0.0 or j in deleted:
-                continue
-            key = ("source", source_of_agent[j]) if j in source_of_agent else ("agent", j)
-            gains[key] = gains.get(key, 0.0) + float(b)
-        for key, gain in gains.items():
-            if gain != 0.0:
-                branches.append((key, ("agent", i), gain))
-    stub_start = len(sources) - len(matrices.stubborn_ids)
-    for col, agent in enumerate(matrices.stubborn_ids):
-        branches.append(
-            (("source", stub_start + col), ("agent", agent), float(matrices.beta[agent]))
-        )
+    for row, i in enumerate(red.agents):
+        for col in np.flatnonzero(red.pprime[row]):
+            branches.append((("agent", red.agents[col]), ("agent", i), float(red.pprime[row, col])))
+        for r in np.flatnonzero(red.cin[row]):
+            branches.append((("source", int(r)), ("agent", i), float(red.cin[row, r])))
+    nodes = [("agent", i) for i in red.agents] + [("source", r) for r in range(len(red.sources))]
     return SfgGraph(
-        nodes=tuple(nodes), sources=tuple(sources), branches=tuple(branches), reduced=True
+        nodes=tuple(nodes), sources=red.sources, branches=tuple(branches), reduced=True
     )
 
 
@@ -373,56 +380,34 @@ def mason_gain(
     )
 
 
-def solve_gain(g: SfgGraph) -> CollectiveInfluence:
-    """All gains at once by solving the node equations u = P'u + Cv."""
-    agents = g.nonsource_agents()
-    idx = {("agent", i): k for k, i in enumerate(agents)}
-    n, s = len(agents), len(g.sources)
-    pprime = np.zeros((n, n))
-    cmat = np.zeros((n, s))
-    for src, dst, gain in g.branches:
-        if dst[0] != "agent":
-            continue
-        row = idx[dst]
-        if src[0] == "agent":
-            pprime[row, idx[src]] += gain
-        else:
-            cmat[row, src[1]] += gain
+def solve_gain(
+    matrices: ModelMatrices,
+    classification: AgentClassification,
+    spectra: dict[int, SinkSpectrum],
+) -> CollectiveInfluence:
+    """All gains at once by solving the reduced node equations (I - P')C = C_in."""
+    red = _reduction(matrices, classification, spectra)
     try:
-        full = np.linalg.solve(np.eye(n) - pprime, cmat)
+        c = np.linalg.solve(np.eye(len(red.agents)) - red.pprime, red.cin)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("unit-gain loop among non-sources") from exc
-    if n and not np.all(np.isfinite(full)):
+    if red.agents and not np.all(np.isfinite(c)):
         raise SingularSystemError("non-finite gains; graph misreduced")
-    return CollectiveInfluence(agents=agents, sources=g.sources, c=full)
+    return CollectiveInfluence(agents=red.agents, sources=red.sources, c=c)
 
 
 def mason_influence(
     g: SfgGraph,
     enum_cap: int = DEFAULT_ENUM_CAP,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-    jobs: int = 1,
 ) -> CollectiveInfluence:
     """The full c matrix entry by entry via Mason's formula."""
     agents = g.nonsource_agents()
     c = np.zeros((len(agents), len(g.sources)))
-
-    def one_row(k_agent):
-        k, agent = k_agent
+    for k, agent in enumerate(agents):
         probed = attach_probe(g, agent)
-        return k, [mason_gain(probed, r, agent, enum_cap, subset_cap).gain
-                   for r in range(len(g.sources))]
-
-    items = list(enumerate(agents))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_row, items))
-    else:
-        results = [one_row(it) for it in items]
-    for k, row in results:
-        c[k] = row
+        for r in range(len(g.sources)):
+            c[k, r] = mason_gain(probed, r, agent, enum_cap, subset_cap).gain
     return CollectiveInfluence(agents=agents, sources=g.sources, c=c)
 
 
@@ -431,51 +416,23 @@ def individual_influence(
     classification: AgentClassification,
     spectra: dict[int, SinkSpectrum],
 ) -> InfluenceMatrix:
-    """Assemble the per-agent influence matrix from collective gains.
+    """Assemble the per-agent influence matrix Θ = G·W from collective gains.
 
-    Column j carries agent j's exact contribution to every final opinion;
-    rows of source agents come straight from the sink eigenvectors.
+    G (n x s) holds the gain rows of non-source agents and the fold rows of
+    agents folded into a collective source; rows of deleted agents stay 0.
+    W (s x n) maps each source back to its agents: 1 for a singleton leader
+    or a stubborn initial opinion, w_j for a cooperative sink and ±w_j for
+    the two sides of a balanced sink, w being the sink's left eigenvector.
     """
-    cls = classification
-    n = len(cls.perm)
-    theta = np.zeros((n, n))
-
-    col_source: dict[int, tuple] = {}  # j -> ("plain", r) | ("coop", r, sink) | ("bal", r, sink)
+    n = len(classification.perm)
+    g = _fold_matrix(c.sources, n)
+    g[list(c.agents)] = c.c
+    w = np.zeros((len(c.sources), n))
     for r, spec in enumerate(c.sources):
-        if spec.kind == SourceKind.SINGLETON_LEADER:
-            col_source[spec.agent] = ("plain", r)
-        elif spec.kind == SourceKind.STUBBORN_INITIAL:
-            col_source[spec.agent] = ("plain", r)
-        elif spec.kind == SourceKind.COOPERATIVE_SINK:
-            for m in spec.members:
-                col_source[m] = ("coop", r, spec.sink)
-        elif spec.kind == SourceKind.BALANCED_PARTITION and spec.side == 1:
-            for m in cls.sinks[spec.sink]:
-                col_source[m] = ("bal", r, spec.sink)
-
-    def w_entry(sink: int, j: int) -> float:
-        return float(spectra[sink].w[cls.member_index(j)])
-
-    for row_pos, i in enumerate(c.agents):
-        for j, how in col_source.items():
-            if how[0] == "plain":
-                theta[i, j] = c.c[row_pos, how[1]]
-            elif how[0] == "coop":
-                theta[i, j] = c.c[row_pos, how[1]] * w_entry(how[2], j)
-            else:
-                _, r, sink = how
-                theta[i, j] = (c.c[row_pos, r] - c.c[row_pos, r + 1]) * w_entry(sink, j)
-
-    # rows of agents folded into collective sources
-    for r, spec in enumerate(c.sources):
-        if spec.kind == SourceKind.SINGLETON_LEADER:
-            theta[spec.agent, spec.agent] = 1.0
-        elif spec.kind == SourceKind.COOPERATIVE_SINK:
-            for i in spec.members:
-                for j in spec.members:
-                    theta[i, j] = w_entry(spec.sink, j)
-        elif spec.kind == SourceKind.BALANCED_PARTITION and spec.side == 1:
-            for i in cls.sinks[spec.sink]:
-                for j in cls.sinks[spec.sink]:
-                    theta[i, j] = cls.sigma[i] * w_entry(spec.sink, j)
+        if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL):
+            w[r, spec.agent] = 1.0
+        else:
+            spectrum = spectra[spec.sink]
+            w[r, list(spectrum.members)] = -spectrum.w if spec.side == -1 else spectrum.w
+    theta = g @ w
     return InfluenceMatrix(theta=theta, theta_abs=np.abs(theta))

@@ -20,6 +20,7 @@ diffs clean against a fresh run.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,13 @@ def _require(cond: bool, message: str) -> None:
         raise SpecFileError(message)
 
 
+def _finite(x: int | float) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def load_spec(path: str) -> NetworkSpec:
     """Load and validate a network spec file."""
     try:
@@ -73,7 +81,10 @@ def load_spec(path: str) -> NetworkSpec:
         raise SpecFileError(f"{path} is not valid YAML: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be a mapping")
     _require(doc.get("schema") == SPEC_SCHEMA, f"schema must be {SPEC_SCHEMA!r}")
-    _require(isinstance(doc.get("n"), int) and doc["n"] >= 1, "n must be a positive integer")
+    _require(
+        isinstance(doc.get("n"), int) and not isinstance(doc["n"], bool) and doc["n"] >= 1,
+        "n must be a positive integer",
+    )
     n = doc["n"]
     edges = doc.get("edges", [])
     _require(isinstance(edges, list), "edges must be a list")
@@ -90,6 +101,7 @@ def load_spec(path: str) -> NetworkSpec:
             all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
             f"{field} entries must be numbers",
         )
+        _require(all(_finite(x) for x in v), f"{field} entries must be finite")
     labels = doc.get("labels")
     if labels is not None:
         _require(

@@ -59,6 +59,16 @@ class TestBuildMatrices:
             sums = np.abs(m.P).sum(axis=1)
             assert np.allclose(sums, 1.0 - m.beta, atol=1e-12)
 
+    def test_row_sum_overflow_is_rescaled(self):
+        # |1e308| + |-1e308| overflows; the row must still normalise to [0, .5, -.5]
+        net = build_network(3, [(0, 1, 1e308), (0, 2, -1e308)])
+        params = AgentParams(gamma=(0.5, 0.5, 0.5), beta=(0.0, 0.0, 0.0))
+        cls, m = _setup(net, params)
+        assert m.Q[0].tolist() == [0.0, 0.5, -0.5]
+        verdict = classify_convergence(m, cls)
+        z = steady_state(m, cls, verdict, np.array([0.0, 1.0, 3.0])).z
+        assert z[0] == pytest.approx(-1.0)
+
     def test_stubborn_input_matrix(self, ref11):
         _, m = _setup(ref11.net, ref11.params)
         assert m.stubborn_ids == (0, 5)

@@ -15,6 +15,7 @@ from signed_influence import (
     SourceKind,
     SourceSpec,
     attach_probe,
+    build_full_sfg,
     build_matrices,
     build_network,
     classify,
@@ -30,12 +31,8 @@ from signed_influence.pipeline import compute_spectra, run_analysis
 def _stack(net, params):
     cls = classify(net, params)
     m = build_matrices(net, params, cls)
-    from signed_influence import build_full_sfg
-
-    full = build_full_sfg(m, cls)
     spectra = compute_spectra(m, cls)
-    reduced = reduce_sfg(full, cls, spectra, m)
-    return cls, m, full, spectra, reduced
+    return cls, m, build_full_sfg(m, cls), spectra, reduce_sfg(m, cls, spectra)
 
 
 class TestFullSfg:
@@ -119,13 +116,14 @@ class TestReduceSfg:
             assert src[0] != "agent" or src[1] not in cls.sinks[unb]
 
     def test_missing_spectrum_raises(self, ref11):
-        from signed_influence import MissingSpectrumError, build_full_sfg
+        from signed_influence import MissingSpectrumError
 
         cls = classify(ref11.net, ref11.params)
         m = build_matrices(ref11.net, ref11.params, cls)
-        full = build_full_sfg(m, cls)
         with pytest.raises(MissingSpectrumError):
-            reduce_sfg(full, cls, {}, m)
+            reduce_sfg(m, cls, {})
+        with pytest.raises(MissingSpectrumError):
+            solve_gain(m, cls, {})
 
 
 class TestAttachProbe:
@@ -207,8 +205,8 @@ class TestMasonGain:
 
 class TestSolveGain:
     def test_reference_table_rows(self, ref11):
-        _, _, _, _, reduced = _stack(ref11.net, ref11.params)
-        ci = solve_gain(reduced)
+        cls, m, _, spectra, _ = _stack(ref11.net, ref11.params)
+        ci = solve_gain(m, cls, spectra)
         assert np.allclose(ci.row(0), [0.02, 0.12, 0.04, 0.5, 0.32], atol=1e-12)
         for agent in (1, 2, 3):
             assert np.allclose(ci.row(agent), [0.2, 0.2, 0.4, 0.0, 0.2], atol=1e-12)
@@ -218,14 +216,10 @@ class TestSolveGain:
     def test_matches_mason_on_random_networks(self):
         for seed in range(40):
             rn = random_network(seed)
-            _, _, _, _, reduced = _stack(rn.net, rn.params)
-            direct = solve_gain(reduced)
+            cls, m, _, spectra, reduced = _stack(rn.net, rn.params)
+            direct = solve_gain(m, cls, spectra)
             enumerated = mason_influence(reduced)
             assert np.allclose(direct.c, enumerated.c, atol=1e-9), seed
-
-    def test_threaded_mason_matches(self, ref11):
-        _, _, _, _, reduced = _stack(ref11.net, ref11.params)
-        assert np.allclose(mason_influence(reduced, jobs=4).c, solve_gain(reduced).c)
 
 
 class TestIndividualInfluence:
@@ -267,8 +261,8 @@ class TestIndividualInfluence:
             assert np.allclose(sums, 1.0, atol=1e-9), seed
 
     def test_gauge_invariance_of_partition_labels(self, ref11):
-        cls, m, full, spectra, reduced = _stack(ref11.net, ref11.params)
-        baseline = individual_influence(solve_gain(reduced), cls, spectra)
+        cls, m, _, spectra, _ = _stack(ref11.net, ref11.params)
+        baseline = individual_influence(solve_gain(m, cls, spectra), cls, spectra)
 
         flipped_sigma = dict(cls.sigma)
         for k in cls.sinks[2]:
@@ -279,6 +273,5 @@ class TestIndividualInfluence:
         spectra2[2] = SinkSpectrum(
             sink=2, members=spec.members, w=-spec.w, v=-spec.v
         )
-        reduced2 = reduce_sfg(full, cls2, spectra2, m)
-        other = individual_influence(solve_gain(reduced2), cls2, spectra2)
+        other = individual_influence(solve_gain(m, cls2, spectra2), cls2, spectra2)
         assert np.allclose(baseline.theta, other.theta, atol=1e-12)
