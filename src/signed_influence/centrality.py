@@ -54,13 +54,15 @@ def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
     return CentralityResult(scores=scores, ranking=tuple(order), most_influential=order[0])
 
 
-def _steady(net: SignedNetwork, params: AgentParams, x0: np.ndarray) -> np.ndarray:
+def _setup(net: SignedNetwork, params: AgentParams):
+    """Classification, matrices and verdict: everything a steady state reads but x(0)."""
     cls = classify(net, params)
     matrices = build_matrices(net, params, cls)
-    verdict = classify_convergence(matrices, cls)
-    return steady_state(
-        matrices, cls, verdict, x0, method=SteadyStateMethod.DIRECT_SOLVE
-    ).z
+    return matrices, cls, classify_convergence(matrices, cls)
+
+
+def _steady(setup, x0: np.ndarray) -> np.ndarray:
+    return steady_state(*setup, x0, method=SteadyStateMethod.DIRECT_SOLVE).z
 
 
 def perturb_initial(
@@ -73,17 +75,20 @@ def perturb_initial(
     """Recompute the steady state with x_agent(0) shifted by delta.
 
     The per-unit L1 deviation equals the agent's absolute centrality score,
-    which makes this an independent check on the influence matrix.
+    which makes this an independent check on the influence matrix: both
+    steady states are recomputed (sharing one classification and one set of
+    matrices), never read off Theta.
     """
     if delta == 0.0 or not np.isfinite(delta):
         raise ZeroDeltaError("perturbation delta must be nonzero and finite")
     if not (0 <= agent < net.n):
         raise BadIdError(agent)
     x0 = np.asarray(x0, dtype=float)
-    z_base = _steady(net, params, x0)
+    setup = _setup(net, params)
+    z_base = _steady(setup, x0)
     x0p = x0.copy()
     x0p[agent] += delta
-    z_pert = _steady(net, params, x0p)
+    z_pert = _steady(setup, x0p)
     deviation = float(np.abs(z_pert - z_base).sum() / abs(delta))
     return PerturbationResult(
         agent=agent,
@@ -113,8 +118,8 @@ def flip_edge_signs(
     net_flipped = build_network(net.n, flipped_edges)
 
     x0 = np.asarray(x0, dtype=float)
-    z_base = _steady(net, params, x0)
-    z_flip = _steady(net_flipped, params, x0)
+    z_base = _steady(_setup(net, params), x0)
+    z_flip = _steady(_setup(net_flipped, params), x0)
     deltas = z_flip - z_base
     unchanged = tuple(i for i in range(net.n) if abs(deltas[i]) <= atol)
     return SignFlipResult(

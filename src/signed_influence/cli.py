@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .centrality import flip_edge_signs, perturb_initial
-from .dynamics import simulate
+from .dynamics import build_matrices, classify_convergence, simulate
 from .errors import (
     ComplexityCapExceededError,
     NetworkValidationError,
@@ -26,7 +26,8 @@ from .errors import (
     SpecFileError,
     ZeroDeltaError,
 )
-from .pipeline import run_analysis
+from .graph import classify
+from .pipeline import compute_spectra, run_analysis
 from .sfg import build_full_sfg, reduce_sfg
 from .specfile import (
     NetworkSpec,
@@ -47,10 +48,14 @@ def _fmt_set(ids, spec: NetworkSpec) -> str:
     return "{" + ", ".join(spec.label_of(i) for i in sorted(ids)) + "}"
 
 
+def _setup(spec: NetworkSpec):
+    cls = classify(spec.net, spec.params)
+    return cls, build_matrices(spec.net, spec.params, cls)
+
+
 def cmd_classify(args) -> int:
     spec = load_spec(args.file)
-    result = run_analysis(spec.net, spec.params, spec.x0, gain_method="solve")
-    cls = result.classification
+    cls, matrices = _setup(spec)
     print(f"V_F  (followers)          = {_fmt_set(cls.followers, spec)}")
     print(f"V_o1 (singleton leaders)  = {_fmt_set(cls.singleton_leaders, spec)}")
     print(f"V_o2 (group leaders)      = {_fmt_set(cls.group_leaders, spec)}")
@@ -63,14 +68,14 @@ def cmd_classify(args) -> int:
         )
     sn = ", ".join(f"S_{s + 1}" for s in sorted(cls.influence_free_sinks))
     print(f"S_n = {{{sn}}}")
-    print(f"convergence: {result.verdict.kind.value}")
+    print(f"convergence: {classify_convergence(matrices, cls).kind.value}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     spec = load_spec(args.file)
-    result = run_analysis(spec.net, spec.params, spec.x0, gain_method="solve")
-    log = simulate(result.matrices, spec.x0, tol=args.tol, max_iters=args.max_iters)
+    _, matrices = _setup(spec)
+    log = simulate(matrices, spec.x0, tol=args.tol, max_iters=args.max_iters)
     if args.csv:
         write_trajectory_csv(args.csv, log.xs)
     final = log.xs[-1]
@@ -145,20 +150,40 @@ def cmd_whatif(args) -> int:
 
 def cmd_export_sfg(args) -> int:
     spec = load_spec(args.file)
-    result = run_analysis(spec.net, spec.params, spec.x0, gain_method="solve")
+    cls, matrices = _setup(spec)
     if args.reduced:
-        g = reduce_sfg(result.matrices, result.classification, result.spectra)
+        g = reduce_sfg(matrices, cls, compute_spectra(matrices, cls))
     else:
-        g = build_full_sfg(result.matrices, result.classification)
-    labels = spec.labels if spec.labels is not None else None
-    text = export_dot(g, args.dot, labels=labels)
+        g = build_full_sfg(matrices, cls)
+    text = export_dot(g, args.dot, labels=spec.labels)
     if args.dot is None:
         sys.stdout.write(text)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like every other validation error
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
+def _checked(convert, ok, what):
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_tol = _checked(float, lambda v: np.isfinite(v) and v > 0.0, "a finite number > 0")
+_iters = _checked(int, lambda v: v >= 0, "a non-negative integer")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="signed-influence",
         description="Opinion dynamics, influence and centrality on signed networks.",
     )
@@ -173,8 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("classify", cmd_classify, help="agent and sink classification")
 
     p = add("simulate", cmd_simulate, help="iterate the opinion update rule")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=100_000)
+    p.add_argument("--tol", type=_tol, default=1e-10)
+    p.add_argument("--max-iters", type=_iters, default=100_000)
     p.add_argument("--csv", metavar="PATH", help="write the trajectory table")
 
     p = add("influence", cmd_influence, help="collective and individual influence")
@@ -182,8 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="verify the influence prediction against a simulation run")
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=100_000)
+    p.add_argument("--tol", type=_tol, default=1e-10)
+    p.add_argument("--max-iters", type=_iters, default=100_000)
 
     add("centrality", cmd_centrality, help="absolute influence centrality and ranking")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -22,10 +23,7 @@ from .errors import (
 )
 from .graph import AgentClassification, AgentParams, SignedNetwork, SinkKind
 
-_EIG_TOL = 1e-9
 _SOLVE_RESIDUAL_TOL = 1e-8
-_RHO_MAX_ITERS = 2000
-_RHO_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -101,24 +99,24 @@ def build_matrices(
     a = net.adjacency
     with np.errstate(over="ignore"):  # an overflowed row is rescaled below
         absrow = np.abs(a).sum(axis=1)
+    big = ~np.isfinite(absrow)
+    if big.any():  # |a| row sum overflowed: scale by the row maximum first
+        a = a.copy()
+        a[big] /= np.abs(a[big]).max(axis=1, keepdims=True)
+        absrow[big] = np.abs(a[big]).sum(axis=1)
+    live = absrow > 0.0
     q = np.zeros((n, n))
-    for i in range(n):
-        row, total = a[i], absrow[i]
-        if not np.isfinite(total):  # |a| row sum overflowed: scale by the row maximum first
-            row = row / np.abs(row).max()
-            total = np.abs(row).sum()
-        if total > 0.0:
-            q[i] = row / total
-        else:
-            q[i, i] = 1.0
+    q[live] = a[live] / absrow[live, None]
+    dead = np.flatnonzero(~live)
+    q[dead, dead] = 1.0
     gamma = np.array(params.gamma, dtype=float)
     beta = np.array(params.beta, dtype=float)
-    p = np.diag(gamma) + (np.eye(n) - np.diag(gamma) - np.diag(beta)) @ q
+    p = (1.0 - gamma - beta)[:, None] * q
+    p[np.diag_indices(n)] += gamma
 
     stubborn_ids = params.stubborn_agents()
     btilde = np.zeros((n, len(stubborn_ids)))
-    for col, i in enumerate(stubborn_ids):
-        btilde[i, col] = beta[i]
+    btilde[list(stubborn_ids), range(len(stubborn_ids))] = beta[list(stubborn_ids)]
     return ModelMatrices(
         n=n,
         Q=q,
@@ -131,39 +129,27 @@ def build_matrices(
 
 
 def spectral_radius(m: np.ndarray) -> float:
-    """Spectral radius estimate: power iteration, dense eigenvalues as fallback.
+    """Exact spectral radius: the maximum over the diagonal blocks of m's SCCs.
 
-    Diagnostic only; convergence decisions are structural, never spectral.
+    Permuted to condensation order, m is block triangular over the strongly
+    connected components of its support, so its eigenvalues are those of
+    the diagonal blocks.  A 1x1 block contributes |m_ii|; a larger one its
+    dense eigenvalues.  Diagnostic only; convergence decisions are
+    structural, never spectral.
     """
     m = np.asarray(m, dtype=float)
-    if m.shape[0] == 0:
-        return 0.0
-    rng = np.random.default_rng(0)
-    best = None
-    for _ in range(_RHO_RESTARTS):
-        v = rng.standard_normal(m.shape[0])
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(_RHO_MAX_ITERS):
-            w = m @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                lam = 0.0
-                break
-            new_lam = norm
-            v = w / norm
-            if abs(new_lam - lam) < 1e-12 * max(1.0, new_lam):
-                lam = new_lam
-                break
-            lam = new_lam
-        # accept only if v is close to an eigenvector (real dominant eigenvalue)
-        resid = np.linalg.norm(m @ v - (v @ m @ v) * v)
-        if resid < 1e-9 * max(1.0, lam):
-            cand = abs(v @ m @ v)
-            best = cand if best is None else max(best, cand)
-    if best is not None:
-        return best
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    g = nx.DiGraph()
+    g.add_nodes_from(range(m.shape[0]))
+    rows, cols = np.nonzero(m)
+    g.add_edges_from(zip(rows.tolist(), cols.tolist()))
+    rho = 0.0
+    for comp in nx.strongly_connected_components(g):
+        idx = sorted(comp)
+        if len(idx) == 1:
+            rho = max(rho, abs(float(m[idx[0], idx[0]])))
+        else:
+            rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(m[np.ix_(idx, idx)])))))
+    return rho
 
 
 def classify_convergence(
@@ -222,11 +208,8 @@ def sink_spectrum(
     if kind == SinkKind.UNBALANCED:
         raise DegenerateEigenspaceError(f"sink {sink} is unbalanced; no unit eigenvalue")
 
-    if kind == SinkKind.BALANCED:
-        sigma = np.array([classification.sigma[m] for m in members], dtype=float)
-    else:
-        sigma = np.ones(len(members))
-
+    # sigma is defined on balanced sinks only; cooperative ones are all +1
+    sigma = np.array([classification.sigma.get(m, 1) for m in members], dtype=float)
     a = block.T - np.eye(len(members))
     _, s, vh = np.linalg.svd(a)
     if len(members) > 1 and s[-2] < 1e-8:
@@ -251,18 +234,11 @@ def leader_limit(
     if classification.sink_has_stubborn(sink):
         raise StubbornSinkRejectedError(f"sink {sink} contains stubborn agents")
     members = classification.sinks[sink]
-    kind = classification.sink_kind[sink]
-    x0 = np.asarray(x0, dtype=float)
-    if kind == SinkKind.SINGLETON_LEADER:
-        (m,) = members
-        return {m: float(x0[m])}
-    if kind == SinkKind.UNBALANCED:
+    if classification.sink_kind[sink] == SinkKind.UNBALANCED:
         return {m: 0.0 for m in members}
     spec = sink_spectrum(matrices, classification, sink)
-    consensus = float(spec.w @ x0[list(members)])
-    if kind == SinkKind.COOPERATIVE:
-        return {m: consensus for m in members}
-    return {m: classification.sigma[m] * consensus for m in members}
+    consensus = float(spec.w @ np.asarray(x0, dtype=float)[list(members)])
+    return {m: float(v * consensus) for m, v in zip(members, spec.v)}
 
 
 def _solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -276,54 +252,36 @@ def _solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _stubborn_limits(matrices, classification, x0):
-    """Exact limits on followers and stubborn-sink members, given sink limits.
+def _unit_limits(matrices, classification, x0):
+    """lim P^k x(0) on the sinks: v (w . x(0)) on each stubborn-free balanced sink."""
+    z_o = np.zeros(matrices.n)
+    for sink in classification.influence_free_sinks:
+        spec = sink_spectrum(matrices, classification, sink)
+        members = list(spec.members)
+        z_o[members] = spec.v * float(spec.w @ x0[members])
+    return z_o
 
-    Solves sink blocks containing stubbornness first, then the follower
-    block against all leader limits.  Valid because every such block is
-    convergent.
+
+def _fill_followers(matrices, classification, x, drive):
+    """Complete x (n, or n x k) on the followers given its sink rows.
+
+    One solve of (I - P_FF) X_F = P_FL X_L + drive_F for all columns: the
+    follower block is convergent, so each column's limit is unique.
     """
-    n = matrices.n
-    z = np.zeros(n)
-    for sink in range(len(classification.sinks)):
-        members = list(classification.sinks[sink])
-        if classification.sink_has_stubborn(sink):
-            block = matrices.P[np.ix_(members, members)]
-            rhs = matrices.beta[members] * x0[members]
-            z[members] = _solve_checked(np.eye(len(members)) - block, rhs)
-        else:
-            lim = leader_limit(matrices, classification, sink, x0)
-            for m, val in lim.items():
-                z[m] = val
     followers = sorted(classification.followers)
     if followers:
-        leaders = [i for i in range(n) if i not in classification.followers]
+        leaders = sorted(classification.perm[len(followers):])
         pff = matrices.P[np.ix_(followers, followers)]
         pfl = matrices.P[np.ix_(followers, leaders)]
-        rhs = pfl @ z[leaders] + matrices.beta[followers] * x0[followers]
-        z[followers] = _solve_checked(np.eye(len(followers)) - pff, rhs)
-    return z
+        rhs = pfl @ x[leaders] + drive[followers]
+        x[followers] = _solve_checked(np.eye(len(followers)) - pff, rhs)
+    return x
 
 
 def _unit_eigenprojection(matrices, classification, x0):
     """lim P^k x(0): projection onto the unit eigenspace spanned by the sinks."""
-    n = matrices.n
-    followers = sorted(classification.followers)
-    z_o = np.zeros(n)
-    for sink in sorted(classification.influence_free_sinks):
-        spec = sink_spectrum(matrices, classification, sink)
-        members = list(spec.members)
-        amount = float(spec.w @ x0[members])
-        v_full = np.zeros(n)
-        v_full[members] = spec.v
-        if followers:
-            pff = matrices.P[np.ix_(followers, followers)]
-            pfm = matrices.P[np.ix_(followers, members)]
-            v_full[followers] = _solve_checked(
-                np.eye(len(followers)) - pff, pfm @ spec.v
-            )
-        z_o += v_full * amount
-    return z_o
+    z_o = _unit_limits(matrices, classification, x0)
+    return _fill_followers(matrices, classification, z_o, np.zeros(matrices.n))
 
 
 def steady_state(
@@ -337,8 +295,10 @@ def steady_state(
 ) -> SteadyState:
     """Final opinion vector by one of three independent routes.
 
-    direct-solve: per-block linear solves (whole-system solve when
-    convergent).  eigenprojection: z_o from the unit eigenpairs plus a
+    direct-solve: the sink limits first (the unit eigenpairs on stubborn-free
+    balanced sinks, a block solve on sinks with stubborn members), then one
+    follower solve with z and z_o as two right-hand sides; a whole-system
+    solve when convergent.  eigenprojection: z_o from the unit eigenpairs plus a
     stubborn-response solve on the complement.  iteration: run the update
     rule to convergence.
     """
@@ -357,15 +317,22 @@ def steady_state(
         return SteadyState(z=z, z_o=np.zeros(n), z_s=z, method=method)
 
     if method == SteadyStateMethod.DIRECT_SOLVE:
-        z = _stubborn_limits(matrices, classification, x0)
-        z_o = _unit_eigenprojection(matrices, classification, x0)
+        z_o = _unit_limits(matrices, classification, x0)
+        z = z_o.copy()
+        for sink, members in enumerate(classification.sinks):
+            if classification.sink_has_stubborn(sink):
+                members = list(members)
+                block = matrices.P[np.ix_(members, members)]
+                rhs = matrices.beta[members] * x0[members]
+                z[members] = _solve_checked(np.eye(len(members)) - block, rhs)
+        drive = np.column_stack([matrices.beta * x0, np.zeros(n)])
+        zz = _fill_followers(matrices, classification, np.column_stack([z, z_o]), drive)
+        z, z_o = zz[:, 0], zz[:, 1]
         return SteadyState(z=z, z_o=z_o, z_s=z - z_o, method=method)
 
     # eigenprojection: z_o from the eigenpairs, z_s from the convergent complement
     z_o = _unit_eigenprojection(matrices, classification, x0)
-    free = set()
-    for sink in classification.influence_free_sinks:
-        free.update(classification.sinks[sink])
+    free = {m for sink in classification.influence_free_sinks for m in classification.sinks[sink]}
     comp = [i for i in range(n) if i not in free]
     z_s = np.zeros(n)
     if comp:

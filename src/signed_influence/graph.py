@@ -193,24 +193,17 @@ def check_structural_balance(net: SignedNetwork, members: Iterable[int]) -> Bala
     """
     members = sorted(set(members))
     member_set = set(members)
-    sub = net.to_networkx().subgraph(members)
+    internal = [(i, j, w) for i, j, w in net.edges if i in member_set and j in member_set]
+    sub = nx.DiGraph()
+    sub.add_nodes_from(members)
+    sub.add_weighted_edges_from(internal)
     if len(members) > 1 and not nx.is_strongly_connected(sub):
         raise NotStronglyConnectedError(f"nodes {members} are not strongly connected")
 
-    sign_of = {}
-    contradictory = False
-    for i, j, w in net.edges:
-        if i in member_set and j in member_set:
-            key = (min(i, j), max(i, j))
-            s = 1 if w > 0 else -1
-            if key in sign_of and sign_of[key] != s:
-                contradictory = True
-            sign_of[key] = s
-    if contradictory:
-        return BalanceResult(balanced=False, sigma=None)
-
+    # (i, j) and (j, i) of opposite signs give v two different wants below
     adj = {m: [] for m in members}
-    for (i, j), s in sign_of.items():
+    for i, j, w in internal:
+        s = 1 if w > 0 else -1
         adj[i].append((j, s))
         adj[j].append((i, s))
 
@@ -218,7 +211,7 @@ def check_structural_balance(net: SignedNetwork, members: Iterable[int]) -> Bala
     for start in members:  # single component when strongly connected, but be safe
         if start in sigma:
             continue
-        sigma[start] = 1
+        sigma[start] = 1  # members[0] first, so the labelling is anchored there
         queue = [start]
         while queue:
             u = queue.pop()
@@ -229,8 +222,6 @@ def check_structural_balance(net: SignedNetwork, members: Iterable[int]) -> Bala
                     queue.append(v)
                 elif sigma[v] != want:
                     return BalanceResult(balanced=False, sigma=None)
-    if sigma[members[0]] != 1:
-        sigma = {k: -v for k, v in sigma.items()}
     return BalanceResult(balanced=True, sigma=sigma)
 
 
@@ -276,8 +267,7 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
             sink_kind[idx] = SinkKind.SINGLETON_LEADER
             balanced_sinks.add(idx)
             continue
-        internal = [(i, j) for i in members for j in members if i != j and a[i, j] != 0.0]
-        if all(a[i, j] > 0 for i, j in internal):
+        if (a[np.ix_(members, members)] >= 0.0).all():
             sink_kind[idx] = SinkKind.COOPERATIVE
             balanced_sinks.add(idx)
             continue

@@ -19,7 +19,7 @@ from .dynamics import (
     steady_state,
 )
 from .errors import ComplexityCapExceededError
-from .graph import AgentClassification, AgentParams, SignedNetwork, classify
+from .graph import AgentClassification, AgentParams, SignedNetwork, SinkKind, classify
 from .sfg import (
     CollectiveInfluence,
     InfluenceMatrix,
@@ -50,8 +50,6 @@ def compute_spectra(
     matrices: ModelMatrices, classification: AgentClassification
 ) -> dict[int, SinkSpectrum]:
     """Unit eigenpairs for every multi-agent stubborn-free balanced sink."""
-    from .graph import SinkKind
-
     spectra = {}
     for sink in sorted(classification.influence_free_sinks):
         if classification.sink_kind[sink] == SinkKind.SINGLETON_LEADER:

@@ -63,6 +63,17 @@ def _require(cond: bool, message: str) -> None:
         raise SpecFileError(message)
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _open_out(path: str, newline: str | None = None):
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise SpecFileError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _finite(x: int | float) -> bool:
     try:
         return math.isfinite(x)
@@ -93,14 +104,16 @@ def load_spec(path: str) -> NetworkSpec:
         _require(
             isinstance(e, (list, tuple)) and len(e) == 3, f"edge {e!r} must be [from, to, weight]"
         )
+        _require(
+            not isinstance(e[0], bool) and not isinstance(e[1], bool),
+            f"edge {e!r}: agent ids must be integers",
+        )
+        _require(_number(e[2]), f"edge {e!r}: weight must be a number")
         parsed.append((e[0], e[1], e[2]))
     for field in ("gamma", "beta", "x0"):
         v = doc.get(field)
         _require(isinstance(v, list) and len(v) == n, f"{field} must be a list of length n")
-        _require(
-            all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
-            f"{field} entries must be numbers",
-        )
+        _require(all(_number(x) for x in v), f"{field} entries must be numbers")
         _require(all(_finite(x) for x in v), f"{field} entries must be finite")
     labels = doc.get("labels")
     if labels is not None:
@@ -200,7 +213,7 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
 def dump_report(report: dict, path: str | None = None) -> str:
     text = yaml.safe_dump(report, sort_keys=False, default_flow_style=None)
     if path is not None:
-        with open(path, "w") as fh:
+        with _open_out(path) as fh:
             fh.write(text)
     return text
 
@@ -277,7 +290,7 @@ def export_dot(g: SfgGraph, path: str | None = None, labels=None) -> str:
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if path is not None:
-        with open(path, "w") as fh:
+        with _open_out(path) as fh:
             fh.write(text)
     return text
 
@@ -285,7 +298,7 @@ def export_dot(g: SfgGraph, path: str | None = None, labels=None) -> str:
 def write_trajectory_csv(path: str, xs: np.ndarray) -> None:
     """Trajectory table with columns k, x_0, ..., x_{n-1}."""
     n = xs.shape[1]
-    with open(path, "w", newline="") as fh:
+    with _open_out(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k"] + [f"x_{i}" for i in range(n)])
         for k, row in enumerate(xs):

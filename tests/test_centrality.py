@@ -12,6 +12,7 @@ from signed_influence import (
     flip_edge_signs,
     perturb_initial,
 )
+from signed_influence import centrality
 from signed_influence.pipeline import run_analysis
 
 
@@ -65,6 +66,14 @@ class TestPerturbInitial:
         a = perturb_initial(ref11.net, ref11.params, ref11.x0, 8, 1.0)
         b = perturb_initial(ref11.net, ref11.params, ref11.x0, 8, 17.0)
         assert a.deviation_per_unit == pytest.approx(b.deviation_per_unit)
+
+    def test_sets_up_once(self, ref11, monkeypatch):
+        # base and perturbed runs share one network: classify it once
+        calls = []
+        real = centrality.classify
+        monkeypatch.setattr(centrality, "classify", lambda *a: calls.append(1) or real(*a))
+        perturb_initial(ref11.net, ref11.params, ref11.x0, 5, 1.0)
+        assert len(calls) == 1
 
     def test_matches_centrality_scores(self):
         for seed in range(15):

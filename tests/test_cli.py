@@ -1,11 +1,16 @@
 """Command-line surface: commands, formats, exit codes, round-trips."""
 
 import csv
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import signed_influence
 from conftest import ZOO17, REF11
 from signed_influence.cli import main
 from signed_influence.specfile import diff_reports
@@ -63,8 +68,15 @@ class TestClassifyCommand:
             "gamma: [0.3, 0.4]\nbeta: [0.1, 0.0]\nx0: [.nan, 1.0]\n",
             "schema: signed-influence/1\nn: 2\nedges: [[0, 1, 1.0]]\n"
             f"gamma: [0.3, 0.4]\nbeta: [0.1, 0.0]\nx0: [1{'0' * 400}, 1.0]\n",
+            "schema: signed-influence/1\nn: 2\nedges: [[0, 1, true]]\n"
+            "gamma: [0.3, 0.4]\nbeta: [0.1, 0.0]\nx0: [1.0, 2.0]\n",
+            "schema: signed-influence/1\nn: 2\nedges: [[0, 1, \"2.5\"]]\n"
+            "gamma: [0.3, 0.4]\nbeta: [0.1, 0.0]\nx0: [1.0, 2.0]\n",
+            "schema: signed-influence/1\nn: 2\nedges: [[true, 0, 1.5]]\n"
+            "gamma: [0.3, 0.4]\nbeta: [0.0, 0.1]\nx0: [1.0, 2.0]\n",
         ],
-        ids=["wrong-schema", "bool-n", "nan-x0", "huge-int-x0"],
+        ids=["wrong-schema", "bool-n", "nan-x0", "huge-int-x0",
+             "bool-weight", "string-weight", "bool-id"],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.yaml"
@@ -72,6 +84,55 @@ class TestClassifyCommand:
         assert main(["classify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestInvalidArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["influence", REF11_PATH, "--out"],
+            ["simulate", REF11_PATH, "--csv"],
+            ["export-sfg", REF11_PATH, "--dot"],
+        ],
+        ids=["influence-out", "simulate-csv", "export-sfg-dot"],
+    )
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, argv):
+        target = str(tmp_path / "missing-dir" / "out.txt")
+        assert main(argv + [target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", REF11_PATH, "--tol", "nan"], "--tol"),
+            (["simulate", REF11_PATH, "--max-iters", "-3"], "--max-iters"),
+            (["influence", REF11_PATH, "--check", "--tol", "-1"], "--tol"),
+        ],
+        ids=["simulate-tol-nan", "simulate-max-iters-negative", "influence-tol-negative"],
+    )
+    def test_invalid_number_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+
+
+def test_import_loads_no_scipy():
+    # scipy.sparse.csgraph alone would add ~27 MB of resident memory
+    src = pathlib.Path(signed_influence.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, signed_influence, signed_influence.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestSimulateCommand:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgen import random_network
+from signed_influence import dynamics
 from signed_influence import (
     AgentParams,
     ConvergenceKind,
@@ -89,6 +90,40 @@ class TestSpectralRadius:
     def test_empty_matrix(self):
         assert spectral_radius(np.zeros((0, 0))) == 0.0
 
+    def test_reducible_matrices(self):
+        # block upper triangular with blocks of sizes 1..4, then permuted
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            sizes = rng.integers(1, 5, size=4)
+            n = int(sizes.sum())
+            m = np.triu(rng.standard_normal((n, n)))
+            start = 0
+            for k in sizes:
+                m[start:start + k, start:start + k] = rng.standard_normal((k, k))
+                start += k
+            perm = rng.permutation(n)
+            m = m[np.ix_(perm, perm)]
+            expected = np.max(np.abs(np.linalg.eigvals(m)))
+            assert spectral_radius(m) == pytest.approx(expected, abs=1e-12)
+
+    def test_plus_minus_dominant_pair(self):
+        # eigenvalues +-2 dominate: a power iteration oscillates between them
+        m = np.array([
+            [0.0, 2.0, 0.3, 0.0],
+            [2.0, 0.0, 0.0, 0.1],
+            [0.0, 0.0, 0.5, 0.2],
+            [0.0, 0.0, -0.4, 0.1],
+        ])
+        assert spectral_radius(m) == pytest.approx(2.0, abs=1e-12)
+        assert spectral_radius(m) == pytest.approx(np.max(np.abs(np.linalg.eigvals(m))), abs=1e-12)
+
+    def test_update_matrix_of_every_netgen_network(self):
+        for seed in range(200):
+            rn = random_network(seed)
+            _, m = _setup(rn.net, rn.params)
+            expected = np.max(np.abs(np.linalg.eigvals(m.P)))
+            assert spectral_radius(m.P) == pytest.approx(expected, abs=1e-12), seed
+
 
 class TestConvergenceVerdict:
     def test_reference_network_is_semi_convergent(self, ref11):
@@ -96,7 +131,7 @@ class TestConvergenceVerdict:
         v = classify_convergence(m, cls)
         assert v.kind == ConvergenceKind.SEMI_CONVERGENT
         assert v.unit_eigen_count == 2
-        assert v.spectral_radius_estimate == pytest.approx(1.0, abs=1e-6)
+        assert v.spectral_radius_estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_all_stubborn_sinks_give_convergence(self):
         rn = random_network(3, kinds=("cooperative", "balanced"),
@@ -225,6 +260,21 @@ class TestSteadyState:
             ]
             assert np.allclose(zs[0], zs[1], atol=1e-8)
             assert np.allclose(zs[0], zs[2], atol=1e-6)
+
+    def test_direct_route_makes_one_follower_solve(self, ref11, monkeypatch):
+        # z and z_o share one solve on I - P_FF, whatever the number of sinks
+        cls, m = _setup(ref11.net, ref11.params)
+        v = classify_convergence(m, cls)
+        sizes = []
+        real = dynamics._solve_checked
+
+        def counting(a, b):
+            sizes.append(a.shape[0])
+            return real(a, b)
+
+        monkeypatch.setattr(dynamics, "_solve_checked", counting)
+        steady_state(m, cls, v, ref11.x0, method=SteadyStateMethod.DIRECT_SOLVE)
+        assert sizes.count(cls.follower_count) == 1
 
     def test_convergent_case_solves_whole_system(self):
         rn = random_network(11, kinds=("cooperative",), stubborn_offsets=((0,),))
