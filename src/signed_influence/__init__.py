@@ -25,7 +25,7 @@ from .dynamics import (
     TrajectoryLog,
     build_matrices,
     classify_convergence,
-    leader_limit,
+    compute_spectra,
     simulate,
     sink_spectrum,
     spectral_radius,

@@ -9,7 +9,7 @@ import numpy as np
 from .dynamics import (
     SteadyStateMethod,
     build_matrices,
-    classify_convergence,
+    compute_spectra,
     steady_state,
 )
 from .errors import BadIdError, NoSuchEdgeError, ZeroDeltaError
@@ -55,10 +55,10 @@ def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
 
 
 def _setup(net: SignedNetwork, params: AgentParams):
-    """Classification, matrices and verdict: everything a steady state reads but x(0)."""
+    """Matrices, classification and sink spectra: everything a steady state reads but x(0)."""
     cls = classify(net, params)
     matrices = build_matrices(net, params, cls)
-    return matrices, cls, classify_convergence(matrices, cls)
+    return matrices, cls, compute_spectra(matrices, cls)
 
 
 def _steady(setup, x0: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .centrality import flip_edge_signs, perturb_initial
-from .dynamics import build_matrices, classify_convergence, simulate
+from .dynamics import build_matrices, classify_convergence, compute_spectra, simulate
 from .errors import (
     ComplexityCapExceededError,
     NetworkValidationError,
@@ -27,7 +27,7 @@ from .errors import (
     ZeroDeltaError,
 )
 from .graph import classify
-from .pipeline import compute_spectra, run_analysis
+from .pipeline import run_analysis
 from .sfg import build_full_sfg, reduce_sfg
 from .specfile import (
     NetworkSpec,
@@ -55,7 +55,7 @@ def _setup(spec: NetworkSpec):
 
 def cmd_classify(args) -> int:
     spec = load_spec(args.file)
-    cls, matrices = _setup(spec)
+    cls = classify(spec.net, spec.params)
     print(f"V_F  (followers)          = {_fmt_set(cls.followers, spec)}")
     print(f"V_o1 (singleton leaders)  = {_fmt_set(cls.singleton_leaders, spec)}")
     print(f"V_o2 (group leaders)      = {_fmt_set(cls.group_leaders, spec)}")
@@ -68,7 +68,7 @@ def cmd_classify(args) -> int:
         )
     sn = ", ".join(f"S_{s + 1}" for s in sorted(cls.influence_free_sinks))
     print(f"S_n = {{{sn}}}")
-    print(f"convergence: {classify_convergence(matrices, cls).kind.value}")
+    print(f"convergence: {classify_convergence(cls).kind.value}")
     return EXIT_OK
 
 
@@ -129,7 +129,7 @@ def cmd_whatif(args) -> int:
         raise SpecFileError("whatif needs exactly one of --flip-edge or --perturb")
     if args.perturb is not None:
         agent = spec.resolve_agent(args.perturb[0])
-        delta = float(args.perturb[1])
+        delta = args.perturb[1]
         res = perturb_initial(spec.net, spec.params, spec.x0, agent, delta)
         print(f"agent: {spec.label_of(agent)}  delta: {delta:.12g}")
         print(f"deviation_per_unit: {res.deviation_per_unit:.12g}")
@@ -182,6 +182,14 @@ _tol = _checked(float, lambda v: np.isfinite(v) and v > 0.0, "a finite number > 
 _iters = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
+class _Perturb(argparse.Action):  # I stays a label; DELTA must be a number
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            setattr(namespace, self.dest, (values[0], float(values[1])))
+        except ValueError:
+            parser.error(f"argument {option_string}: DELTA must be a number, got {values[1]!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="signed-influence",
@@ -215,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("whatif", cmd_whatif, help="sign-flip and perturbation experiments")
     p.add_argument("--flip-edge", nargs=2, action="append", metavar=("A", "B"),
                    default=[], help="negate the weight of edge (A, B); repeatable")
-    p.add_argument("--perturb", nargs=2, metavar=("I", "DELTA"),
+    p.add_argument("--perturb", nargs=2, metavar=("I", "DELTA"), action=_Perturb,
                    help="shift agent I's initial opinion by DELTA")
 
     p = add("export-sfg", cmd_export_sfg, help="emit the signal-flow graph as DOT")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DegenerateEigenspaceError,
+    MissingSpectrumError,
     SingularSystemError,
     StubbornSinkRejectedError,
 )
@@ -51,7 +52,6 @@ class ConvergenceKind(enum.Enum):
 @dataclass(frozen=True)
 class ConvergenceVerdict:
     kind: ConvergenceKind
-    spectral_radius_estimate: float
     unit_eigen_count: int
 
 
@@ -134,8 +134,8 @@ def spectral_radius(m: np.ndarray) -> float:
     Permuted to condensation order, m is block triangular over the strongly
     connected components of its support, so its eigenvalues are those of
     the diagonal blocks.  A 1x1 block contributes |m_ii|; a larger one its
-    dense eigenvalues.  Diagnostic only; convergence decisions are
-    structural, never spectral.
+    dense eigenvalues.  Diagnostic only, read by the report; convergence
+    decisions are structural, never spectral.
     """
     m = np.asarray(m, dtype=float)
     g = nx.DiGraph()
@@ -152,14 +152,11 @@ def spectral_radius(m: np.ndarray) -> float:
     return rho
 
 
-def classify_convergence(
-    matrices: ModelMatrices, classification: AgentClassification
-) -> ConvergenceVerdict:
+def classify_convergence(classification: AgentClassification) -> ConvergenceVerdict:
     """Structural decision: semi-convergent iff a stubborn-free balanced sink exists."""
     count = len(classification.influence_free_sinks)
     kind = ConvergenceKind.SEMI_CONVERGENT if count else ConvergenceKind.CONVERGENT
-    rho = spectral_radius(matrices.P)
-    return ConvergenceVerdict(kind=kind, spectral_radius_estimate=rho, unit_eigen_count=count)
+    return ConvergenceVerdict(kind=kind, unit_eigen_count=count)
 
 
 def simulate(
@@ -224,21 +221,17 @@ def sink_spectrum(
     return SinkSpectrum(sink=sink, members=members, w=w, v=sigma.copy())
 
 
-def leader_limit(
-    matrices: ModelMatrices,
-    classification: AgentClassification,
-    sink: int,
-    x0: np.ndarray,
-) -> dict[int, float]:
-    """Limit opinions of the members of a stubborn-free sink."""
-    if classification.sink_has_stubborn(sink):
-        raise StubbornSinkRejectedError(f"sink {sink} contains stubborn agents")
-    members = classification.sinks[sink]
-    if classification.sink_kind[sink] == SinkKind.UNBALANCED:
-        return {m: 0.0 for m in members}
-    spec = sink_spectrum(matrices, classification, sink)
-    consensus = float(spec.w @ np.asarray(x0, dtype=float)[list(members)])
-    return {m: float(v * consensus) for m, v in zip(members, spec.v)}
+def compute_spectra(
+    matrices: ModelMatrices, classification: AgentClassification
+) -> dict[int, SinkSpectrum]:
+    """Unit eigenpairs of every stubborn-free balanced sink, singleton leaders too.
+
+    A singleton leader's block is [1], so its pair is w = v = [1].
+    """
+    return {
+        sink: sink_spectrum(matrices, classification, sink)
+        for sink in sorted(classification.influence_free_sinks)
+    }
 
 
 def _solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,11 +245,13 @@ def _solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _unit_limits(matrices, classification, x0):
+def _unit_limits(matrices, classification, spectra, x0):
     """lim P^k x(0) on the sinks: v (w . x(0)) on each stubborn-free balanced sink."""
     z_o = np.zeros(matrices.n)
     for sink in classification.influence_free_sinks:
-        spec = sink_spectrum(matrices, classification, sink)
+        if sink not in spectra:
+            raise MissingSpectrumError(sink)
+        spec = spectra[sink]
         members = list(spec.members)
         z_o[members] = spec.v * float(spec.w @ x0[members])
     return z_o
@@ -278,16 +273,16 @@ def _fill_followers(matrices, classification, x, drive):
     return x
 
 
-def _unit_eigenprojection(matrices, classification, x0):
+def _unit_eigenprojection(matrices, classification, spectra, x0):
     """lim P^k x(0): projection onto the unit eigenspace spanned by the sinks."""
-    z_o = _unit_limits(matrices, classification, x0)
+    z_o = _unit_limits(matrices, classification, spectra, x0)
     return _fill_followers(matrices, classification, z_o, np.zeros(matrices.n))
 
 
 def steady_state(
     matrices: ModelMatrices,
     classification: AgentClassification,
-    verdict: ConvergenceVerdict,
+    spectra: dict[int, SinkSpectrum],
     x0: np.ndarray,
     method: SteadyStateMethod = SteadyStateMethod.DIRECT_SOLVE,
     tol: float = 1e-10,
@@ -295,21 +290,25 @@ def steady_state(
 ) -> SteadyState:
     """Final opinion vector by one of three independent routes.
 
-    direct-solve: the sink limits first (the unit eigenpairs on stubborn-free
+    Convergence is structural: semi-convergent iff a stubborn-free balanced
+    sink exists.  Every route reads those sinks' unit eigenpairs from
+    ``spectra``, computed once by ``compute_spectra``; a missing one raises
+    MissingSpectrumError.
+
+    direct-solve: the sink limits first (v (w . x(0)) on stubborn-free
     balanced sinks, a block solve on sinks with stubborn members), then one
     follower solve with z and z_o as two right-hand sides; a whole-system
     solve when convergent.  eigenprojection: z_o from the unit eigenpairs plus a
     stubborn-response solve on the complement.  iteration: run the update
-    rule to convergence.
+    rule to convergence, with z_o from the unit eigenpairs.
     """
     x0 = np.asarray(x0, dtype=float)
     n = matrices.n
-    semi = verdict.kind == ConvergenceKind.SEMI_CONVERGENT
+    semi = bool(classification.influence_free_sinks)
 
     if method == SteadyStateMethod.ITERATION:
-        log = simulate(matrices, x0, tol=tol, max_iters=max_iters)
-        z = log.xs[-1]
-        z_o = _unit_eigenprojection(matrices, classification, x0) if semi else np.zeros(n)
+        z_o = _unit_eigenprojection(matrices, classification, spectra, x0) if semi else np.zeros(n)
+        z = simulate(matrices, x0, tol=tol, max_iters=max_iters).xs[-1]
         return SteadyState(z=z, z_o=z_o, z_s=z - z_o, method=method)
 
     if not semi:
@@ -317,7 +316,7 @@ def steady_state(
         return SteadyState(z=z, z_o=np.zeros(n), z_s=z, method=method)
 
     if method == SteadyStateMethod.DIRECT_SOLVE:
-        z_o = _unit_limits(matrices, classification, x0)
+        z_o = _unit_limits(matrices, classification, spectra, x0)
         z = z_o.copy()
         for sink, members in enumerate(classification.sinks):
             if classification.sink_has_stubborn(sink):
@@ -331,7 +330,7 @@ def steady_state(
         return SteadyState(z=z, z_o=z_o, z_s=z - z_o, method=method)
 
     # eigenprojection: z_o from the eigenpairs, z_s from the convergent complement
-    z_o = _unit_eigenprojection(matrices, classification, x0)
+    z_o = _unit_eigenprojection(matrices, classification, spectra, x0)
     free = {m for sink in classification.influence_free_sinks for m in classification.sinks[sink]}
     comp = [i for i in range(n) if i not in free]
     z_s = np.zeros(n)

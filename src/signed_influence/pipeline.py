@@ -15,11 +15,11 @@ from .dynamics import (
     SteadyStateMethod,
     build_matrices,
     classify_convergence,
-    sink_spectrum,
+    compute_spectra,
     steady_state,
 )
 from .errors import ComplexityCapExceededError
-from .graph import AgentClassification, AgentParams, SignedNetwork, SinkKind, classify
+from .graph import AgentClassification, AgentParams, SignedNetwork, classify
 from .sfg import (
     CollectiveInfluence,
     InfluenceMatrix,
@@ -46,18 +46,6 @@ class AnalysisResult:
     gain_method_used: str  # "mason" or "solve"
 
 
-def compute_spectra(
-    matrices: ModelMatrices, classification: AgentClassification
-) -> dict[int, SinkSpectrum]:
-    """Unit eigenpairs for every multi-agent stubborn-free balanced sink."""
-    spectra = {}
-    for sink in sorted(classification.influence_free_sinks):
-        if classification.sink_kind[sink] == SinkKind.SINGLETON_LEADER:
-            continue
-        spectra[sink] = sink_spectrum(matrices, classification, sink)
-    return spectra
-
-
 def run_analysis(
     net: SignedNetwork,
     params: AgentParams,
@@ -76,7 +64,7 @@ def run_analysis(
     x0 = np.asarray(x0, dtype=float)
     cls = classify(net, params)
     matrices = build_matrices(net, params, cls)
-    verdict = classify_convergence(matrices, cls)
+    verdict = classify_convergence(cls)
     spectra = compute_spectra(matrices, cls)
 
     if gain_method == "solve":
@@ -93,7 +81,7 @@ def run_analysis(
 
     influence = individual_influence(collective, cls, spectra)
     steady = steady_state(
-        matrices, cls, verdict, x0, method=steady_method, tol=tol, max_iters=max_iters
+        matrices, cls, spectra, x0, method=steady_method, tol=tol, max_iters=max_iters
     )
     centrality = absolute_centrality(influence)
     return AnalysisResult(

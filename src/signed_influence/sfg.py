@@ -228,7 +228,7 @@ def _reduction(
     """
     cls = classification
     for sink in cls.influence_free_sinks:
-        if cls.sink_kind[sink] != SinkKind.SINGLETON_LEADER and sink not in spectra:
+        if sink not in spectra:
             raise MissingSpectrumError(sink)
 
     sources = source_catalog(cls, matrices.stubborn_ids)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from .dynamics import spectral_radius
 from .errors import BadIdError, SpecFileError
 from .graph import AgentParams, SignedNetwork, build_network
 from .pipeline import AnalysisResult
@@ -182,7 +183,7 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
         },
         "convergence": {
             "kind": result.verdict.kind.value,
-            "spectral_radius_estimate": _num(result.verdict.spectral_radius_estimate),
+            "spectral_radius_estimate": _num(spectral_radius(result.matrices.P)),
             "unit_eigen_count": result.verdict.unit_eigen_count,
         },
         "steady_state": {

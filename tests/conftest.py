@@ -1,3 +1,4 @@
+import importlib
 import pathlib
 import sys
 
@@ -20,3 +21,27 @@ def ref11():
 @pytest.fixture(scope="session")
 def zoo17():
     return load_spec(str(ZOO17))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name) -> the argument tuples of every call the library
+    makes to its function `name` from then on, whichever module calls it."""
+
+    def count(name):
+        mods = [importlib.import_module("signed_influence")] + [
+            mod for key, mod in sys.modules.items() if key.startswith("signed_influence.")
+        ]
+        real = next(getattr(mod, name) for mod in mods if hasattr(mod, name))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in mods:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+        return calls
+
+    return count

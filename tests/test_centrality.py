@@ -75,6 +75,14 @@ class TestPerturbInitial:
         perturb_initial(ref11.net, ref11.params, ref11.x0, 5, 1.0)
         assert len(calls) == 1
 
+    def test_one_spectrum_per_sink_and_no_rho(self, ref11, count_calls):
+        # rho is a report diagnostic; both steady states share one set of spectra
+        rho_calls = count_calls("spectral_radius")
+        sinks = count_calls("sink_spectrum")
+        perturb_initial(ref11.net, ref11.params, ref11.x0, 5, 1.0)
+        assert rho_calls == []
+        assert sorted(args[2] for args in sinks) == [0, 2]  # S_1 = {4}, S_3 = {8, 9, 10}
+
     def test_matches_centrality_scores(self):
         for seed in range(15):
             rn = random_network(seed)
@@ -92,6 +100,14 @@ class TestFlipEdgeSigns:
     def test_rejects_missing_edge(self, ref11):
         with pytest.raises(NoSuchEdgeError):
             flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((4, 0),))
+
+    def test_one_spectrum_per_sink_and_no_rho(self, ref11, count_calls):
+        # one set-up per network, base and flipped: each computes its spectra once
+        rho_calls = count_calls("spectral_radius")
+        sinks = count_calls("sink_spectrum")
+        flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5),))
+        assert rho_calls == []
+        assert sorted(args[2] for args in sinks) == [0, 0, 2, 2]
 
     def test_reference_experiment(self, ref11):
         res = flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5), (1, 9)))

@@ -109,8 +109,16 @@ class TestInvalidArguments:
             (["simulate", REF11_PATH, "--tol", "nan"], "--tol"),
             (["simulate", REF11_PATH, "--max-iters", "-3"], "--max-iters"),
             (["influence", REF11_PATH, "--check", "--tol", "-1"], "--tol"),
+            (["whatif", REF11_PATH, "--perturb", "6", "abc"], "--perturb"),
+            (["whatif", REF11_PATH, "--perturb", "6", "0x10"], "--perturb"),
         ],
-        ids=["simulate-tol-nan", "simulate-max-iters-negative", "influence-tol-negative"],
+        ids=[
+            "simulate-tol-nan",
+            "simulate-max-iters-negative",
+            "influence-tol-negative",
+            "whatif-perturb-word",
+            "whatif-perturb-hex",
+        ],
     )
     def test_invalid_number_exits_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:

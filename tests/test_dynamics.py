@@ -17,7 +17,8 @@ from signed_influence import (
     build_network,
     classify,
     classify_convergence,
-    leader_limit,
+    compute_spectra,
+    run_analysis,
     simulate,
     sink_spectrum,
     spectral_radius,
@@ -66,8 +67,7 @@ class TestBuildMatrices:
         params = AgentParams(gamma=(0.5, 0.5, 0.5), beta=(0.0, 0.0, 0.0))
         cls, m = _setup(net, params)
         assert m.Q[0].tolist() == [0.0, 0.5, -0.5]
-        verdict = classify_convergence(m, cls)
-        z = steady_state(m, cls, verdict, np.array([0.0, 1.0, 3.0])).z
+        z = steady_state(m, cls, compute_spectra(m, cls), np.array([0.0, 1.0, 3.0])).z
         assert z[0] == pytest.approx(-1.0)
 
     def test_stubborn_input_matrix(self, ref11):
@@ -128,26 +128,26 @@ class TestSpectralRadius:
 class TestConvergenceVerdict:
     def test_reference_network_is_semi_convergent(self, ref11):
         cls, m = _setup(ref11.net, ref11.params)
-        v = classify_convergence(m, cls)
+        v = classify_convergence(cls)
         assert v.kind == ConvergenceKind.SEMI_CONVERGENT
         assert v.unit_eigen_count == 2
-        assert v.spectral_radius_estimate == pytest.approx(1.0, abs=1e-12)
+        assert spectral_radius(m.P) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_stubborn_sinks_give_convergence(self):
         rn = random_network(3, kinds=("cooperative", "balanced"),
                             stubborn_offsets=((0,), (1,)))
         cls, m = _setup(rn.net, rn.params)
-        v = classify_convergence(m, cls)
+        v = classify_convergence(cls)
         assert v.kind == ConvergenceKind.CONVERGENT
         assert v.unit_eigen_count == 0
-        assert v.spectral_radius_estimate < 1 - 1e-6
+        assert spectral_radius(m.P) < 1 - 1e-6
 
     def test_decision_is_structural(self):
         # verdict must match the presence of stubborn-free balanced sinks
         for seed in range(30):
             rn = random_network(seed)
-            cls, m = _setup(rn.net, rn.params)
-            v = classify_convergence(m, cls)
+            cls = classify(rn.net, rn.params)
+            v = classify_convergence(cls)
             expect_semi = len(cls.influence_free_sinks) > 0
             assert (v.kind == ConvergenceKind.SEMI_CONVERGENT) == expect_semi
 
@@ -207,6 +207,12 @@ class TestSinkSpectrum:
         assert spec.w.sum() == pytest.approx(1.0)
         assert np.all(spec.w > 0)
 
+    def test_run_analysis_computes_each_spectrum_once(self, ref11, count_calls):
+        calls = count_calls("sink_spectrum")
+        run_analysis(ref11.net, ref11.params, ref11.x0, gain_method="solve")
+        cls = classify(ref11.net, ref11.params)
+        assert sorted(args[2] for args in calls) == sorted(cls.influence_free_sinks)
+
     def test_rejects_stubborn_sink(self, ref11):
         cls, m = _setup(ref11.net, ref11.params)
         with pytest.raises(StubbornSinkRejectedError):
@@ -220,30 +226,34 @@ class TestSinkSpectrum:
 
 
 class TestLeaderLimit:
+    # lim P^k x(0) on a stubborn-free sink is steady_state(...).z_o on its members
     def test_singleton(self, ref11):
         cls, m = _setup(ref11.net, ref11.params)
-        assert leader_limit(m, cls, 0, ref11.x0) == {4: 7.0}
+        assert cls.sinks[0] == (4,)
+        z_o = steady_state(m, cls, compute_spectra(m, cls), ref11.x0).z_o
+        assert z_o[4] == 7.0
 
     def test_balanced_bipartite_consensus(self, ref11):
         cls, m = _setup(ref11.net, ref11.params)
-        lim = leader_limit(m, cls, 2, ref11.x0)
+        z_o = steady_state(m, cls, compute_spectra(m, cls), ref11.x0).z_o
         a = 50.2 / 51
-        assert lim[8] == pytest.approx(a)
-        assert lim[9] == pytest.approx(-a)
-        assert lim[10] == pytest.approx(-a)
+        assert z_o[8] == pytest.approx(a)
+        assert z_o[9] == pytest.approx(-a)
+        assert z_o[10] == pytest.approx(-a)
 
     def test_unbalanced_limit_is_zero(self, zoo17):
         cls, m = _setup(zoo17.net, zoo17.params)
         unb = next(s for s in range(len(cls.sinks)) if s not in cls.balanced_sinks)
-        assert all(v == 0.0 for v in leader_limit(m, cls, unb, zoo17.x0).values())
+        assert not cls.sink_has_stubborn(unb)
+        z_o = steady_state(m, cls, compute_spectra(m, cls), zoo17.x0).z_o
+        assert all(z_o[i] == 0.0 for i in cls.sinks[unb])
 
 
 class TestSteadyState:
     @pytest.mark.parametrize("method", list(SteadyStateMethod))
     def test_reference_network_three_routes(self, ref11, method):
         cls, m = _setup(ref11.net, ref11.params)
-        v = classify_convergence(m, cls)
-        ss = steady_state(m, cls, v, ref11.x0, method=method)
+        ss = steady_state(m, cls, compute_spectra(m, cls), ref11.x0, method=method)
         assert ss.z[0] == pytest.approx(5.178745, abs=1e-4)
         assert ss.z[4] == pytest.approx(7.0, abs=1e-6)
         assert ss.z[5] == pytest.approx(3.0, abs=1e-6)
@@ -253,9 +263,9 @@ class TestSteadyState:
         for seed in range(20):
             rn = random_network(seed)
             cls, m = _setup(rn.net, rn.params)
-            v = classify_convergence(m, cls)
+            spectra = compute_spectra(m, cls)
             zs = [
-                steady_state(m, cls, v, rn.x0, method=meth).z
+                steady_state(m, cls, spectra, rn.x0, method=meth).z
                 for meth in SteadyStateMethod
             ]
             assert np.allclose(zs[0], zs[1], atol=1e-8)
@@ -264,7 +274,7 @@ class TestSteadyState:
     def test_direct_route_makes_one_follower_solve(self, ref11, monkeypatch):
         # z and z_o share one solve on I - P_FF, whatever the number of sinks
         cls, m = _setup(ref11.net, ref11.params)
-        v = classify_convergence(m, cls)
+        spectra = compute_spectra(m, cls)
         sizes = []
         real = dynamics._solve_checked
 
@@ -273,14 +283,13 @@ class TestSteadyState:
             return real(a, b)
 
         monkeypatch.setattr(dynamics, "_solve_checked", counting)
-        steady_state(m, cls, v, ref11.x0, method=SteadyStateMethod.DIRECT_SOLVE)
+        steady_state(m, cls, spectra, ref11.x0, method=SteadyStateMethod.DIRECT_SOLVE)
         assert sizes.count(cls.follower_count) == 1
 
     def test_convergent_case_solves_whole_system(self):
         rn = random_network(11, kinds=("cooperative",), stubborn_offsets=((0,),))
         cls, m = _setup(rn.net, rn.params)
-        v = classify_convergence(m, cls)
-        ss = steady_state(m, cls, v, rn.x0)
+        ss = steady_state(m, cls, compute_spectra(m, cls), rn.x0)
         expected = np.linalg.solve(np.eye(m.n) - m.P, m.beta * rn.x0)
         assert np.allclose(ss.z, expected)
         assert np.all(ss.z_o == 0.0)
@@ -290,10 +299,10 @@ class TestSteadyState:
     def test_linearity_in_initial_opinions(self, seed, a, b):
         rn = random_network(seed)
         cls, m = _setup(rn.net, rn.params)
-        v = classify_convergence(m, cls)
+        spectra = compute_spectra(m, cls)
         rng = np.random.default_rng(seed + 1)
         x, y = rng.uniform(-5, 5, m.n), rng.uniform(-5, 5, m.n)
-        zx = steady_state(m, cls, v, x).z
-        zy = steady_state(m, cls, v, y).z
-        zc = steady_state(m, cls, v, a * x + b * y).z
+        zx = steady_state(m, cls, spectra, x).z
+        zy = steady_state(m, cls, spectra, y).z
+        zc = steady_state(m, cls, spectra, a * x + b * y).z
         assert np.allclose(zc, a * zx + b * zy, atol=1e-7)

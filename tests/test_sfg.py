@@ -14,18 +14,21 @@ from signed_influence import (
     SinkSpectrum,
     SourceKind,
     SourceSpec,
+    SteadyStateMethod,
     attach_probe,
     build_full_sfg,
     build_matrices,
     build_network,
     classify,
+    compute_spectra,
     individual_influence,
     mason_gain,
     mason_influence,
     reduce_sfg,
+    run_analysis,
     solve_gain,
+    steady_state,
 )
-from signed_influence.pipeline import compute_spectra, run_analysis
 
 
 def _stack(net, params):
@@ -124,6 +127,9 @@ class TestReduceSfg:
             reduce_sfg(m, cls, {})
         with pytest.raises(MissingSpectrumError):
             solve_gain(m, cls, {})
+        for method in SteadyStateMethod:
+            with pytest.raises(MissingSpectrumError):
+                steady_state(m, cls, {}, ref11.x0, method=method)
 
 
 class TestAttachProbe:
