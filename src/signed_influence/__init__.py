@@ -39,7 +39,6 @@ from .errors import (
     MissingSpectrumError,
     NetworkValidationError,
     NoSuchEdgeError,
-    NotANodeError,
     NotStronglyConnectedError,
     NotWeaklyConnectedError,
     ParamConstraintViolatedError,
@@ -66,15 +65,12 @@ from .graph import (
 from .pipeline import AnalysisResult, run_analysis
 from .sfg import (
     CollectiveInfluence,
-    GainComputation,
     InfluenceMatrix,
     SfgGraph,
     SourceKind,
     SourceSpec,
-    attach_probe,
     build_full_sfg,
     individual_influence,
-    mason_gain,
     mason_influence,
     reduce_sfg,
     solve_gain,

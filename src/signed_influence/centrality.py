@@ -49,7 +49,7 @@ class SignFlipResult:
 
 def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
     """Column-wise absolute sums: how much each agent shapes all final opinions."""
-    scores = influence.theta_abs.sum(axis=0)
+    scores = np.abs(influence.theta).sum(axis=0)
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return CentralityResult(scores=scores, ranking=tuple(order), most_influential=order[0])
 

@@ -2,8 +2,8 @@
 
 Subcommands: classify, simulate, influence, centrality, whatif, export-sfg.
 Exit codes: 0 success, 2 input validation failure, 3 internal consistency
-failure (check mismatch, iteration cap, singular solve), 4 enumeration
-complexity cap hit with no fallback permitted.
+failure (check mismatch, iteration cap, singular solve, zero Mason
+determinant), 4 enumeration complexity cap hit with no fallback permitted.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     ComplexityCapExceededError,
     NetworkValidationError,
     NoSuchEdgeError,
-    NotANodeError,
     NotWeaklyConnectedError,
     ParamConstraintViolatedError,
     SignedInfluenceError,
@@ -243,7 +242,6 @@ def main(argv=None) -> int:
         ParamConstraintViolatedError,
         NoSuchEdgeError,
         ZeroDeltaError,
-        NotANodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

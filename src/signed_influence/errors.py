@@ -69,12 +69,6 @@ class MissingSpectrumError(SignedInfluenceError):
         self.sink = sink
 
 
-class NotANodeError(SignedInfluenceError):
-    def __init__(self, node):
-        super().__init__(f"{node} is not a non-source node of the graph")
-        self.node = node
-
-
 class ComplexityCapExceededError(SignedInfluenceError):
     """Path/loop enumeration exceeded the configured cap."""
 

@@ -18,7 +18,7 @@ from .dynamics import (
     compute_spectra,
     steady_state,
 )
-from .errors import ComplexityCapExceededError
+from .errors import ComplexityCapExceededError, SingularSystemError
 from .graph import AgentClassification, AgentParams, SignedNetwork, classify
 from .sfg import (
     CollectiveInfluence,
@@ -58,8 +58,8 @@ def run_analysis(
     """Run the whole stack and return every intermediate product.
 
     gain_method: "solve" for the algebraic gains, "mason" for path/loop
-    enumeration (raises on the complexity cap), "auto" for enumeration
-    with algebraic fallback.
+    enumeration (raises on the complexity cap or a zero determinant),
+    "auto" for enumeration with algebraic fallback on either.
     """
     x0 = np.asarray(x0, dtype=float)
     cls = classify(net, params)
@@ -72,7 +72,7 @@ def run_analysis(
     elif gain_method in ("mason", "auto"):
         try:
             collective, used = mason_influence(reduce_sfg(matrices, cls, spectra)), "mason"
-        except ComplexityCapExceededError:
+        except (ComplexityCapExceededError, SingularSystemError):
             if gain_method == "mason":
                 raise
             collective, used = solve_gain(matrices, cls, spectra), "solve"

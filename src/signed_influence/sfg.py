@@ -9,16 +9,20 @@ sources so every influential agent (group) is represented by a source.
 The production route never builds a graph: `solve_gain` takes the reduced
 node equations straight from P's blocks and solves them, and
 `individual_influence` assembles Θ = G·W from the gains.  Mason's formula
-over enumerated simple paths and loops is the paper's method, the first
-try of the `auto` gain route and the oracle the solve is checked against;
-the `SfgGraph` is built only for it and for DOT export.
+is the paper's method, the first try of the `auto` gain route and the
+oracle the solve is checked against; the `SfgGraph` is built only for it
+and for DOT export.  `mason_influence` enumerates the loops, their
+conflicts and the graph determinant Δ once per graph, walks each source's
+simple paths once and memoises each path's cofactor on the loops the path
+touches.  A capped enumeration raises `ComplexityCapExceededError` and a
+Δ of zero `SingularSystemError`; `auto` falls back to the solve on both.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -27,12 +31,11 @@ from .dynamics import ModelMatrices, SinkSpectrum
 from .errors import (
     ComplexityCapExceededError,
     MissingSpectrumError,
-    NotANodeError,
     SingularSystemError,
 )
 from .graph import AgentClassification, SinkKind
 
-NodeKey = tuple[str, int]  # ("agent", i) | ("source", r) | ("probe", i)
+NodeKey = tuple[str, int]  # ("agent", i) | ("source", r)
 
 DEFAULT_ENUM_CAP = 1_000_000
 DEFAULT_SUBSET_CAP = 100_000
@@ -85,15 +88,6 @@ class SfgGraph:
 
 
 @dataclass(frozen=True)
-class GainComputation:
-    forward_paths: tuple[tuple[tuple[NodeKey, ...], float], ...]
-    loops: tuple[tuple[tuple[NodeKey, ...], float], ...]
-    delta: float
-    sub_deltas: tuple[float, ...]
-    gain: float
-
-
-@dataclass(frozen=True)
 class CollectiveInfluence:
     """Gains from every source to every non-source node."""
 
@@ -108,7 +102,6 @@ class CollectiveInfluence:
 @dataclass(frozen=True)
 class InfluenceMatrix:
     theta: np.ndarray
-    theta_abs: np.ndarray
 
 
 def source_catalog(
@@ -265,20 +258,6 @@ def reduce_sfg(
     )
 
 
-def attach_probe(g: SfgGraph, agent: int) -> SfgGraph:
-    """Add a unit-gain probe sink hanging off a non-source agent node."""
-    if ("agent", agent) not in g.nodes:
-        raise NotANodeError(agent)
-    probe = ("probe", agent)
-    if probe in g.nodes:
-        return g
-    return replace(
-        g,
-        nodes=g.nodes + (probe,),
-        branches=g.branches + ((("agent", agent), probe, 1.0),),
-    )
-
-
 def _loop_conflicts(
     loops: list[tuple[frozenset, float]], cap: int = DEFAULT_ENUM_CAP
 ) -> list[set[int]]:
@@ -298,86 +277,34 @@ def _alternating_sum(
     allowed: set[int],
     cap: int,
 ) -> float:
-    """Sum over independent loop subsets of (-1)^|subset| * product of gains."""
+    """Sum over independent loop subsets of (-1)^|subset| * product of gains.
+
+    Depth first over the subsets in increasing loop order, on an explicit
+    stack, so a long run of non-touching loops cannot exhaust the
+    interpreter's recursion limit.  A frame holds the next position to try,
+    the loops blocked so far, its partial sum and the gain of the loop whose
+    subsets it is expanding.
+    """
     order = sorted(allowed)
     count = 0
-
-    def full(pos: int, blocked: set[int]) -> float:
-        nonlocal count
-        acc = 1.0
-        for k in range(pos, len(order)):
-            idx = order[k]
-            if idx in blocked:
-                continue
-            count += 1
-            if count > cap:
-                raise ComplexityCapExceededError(cap)
-            acc += -loops[idx][1] * full(k + 1, blocked | conflicts[idx] | {idx})
-        return acc
-
-    return full(0, set())
-
-
-def mason_gain(
-    g: SfgGraph,
-    source: int,
-    probe_agent: int,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-) -> GainComputation:
-    """Gain from a source to a probe via Mason's formula.
-
-    Enumerates simple forward paths and simple loops, evaluates the graph
-    determinant as the alternating sum over mutually non-touching loop
-    sets, and each path cofactor over the loops untouched by that path.
-    """
-    probe = ("probe", probe_agent)
-    if probe not in g.nodes:
-        raise NotANodeError(probe_agent)
-    nxg = g.to_networkx()
-
-    loops = []
-    for cyc in nx.simple_cycles(nxg):
-        gain = 1.0
-        for a, b in zip(cyc, cyc[1:] + [cyc[0]]):
-            gain *= nxg[a][b]["gain"]
-        loops.append((frozenset(cyc), gain, tuple(cyc)))
-        if len(loops) > enum_cap:
-            raise ComplexityCapExceededError(enum_cap)
-
-    paths = []
-    src = ("source", source)
-    if nxg.has_node(src):
-        for path in nx.all_simple_paths(nxg, src, probe):
-            gain = 1.0
-            for a, b in zip(path, path[1:]):
-                gain *= nxg[a][b]["gain"]
-            paths.append((tuple(path), gain))
-            if len(paths) > enum_cap:
-                raise ComplexityCapExceededError(enum_cap)
-
-    loop_sets = [(nodes, gain) for nodes, gain, _ in loops]
-    conflicts = _loop_conflicts(loop_sets, enum_cap)
-    everything = set(range(len(loop_sets)))
-    delta = _alternating_sum(loop_sets, conflicts, everything, subset_cap)
-
-    sub_deltas = []
-    numerator = 0.0
-    for path_nodes, path_gain in paths:
-        touched = set(path_nodes)
-        allowed = {k for k in everything if not (loop_sets[k][0] & touched)}
-        dh = _alternating_sum(loop_sets, conflicts, allowed, subset_cap)
-        sub_deltas.append(dh)
-        numerator += path_gain * dh
-
-    gain = numerator / delta if paths else 0.0
-    return GainComputation(
-        forward_paths=tuple(paths),
-        loops=tuple((cyc, lg) for _, lg, cyc in loops),
-        delta=delta,
-        sub_deltas=tuple(sub_deltas),
-        gain=gain,
-    )
+    stack = [[0, set(), 1.0, 0.0]]
+    while True:
+        frame = stack[-1]
+        pos, blocked = frame[0], frame[1]
+        while pos < len(order) and order[pos] in blocked:
+            pos += 1
+        if pos == len(order):
+            stack.pop()
+            if not stack:
+                return frame[2]
+            stack[-1][2] += -stack[-1][3] * frame[2]
+            continue
+        idx = order[pos]
+        count += 1
+        if count > cap:
+            raise ComplexityCapExceededError(cap)
+        frame[0], frame[3] = pos + 1, loops[idx][1]
+        stack.append([pos + 1, blocked | conflicts[idx] | {idx}, 1.0, 0.0])
 
 
 def solve_gain(
@@ -401,13 +328,61 @@ def mason_influence(
     enum_cap: int = DEFAULT_ENUM_CAP,
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> CollectiveInfluence:
-    """The full c matrix entry by entry via Mason's formula."""
+    """The full c matrix via Mason's formula, gain = Σ_paths gain·Δ_path / Δ.
+
+    Δ_path is the alternating sum over the loops the path does not touch.
+    The caps apply in turn to the loops, their pairs, each alternating sum
+    and the paths walked from one source.
+    """
+    nxg = g.to_networkx()
+    loops = []
+    for cyc in nx.simple_cycles(nxg):
+        gain = 1.0
+        for a, b in zip(cyc, cyc[1:] + [cyc[0]]):
+            gain *= nxg[a][b]["gain"]
+        loops.append((frozenset(cyc), gain))
+        if len(loops) > enum_cap:
+            raise ComplexityCapExceededError(enum_cap)
+    conflicts = _loop_conflicts(loops, enum_cap)
+    delta = _alternating_sum(loops, conflicts, set(range(len(loops))), subset_cap)
+    if delta == 0.0 or not np.isfinite(delta):
+        raise SingularSystemError(f"Mason's graph determinant is {delta}")
+
+    touches = dict.fromkeys(nxg, 0)  # node -> bit mask of the loops through it
+    for k, (nodes, _) in enumerate(loops):
+        for node in nodes:
+            touches[node] |= 1 << k
+    cofactors = {0: delta}  # bit mask of touched loops -> cofactor
+
     agents = g.nonsource_agents()
+    row = {("agent", i): k for k, i in enumerate(agents)}
     c = np.zeros((len(agents), len(g.sources)))
-    for k, agent in enumerate(agents):
-        probed = attach_probe(g, agent)
-        for r in range(len(g.sources)):
-            c[k, r] = mason_gain(probed, r, agent, enum_cap, subset_cap).gain
+    for r in range(len(g.sources)):
+        src = ("source", r)
+        on_path = {src}
+        stack = [(src, iter(nxg[src].items()), 1.0, 0)]
+        walked = 0
+        while stack:
+            node, succ, gain, touched = stack[-1]
+            for nxt, data in succ:
+                if nxt not in on_path:
+                    break
+            else:
+                stack.pop()
+                on_path.remove(node)
+                continue
+            walked += 1
+            if walked > enum_cap:
+                raise ComplexityCapExceededError(enum_cap)
+            gain *= data["gain"]
+            touched |= touches[nxt]
+            if touched not in cofactors:
+                allowed = {k for k in range(len(loops)) if not touched >> k & 1}
+                cofactors[touched] = _alternating_sum(loops, conflicts, allowed, subset_cap)
+            c[row[nxt], r] += gain * cofactors[touched]
+            on_path.add(nxt)
+            stack.append((nxt, iter(nxg[nxt].items()), gain, touched))
+    c /= delta
     return CollectiveInfluence(agents=agents, sources=g.sources, c=c)
 
 
@@ -434,5 +409,4 @@ def individual_influence(
         else:
             spectrum = spectra[spec.sink]
             w[r, list(spectrum.members)] = -spectrum.w if spec.side == -1 else spectrum.w
-    theta = g @ w
-    return InfluenceMatrix(theta=theta, theta_abs=np.abs(theta))
+    return InfluenceMatrix(theta=g @ w)

@@ -264,8 +264,9 @@ def _dot_id(node) -> str:
 
 def export_dot(g: SfgGraph, path: str | None = None, labels=None) -> str:
     """Graphviz DOT rendering; node shape encodes the source kind."""
-    def agent_label(i: int) -> str:
-        return labels[i] if labels is not None else str(i)
+    def agent_label(i: int) -> str:  # escaped for a quoted DOT string
+        shown = labels[i] if labels is not None else str(i)
+        return shown.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph sfg {", "  rankdir=LR;"]
     for node in g.nodes:
@@ -282,8 +283,6 @@ def export_dot(g: SfgGraph, path: str | None = None, labels=None) -> str:
                     else f"x{shown}(0)"
                 )
             lines.append(f'  {_dot_id(node)} [shape={shape}, label="{label}"];')
-        elif tag == "probe":
-            lines.append(f'  {_dot_id(node)} [shape=point, label="d{agent_label(idx)}"];')
         else:
             lines.append(f'  {_dot_id(node)} [shape=circle, label="{agent_label(idx)}"];')
     for src, dst, gain in g.branches:

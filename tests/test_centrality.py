@@ -17,8 +17,7 @@ from signed_influence.pipeline import run_analysis
 
 
 def _influence(theta):
-    theta = np.asarray(theta, dtype=float)
-    return InfluenceMatrix(theta=theta, theta_abs=np.abs(theta))
+    return InfluenceMatrix(theta=np.asarray(theta, dtype=float))
 
 
 class TestAbsoluteCentrality:

@@ -231,6 +231,25 @@ class TestInfluenceCommand:
         report = yaml.safe_load(out.read_text())
         assert report["provenance"]["gain_method"] == "solve"
 
+    def test_zero_mason_determinant_exits_3_and_auto_falls_back(self, tmp_path, capsys):
+        # three followers' self-loops of gain 0.999999 make Mason's Δ cancel to 0
+        path = _write_spec(
+            tmp_path,
+            n=5,
+            edges=[[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0], [4, 3, 1.0]],
+            gamma=[0.999999] * 3 + [0.5, 0.5],
+            beta=[0.0] * 5,
+            x0=[0.0, 0.0, 0.0, 1.0, 3.0],
+        )
+        assert main(["influence", path, "--method", "mason"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        out = tmp_path / "r.yaml"
+        assert main(["influence", path, "--method", "auto", "--out", str(out)]) == 0
+        report = yaml.safe_load(out.read_text())
+        assert report["provenance"]["gain_method"] == "solve"
+        assert np.allclose(report["collective_influence"]["c"], [[1.0]] * 3, rtol=0, atol=1e-9)
+
 
 class TestCentralityCommand:
     def test_reference_ranking(self, capsys):
@@ -307,6 +326,14 @@ class TestExportSfgCommand:
         assert main(["export-sfg", REF11_PATH]) == 0
         out = capsys.readouterr().out
         assert sum(1 for line in out.splitlines() if "shape=" in line) == 13
+
+    def test_labels_are_escaped(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, labels=['a"b', "c\\d"])
+        assert main(["export-sfg", path]) == 0
+        out = capsys.readouterr().out
+        assert 'label="a\\"b"' in out
+        assert 'label="xa\\"b(0)"' in out
+        assert 'label="leader c\\\\d"' in out
 
     def test_single_agent_graph(self, tmp_path, capsys):
         path = _write_spec(tmp_path, n=1, edges=[], gamma=[0.5], beta=[0.0], x0=[1.0])

@@ -9,20 +9,17 @@ from netgen import random_network
 from signed_influence import (
     AgentParams,
     ComplexityCapExceededError,
-    NotANodeError,
     SfgGraph,
     SinkSpectrum,
     SourceKind,
     SourceSpec,
     SteadyStateMethod,
-    attach_probe,
     build_full_sfg,
     build_matrices,
     build_network,
     classify,
     compute_spectra,
     individual_influence,
-    mason_gain,
     mason_influence,
     reduce_sfg,
     run_analysis,
@@ -132,24 +129,6 @@ class TestReduceSfg:
                 steady_state(m, cls, {}, ref11.x0, method=method)
 
 
-class TestAttachProbe:
-    def test_adds_unit_gain_probe(self, ref11):
-        _, _, _, _, reduced = _stack(ref11.net, ref11.params)
-        probed = attach_probe(reduced, 1)
-        assert ("probe", 1) in probed.nodes
-        assert (("agent", 1), ("probe", 1), 1.0) in probed.branches
-
-    def test_idempotent(self, ref11):
-        _, _, _, _, reduced = _stack(ref11.net, ref11.params)
-        once = attach_probe(reduced, 1)
-        assert attach_probe(once, 1) == once
-
-    def test_rejects_source_agent(self, ref11):
-        _, _, _, _, reduced = _stack(ref11.net, ref11.params)
-        with pytest.raises(NotANodeError):
-            attach_probe(reduced, 4)  # singleton leader: a source
-
-
 def _tiny_graph(g, loop):
     """source -> agent 0 with gain g, self-loop of gain loop on agent 0."""
     source = SourceSpec(SourceKind.STUBBORN_INITIAL, agent=0, members=(0,))
@@ -164,14 +143,17 @@ def _tiny_graph(g, loop):
     )
 
 
-class TestMasonGain:
+def _follower_chain(followers, gamma):
+    """Follower i listens to i + 1; the last one listens to a singleton leader."""
+    net = build_network(followers + 1, [(i, i + 1, 1.0) for i in range(followers)])
+    params = AgentParams(gamma=(gamma,) * followers + (0.5,), beta=(0.0,) * (followers + 1))
+    return net, params
+
+
+class TestMasonInfluence:
     def test_single_path_single_loop(self):
-        g = attach_probe(_tiny_graph(0.3, 0.6), 0)
-        res = mason_gain(g, 0, 0)
-        assert res.gain == pytest.approx(0.3 / (1 - 0.6))
-        assert res.delta == pytest.approx(1 - 0.6)
-        assert len(res.forward_paths) == 1
-        assert len(res.loops) == 1
+        ci = mason_influence(_tiny_graph(0.3, 0.6))
+        assert ci.c[0, 0] == pytest.approx(0.3 / (1 - 0.6))
 
     def test_series_chain(self):
         source = SourceSpec(SourceKind.SINGLETON_LEADER, agent=9, members=(9,))
@@ -184,29 +166,39 @@ class TestMasonGain:
             ),
             reduced=True,
         )
-        res = mason_gain(attach_probe(g, 1), 0, 1)
-        assert res.gain == pytest.approx(0.2)
+        assert mason_influence(g).row(1)[0] == pytest.approx(0.2)
 
     def test_no_path_gives_zero(self):
-        g = attach_probe(_tiny_graph(0.3, 0.0), 0)
+        g = _tiny_graph(0.3, 0.0)
         extra = SourceSpec(SourceKind.SINGLETON_LEADER, agent=5, members=(5,))
         g = dataclasses.replace(
             g, nodes=g.nodes + (("source", 1),), sources=g.sources + (extra,)
         )
-        assert mason_gain(g, 1, 0).gain == 0.0
+        assert mason_influence(g).c[0, 1] == 0.0
 
     def test_reference_table_entry(self, ref11):
         _, _, _, _, reduced = _stack(ref11.net, ref11.params)
-        probed = attach_probe(reduced, 0)
-        assert mason_gain(probed, 0, 0).gain == pytest.approx(0.02, abs=1e-12)
+        assert mason_influence(reduced).row(0)[0] == pytest.approx(0.02, abs=1e-12)
 
     def test_complexity_cap(self, ref11):
         _, _, _, _, reduced = _stack(ref11.net, ref11.params)
-        probed = attach_probe(reduced, 0)
         with pytest.raises(ComplexityCapExceededError):
-            mason_gain(probed, 0, 0, enum_cap=1)
+            mason_influence(reduced, enum_cap=1)
         with pytest.raises(ComplexityCapExceededError):
-            mason_gain(probed, 0, 0, subset_cap=1)
+            mason_influence(reduced, subset_cap=1)
+
+    def test_long_run_of_self_loops_hits_the_cap(self):
+        # 1050 non-touching self-loops: one alternating-sum level per loop
+        net, params = _follower_chain(1050, 0.3)
+        _, _, _, _, reduced = _stack(net, params)
+        with pytest.raises(ComplexityCapExceededError):
+            mason_influence(reduced, subset_cap=5000)
+
+    def test_deep_path_walk_matches_solve(self):
+        net, params = _follower_chain(1200, 0.0)
+        cls, m, _, spectra, reduced = _stack(net, params)
+        enumerated = mason_influence(reduced)
+        assert np.allclose(enumerated.c, solve_gain(m, cls, spectra).c, rtol=0, atol=1e-12)
 
 
 class TestSolveGain:
