@@ -16,15 +16,12 @@ from .centrality import (
     perturb_initial,
 )
 from .dynamics import (
-    ConvergenceKind,
-    ConvergenceVerdict,
     ModelMatrices,
     SinkSpectrum,
     SteadyState,
     SteadyStateMethod,
     TrajectoryLog,
     build_matrices,
-    classify_convergence,
     compute_spectra,
     simulate,
     sink_spectrum,

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .centrality import flip_edge_signs, perturb_initial
-from .dynamics import build_matrices, classify_convergence, compute_spectra, simulate
+from .dynamics import build_matrices, compute_spectra, simulate
 from .errors import (
     ComplexityCapExceededError,
     NetworkValidationError,
@@ -67,7 +67,7 @@ def cmd_classify(args) -> int:
         )
     sn = ", ".join(f"S_{s + 1}" for s in sorted(cls.influence_free_sinks))
     print(f"S_n = {{{sn}}}")
-    print(f"convergence: {classify_convergence(cls).kind.value}")
+    print(f"convergence: {cls.convergence}")
     return EXIT_OK
 
 
@@ -89,10 +89,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_influence(args) -> int:
     spec = load_spec(args.file)
-    result = run_analysis(
-        spec.net, spec.params, spec.x0, gain_method=args.method,
-        tol=args.tol, max_iters=args.max_iters,
-    )
+    result = run_analysis(spec.net, spec.params, spec.x0, gain_method=args.method)
     report = build_report(result, tol=args.tol, max_iters=args.max_iters)
     text = dump_report(report, args.out)
     if args.out is None:

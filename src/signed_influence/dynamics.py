@@ -1,4 +1,4 @@
-"""Model matrices, convergence classification and steady states.
+"""Model matrices, spectral radius, sink spectra, simulation and steady states.
 
 The update rule is
 
@@ -42,17 +42,6 @@ class ModelMatrices:
     def sink_block(self, classification: AgentClassification, sink: int) -> np.ndarray:
         members = classification.sinks[sink]
         return self.P[np.ix_(members, members)]
-
-
-class ConvergenceKind(enum.Enum):
-    CONVERGENT = "convergent"
-    SEMI_CONVERGENT = "semi-convergent"
-
-
-@dataclass(frozen=True)
-class ConvergenceVerdict:
-    kind: ConvergenceKind
-    unit_eigen_count: int
 
 
 @dataclass(frozen=True)
@@ -150,13 +139,6 @@ def spectral_radius(m: np.ndarray) -> float:
         else:
             rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(m[np.ix_(idx, idx)])))))
     return rho
-
-
-def classify_convergence(classification: AgentClassification) -> ConvergenceVerdict:
-    """Structural decision: semi-convergent iff a stubborn-free balanced sink exists."""
-    count = len(classification.influence_free_sinks)
-    kind = ConvergenceKind.SEMI_CONVERGENT if count else ConvergenceKind.CONVERGENT
-    return ConvergenceVerdict(kind=kind, unit_eigen_count=count)
 
 
 def simulate(
@@ -304,7 +286,7 @@ def steady_state(
     """
     x0 = np.asarray(x0, dtype=float)
     n = matrices.n
-    semi = bool(classification.influence_free_sinks)
+    semi = classification.unit_eigen_count > 0
 
     if method == SteadyStateMethod.ITERATION:
         z_o = _unit_eigenprojection(matrices, classification, spectra, x0) if semi else np.zeros(n)

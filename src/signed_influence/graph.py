@@ -133,6 +133,16 @@ class AgentClassification:
     def sink_has_stubborn(self, sink: int) -> bool:
         return any(m in self.stubborn for m in self.sinks[sink])
 
+    @property
+    def unit_eigen_count(self) -> int:
+        """Multiplicity of P's unit eigenvalue: one per stubborn-free balanced sink."""
+        return len(self.influence_free_sinks)
+
+    @property
+    def convergence(self) -> str:
+        """Structural decision: semi-convergent iff a stubborn-free balanced sink exists."""
+        return "semi-convergent" if self.influence_free_sinks else "convergent"
+
 
 def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetwork:
     """Validate and freeze a signed network description."""

@@ -8,13 +8,10 @@ import numpy as np
 
 from .centrality import CentralityResult, absolute_centrality
 from .dynamics import (
-    ConvergenceVerdict,
     ModelMatrices,
     SinkSpectrum,
     SteadyState,
-    SteadyStateMethod,
     build_matrices,
-    classify_convergence,
     compute_spectra,
     steady_state,
 )
@@ -37,7 +34,6 @@ class AnalysisResult:
     x0: np.ndarray
     classification: AgentClassification
     matrices: ModelMatrices
-    verdict: ConvergenceVerdict
     spectra: dict[int, SinkSpectrum]
     collective: CollectiveInfluence
     influence: InfluenceMatrix
@@ -51,9 +47,6 @@ def run_analysis(
     params: AgentParams,
     x0,
     gain_method: str = "auto",
-    steady_method: SteadyStateMethod = SteadyStateMethod.DIRECT_SOLVE,
-    tol: float = 1e-10,
-    max_iters: int = 100_000,
 ) -> AnalysisResult:
     """Run the whole stack and return every intermediate product.
 
@@ -64,7 +57,6 @@ def run_analysis(
     x0 = np.asarray(x0, dtype=float)
     cls = classify(net, params)
     matrices = build_matrices(net, params, cls)
-    verdict = classify_convergence(cls)
     spectra = compute_spectra(matrices, cls)
 
     if gain_method == "solve":
@@ -80,9 +72,7 @@ def run_analysis(
         raise ValueError(f"unknown gain method {gain_method!r}")
 
     influence = individual_influence(collective, cls, spectra)
-    steady = steady_state(
-        matrices, cls, spectra, x0, method=steady_method, tol=tol, max_iters=max_iters
-    )
+    steady = steady_state(matrices, cls, spectra, x0)
     centrality = absolute_centrality(influence)
     return AnalysisResult(
         net=net,
@@ -90,7 +80,6 @@ def run_analysis(
         x0=x0,
         classification=cls,
         matrices=matrices,
-        verdict=verdict,
         spectra=spectra,
         collective=collective,
         influence=influence,

@@ -5,6 +5,9 @@ direction is the reverse of the information flow in the network.  The full
 graph carries one node per final opinion plus one per stubborn initial
 opinion; the reduced graph collapses stubborn-free sinks into collective
 sources so every influential agent (group) is represented by a source.
+Both graphs are read off one set of node equations u = P'u + C_in v, built
+from P's rows by `_node_equations` for a given source list and set of
+deleted agents.
 
 The production route never builds a graph: `solve_gain` takes the reduced
 node equations straight from P's blocks and solves them, and
@@ -14,14 +17,17 @@ oracle the solve is checked against; the `SfgGraph` is built only for it
 and for DOT export.  `mason_influence` enumerates the loops, their
 conflicts and the graph determinant Δ once per graph, walks each source's
 simple paths once and memoises each path's cofactor on the loops the path
-touches.  A capped enumeration raises `ComplexityCapExceededError` and a
-Δ of zero `SingularSystemError`; `auto` falls back to the solve on both.
+touches.  A capped enumeration raises `ComplexityCapExceededError`, and Δ
+or a cofactor that cancels to fewer than 8 significant digits (as when γ
+nears 1 at followers) `SingularSystemError`; `auto` falls back to the solve
+on both.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -39,6 +45,9 @@ NodeKey = tuple[str, int]  # ("agent", i) | ("source", r)
 
 DEFAULT_ENUM_CAP = 1_000_000
 DEFAULT_SUBSET_CAP = 100_000
+# an alternating sum smaller than this share of its terms' |sum| has lost
+# more than 8 of its ~16 digits to cancellation
+_MIN_RELATIVE_SUM = 1e-8
 
 
 class SourceKind(enum.Enum):
@@ -74,7 +83,6 @@ class SfgGraph:
     nodes: tuple[NodeKey, ...]
     sources: tuple[SourceSpec, ...]  # index r matches ("source", r) nodes
     branches: tuple[tuple[NodeKey, NodeKey, float], ...]
-    reduced: bool
 
     def nonsource_agents(self) -> tuple[int, ...]:
         return tuple(i for tag, i in self.nodes if tag == "agent")
@@ -140,54 +148,6 @@ def source_catalog(
     return tuple(sources)
 
 
-def build_full_sfg(matrices: ModelMatrices, classification: AgentClassification) -> SfgGraph:
-    """One node per final opinion plus one source per stubborn initial opinion.
-
-    Non-stubborn singleton leaders are tagged as sources (their trivial
-    unit self-loop is dropped); every other agent node is a non-source.
-    """
-    cls = classification
-    leader_sources = {}
-    sources: list[SourceSpec] = []
-    for agent in sorted(cls.singleton_leaders):
-        if agent in cls.stubborn:
-            continue
-        sink = cls.sink_of[agent]
-        leader_sources[agent] = len(sources)
-        sources.append(
-            SourceSpec(SourceKind.SINGLETON_LEADER, agent=agent, sink=sink, members=(agent,))
-        )
-    init_sources = {}
-    for agent in matrices.stubborn_ids:
-        init_sources[agent] = len(sources)
-        sources.append(SourceSpec(SourceKind.STUBBORN_INITIAL, agent=agent, members=(agent,)))
-
-    def node_of(agent: int) -> NodeKey:
-        if agent in leader_sources:
-            return ("source", leader_sources[agent])
-        return ("agent", agent)
-
-    nodes = [node_of(i) for i in range(matrices.n)]
-    nodes += [("source", init_sources[a]) for a in matrices.stubborn_ids]
-    # keep node list unique when a leader id also appears in ids order
-    nodes = list(dict.fromkeys(nodes))
-
-    branches = []
-    for i in range(matrices.n):
-        if i in leader_sources:
-            continue  # row reads y_i = y_i; no branch
-        for j in range(matrices.n):
-            if matrices.P[i, j] != 0.0:
-                branches.append((node_of(j), ("agent", i), float(matrices.P[i, j])))
-    for agent in matrices.stubborn_ids:
-        branches.append(
-            (("source", init_sources[agent]), ("agent", agent), float(matrices.beta[agent]))
-        )
-    return SfgGraph(
-        nodes=tuple(nodes), sources=tuple(sources), branches=tuple(branches), reduced=False
-    )
-
-
 def _fold_matrix(sources: tuple[SourceSpec, ...], n: int) -> np.ndarray:
     """F[j, r] = 1 when agent j is folded into collective source r."""
     fold = np.zeros((n, len(sources)))
@@ -198,8 +158,8 @@ def _fold_matrix(sources: tuple[SourceSpec, ...], n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Reduction:
-    """Node equations u = P'u + C_in v of the reduced signal-flow graph."""
+class _NodeEquations:
+    """Node equations u = P'u + C_in v of a signal-flow graph."""
 
     agents: tuple[int, ...]  # non-source agents N
     sources: tuple[SourceSpec, ...]
@@ -207,11 +167,30 @@ class _Reduction:
     cin: np.ndarray  # P[N, :] F, stubborn-initial columns from Btilde[N]
 
 
+def _node_equations(
+    matrices: ModelMatrices, sources: tuple[SourceSpec, ...], deleted: frozenset[int]
+) -> _NodeEquations:
+    """The one builder of both graphs' node equations.
+
+    Agents folded into a source (a member of any non-stubborn-initial
+    source) and the deleted agents are not nodes; every other agent is a
+    non-source node.  The stubborn-initial sources come last in ``sources``.
+    """
+    fold = _fold_matrix(sources, matrices.n)
+    keep = ~fold.any(axis=1)
+    keep[list(deleted)] = False
+    agents = tuple(np.flatnonzero(keep).tolist())
+    rows = matrices.P[list(agents)]
+    cin = rows @ fold
+    cin[:, len(sources) - len(matrices.stubborn_ids):] = matrices.Btilde[list(agents)]
+    return _NodeEquations(agents, sources, rows[:, list(agents)], cin)
+
+
 def _reduction(
     matrices: ModelMatrices,
     classification: AgentClassification,
     spectra: dict[int, SinkSpectrum],
-) -> _Reduction:
+) -> _NodeEquations:
     """Collapse stubborn-free sinks into collective sources.
 
     Singleton leaders stay single sources, cooperative stubborn-free sinks
@@ -223,20 +202,39 @@ def _reduction(
     for sink in cls.influence_free_sinks:
         if sink not in spectra:
             raise MissingSpectrumError(sink)
+    deleted = frozenset(
+        m
+        for sink, members in enumerate(cls.sinks)
+        if cls.sink_kind[sink] == SinkKind.UNBALANCED and not cls.sink_has_stubborn(sink)
+        for m in members
+    )
+    return _node_equations(matrices, source_catalog(cls, matrices.stubborn_ids), deleted)
 
-    sources = source_catalog(cls, matrices.stubborn_ids)
-    fold = _fold_matrix(sources, matrices.n)
-    folded = fold.any(axis=1)
-    deleted = set()
-    for sink in range(len(cls.sinks)):
-        if cls.sink_kind[sink] == SinkKind.UNBALANCED and not cls.sink_has_stubborn(sink):
-            deleted.update(cls.sinks[sink])
-    agents = tuple(i for i in range(matrices.n) if not folded[i] and i not in deleted)
 
-    rows = matrices.P[list(agents)]
-    cin = rows @ fold
-    cin[:, len(sources) - len(matrices.stubborn_ids):] = matrices.Btilde[list(agents)]
-    return _Reduction(agents, sources, rows[:, list(agents)], cin)
+def _graph(eqs: _NodeEquations) -> SfgGraph:
+    """One branch per nonzero of P' and C_in, row by row, P' first."""
+    nodes = [("agent", i) for i in eqs.agents] + [("source", r) for r in range(len(eqs.sources))]
+    gains = np.hstack([eqs.pprime, eqs.cin])  # column k is the equation's term in nodes[k]
+    rows, cols = np.nonzero(gains)
+    branches = zip(cols.tolist(), rows.tolist(), gains[rows, cols].tolist())
+    return SfgGraph(
+        nodes=tuple(nodes),
+        sources=eqs.sources,
+        branches=tuple((nodes[col], nodes[row], gain) for col, row, gain in branches),
+    )
+
+
+def build_full_sfg(matrices: ModelMatrices, classification: AgentClassification) -> SfgGraph:
+    """One node per final opinion plus one source per stubborn initial opinion.
+
+    Non-stubborn singleton leaders are sources (their row reads y_i = y_i,
+    so it has no branch); every other agent node is a non-source.
+    """
+    kinds = (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL)
+    sources = tuple(
+        s for s in source_catalog(classification, matrices.stubborn_ids) if s.kind in kinds
+    )
+    return _graph(_node_equations(matrices, sources, frozenset()))
 
 
 def reduce_sfg(
@@ -244,18 +242,8 @@ def reduce_sfg(
     classification: AgentClassification,
     spectra: dict[int, SinkSpectrum],
 ) -> SfgGraph:
-    """The reduced signal-flow graph: one branch per nonzero of P' and C_in."""
-    red = _reduction(matrices, classification, spectra)
-    branches: list[tuple[NodeKey, NodeKey, float]] = []
-    for row, i in enumerate(red.agents):
-        for col in np.flatnonzero(red.pprime[row]):
-            branches.append((("agent", red.agents[col]), ("agent", i), float(red.pprime[row, col])))
-        for r in np.flatnonzero(red.cin[row]):
-            branches.append((("source", int(r)), ("agent", i), float(red.cin[row, r])))
-    nodes = [("agent", i) for i in red.agents] + [("source", r) for r in range(len(red.sources))]
-    return SfgGraph(
-        nodes=tuple(nodes), sources=red.sources, branches=tuple(branches), reduced=True
-    )
+    """The reduced signal-flow graph: stubborn-free sinks folded into sources."""
+    return _graph(_reduction(matrices, classification, spectra))
 
 
 def _loop_conflicts(
@@ -272,7 +260,7 @@ def _loop_conflicts(
 
 
 def _alternating_sum(
-    loops: list[tuple[frozenset, float]],
+    gains: list[float],
     conflicts: list[set[int]],
     allowed: set[int],
     cap: int,
@@ -303,7 +291,7 @@ def _alternating_sum(
         count += 1
         if count > cap:
             raise ComplexityCapExceededError(cap)
-        frame[0], frame[3] = pos + 1, loops[idx][1]
+        frame[0], frame[3] = pos + 1, gains[idx]
         stack.append([pos + 1, blocked | conflicts[idx] | {idx}, 1.0, 0.0])
 
 
@@ -331,22 +319,42 @@ def mason_influence(
     """The full c matrix via Mason's formula, gain = Σ_paths gain·Δ_path / Δ.
 
     Δ_path is the alternating sum over the loops the path does not touch.
+    Loops are taken in a canonical order, so c is the same in every process.
     The caps apply in turn to the loops, their pairs, each alternating sum
-    and the paths walked from one source.
+    and the paths walked from one source.  An alternating sum that keeps
+    fewer than 8 significant digits raises `SingularSystemError`.
     """
     nxg = g.to_networkx()
-    loops = []
+    cycles = []
     for cyc in nx.simple_cycles(nxg):
+        first = cyc.index(min(cyc))  # canonical: from the smallest node key
+        cycles.append(cyc[first:] + cyc[:first])
+        if len(cycles) > enum_cap:
+            raise ComplexityCapExceededError(enum_cap)
+    loops = []
+    for cyc in sorted(cycles):  # simple_cycles' order follows per-process str hashing
         gain = 1.0
-        for a, b in zip(cyc, cyc[1:] + [cyc[0]]):
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             gain *= nxg[a][b]["gain"]
         loops.append((frozenset(cyc), gain))
-        if len(loops) > enum_cap:
-            raise ComplexityCapExceededError(enum_cap)
     conflicts = _loop_conflicts(loops, enum_cap)
-    delta = _alternating_sum(loops, conflicts, set(range(len(loops))), subset_cap)
-    if delta == 0.0 or not np.isfinite(delta):
-        raise SingularSystemError(f"Mason's graph determinant is {delta}")
+    gains = [gain for _, gain in loops]
+    flipped = [-abs(gain) for gain in gains]  # turns every term of a sum into its |term|
+
+    def cofactor(allowed: set[int]) -> float:
+        total = _alternating_sum(gains, conflicts, allowed, subset_cap)
+        if not np.isfinite(total):
+            raise SingularSystemError(f"Mason's alternating sum is {total}")
+        # Σ|terms| <= Π(1 + |g|); only a sum that bound cannot clear pays for Σ|terms|
+        if abs(total) < _MIN_RELATIVE_SUM * math.prod(1.0 + abs(gains[k]) for k in allowed):
+            scale = _alternating_sum(flipped, conflicts, allowed, subset_cap)
+            if abs(total) < _MIN_RELATIVE_SUM * scale:
+                raise SingularSystemError(
+                    f"Mason's alternating sum cancels to {total:.3g} of {scale:.3g}"
+                )
+        return total
+
+    delta = cofactor(set(range(len(loops))))
 
     touches = dict.fromkeys(nxg, 0)  # node -> bit mask of the loops through it
     for k, (nodes, _) in enumerate(loops):
@@ -378,7 +386,7 @@ def mason_influence(
             touched |= touches[nxt]
             if touched not in cofactors:
                 allowed = {k for k in range(len(loops)) if not touched >> k & 1}
-                cofactors[touched] = _alternating_sum(loops, conflicts, allowed, subset_cap)
+                cofactors[touched] = cofactor(allowed)
             c[row[nxt], r] += gain * cofactors[touched]
             on_path.add(nxt)
             stack.append((nxt, iter(nxg[nxt].items()), gain, touched))

@@ -82,15 +82,22 @@ def _finite(x: int | float) -> bool:
         return False
 
 
-def load_spec(path: str) -> NetworkSpec:
-    """Load and validate a network spec file."""
+def _read_yaml(path: str):
+    """Parse a YAML file; every way that can fail is a one-line SpecFileError."""
     try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise SpecFileError(f"{path} is not valid YAML: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except yaml.YAMLError as exc:  # PyYAML's message spans lines; join them
+        raise SpecFileError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from exc
+
+
+def load_spec(path: str) -> NetworkSpec:
+    """Load and validate a network spec file."""
+    doc = _read_yaml(path)
     _require(isinstance(doc, dict), "top level must be a mapping")
     _require(doc.get("schema") == SPEC_SCHEMA, f"schema must be {SPEC_SCHEMA!r}")
     _require(
@@ -182,9 +189,9 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
             "influence_free_sinks": [f"S_{s + 1}" for s in sorted(cls.influence_free_sinks)],
         },
         "convergence": {
-            "kind": result.verdict.kind.value,
+            "kind": cls.convergence,
             "spectral_radius_estimate": _num(spectral_radius(result.matrices.P)),
-            "unit_eigen_count": result.verdict.unit_eigen_count,
+            "unit_eigen_count": cls.unit_eigen_count,
         },
         "steady_state": {
             "z": _vec(result.steady.z),
@@ -220,11 +227,7 @@ def dump_report(report: dict, path: str | None = None) -> str:
 
 
 def load_report(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as exc:
-        raise SpecFileError(f"cannot read report {path}: {exc}") from exc
+    doc = _read_yaml(path)
     _require(isinstance(doc, dict) and doc.get("schema") == REPORT_SCHEMA,
              f"report schema must be {REPORT_SCHEMA!r}")
     return doc

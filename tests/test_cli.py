@@ -74,13 +74,18 @@ class TestClassifyCommand:
             "gamma: [0.3, 0.4]\nbeta: [0.1, 0.0]\nx0: [1.0, 2.0]\n",
             "schema: signed-influence/1\nn: 2\nedges: [[true, 0, 1.5]]\n"
             "gamma: [0.3, 0.4]\nbeta: [0.0, 0.1]\nx0: [1.0, 2.0]\n",
+            "n: [1",
+            b"\xff\xfe\xfa",
         ],
         ids=["wrong-schema", "bool-n", "nan-x0", "huge-int-x0",
-             "bool-weight", "string-weight", "bool-id"],
+             "bool-weight", "string-weight", "bool-id", "unparsable-yaml", "not-utf8"],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.yaml"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         assert main(["classify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -195,6 +200,14 @@ class TestInfluenceCommand:
         rb = yaml.safe_load(b.read_text())
         assert diff_reports(ra, rb) == []
 
+    def test_unreadable_report_is_one_line(self, tmp_path):
+        path = tmp_path / "report.yaml"
+        for content in (b"\xff\xfe\xfa", b"schema: [1"):
+            path.write_bytes(content)
+            with pytest.raises(signed_influence.SpecFileError) as exc:
+                signed_influence.load_report(str(path))
+            assert "\n" not in str(exc.value)
+
     @pytest.mark.parametrize("path", [REF11_PATH, ZOO17_PATH], ids=["reference11", "showcase17"])
     def test_mason_and_solve_agree(self, tmp_path, path):
         reports = {}
@@ -249,6 +262,26 @@ class TestInfluenceCommand:
         report = yaml.safe_load(out.read_text())
         assert report["provenance"]["gain_method"] == "solve"
         assert np.allclose(report["collective_influence"]["c"], [[1.0]] * 3, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.999, 0.9999, 0.99999])
+    def test_mason_cancellation_exits_3_and_auto_solves(self, tmp_path, capsys, gamma):
+        # followers' self-loops near 1: Δ and the cofactors lose their digits
+        x0 = [0.0, 0.0, 0.0, 1.0, 3.0]
+        path = _write_spec(
+            tmp_path,
+            n=5,
+            edges=[[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0], [4, 3, 1.0]],
+            gamma=[gamma] * 3 + [0.5, 0.5],
+            beta=[0.0] * 5,
+            x0=x0,
+        )
+        assert main(["influence", path, "--method", "mason"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        spec = signed_influence.load_spec(path)
+        res = signed_influence.run_analysis(spec.net, spec.params, spec.x0, gain_method="auto")
+        assert res.gain_method_used == "solve"
+        assert np.max(np.abs(res.influence.theta @ np.array(x0) - res.steady.z)) <= 1e-12
 
 
 class TestCentralityCommand:

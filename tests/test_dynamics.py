@@ -9,14 +9,12 @@ from netgen import random_network
 from signed_influence import dynamics
 from signed_influence import (
     AgentParams,
-    ConvergenceKind,
     DegenerateEigenspaceError,
     SteadyStateMethod,
     StubbornSinkRejectedError,
     build_matrices,
     build_network,
     classify,
-    classify_convergence,
     compute_spectra,
     run_analysis,
     simulate,
@@ -128,18 +126,16 @@ class TestSpectralRadius:
 class TestConvergenceVerdict:
     def test_reference_network_is_semi_convergent(self, ref11):
         cls, m = _setup(ref11.net, ref11.params)
-        v = classify_convergence(cls)
-        assert v.kind == ConvergenceKind.SEMI_CONVERGENT
-        assert v.unit_eigen_count == 2
+        assert cls.convergence == "semi-convergent"
+        assert cls.unit_eigen_count == 2
         assert spectral_radius(m.P) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_stubborn_sinks_give_convergence(self):
         rn = random_network(3, kinds=("cooperative", "balanced"),
                             stubborn_offsets=((0,), (1,)))
         cls, m = _setup(rn.net, rn.params)
-        v = classify_convergence(cls)
-        assert v.kind == ConvergenceKind.CONVERGENT
-        assert v.unit_eigen_count == 0
+        assert cls.convergence == "convergent"
+        assert cls.unit_eigen_count == 0
         assert spectral_radius(m.P) < 1 - 1e-6
 
     def test_decision_is_structural(self):
@@ -147,9 +143,8 @@ class TestConvergenceVerdict:
         for seed in range(30):
             rn = random_network(seed)
             cls = classify(rn.net, rn.params)
-            v = classify_convergence(cls)
             expect_semi = len(cls.influence_free_sinks) > 0
-            assert (v.kind == ConvergenceKind.SEMI_CONVERGENT) == expect_semi
+            assert (cls.convergence == "semi-convergent") == expect_semi
 
 
 class TestSimulate:

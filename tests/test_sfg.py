@@ -1,10 +1,15 @@
 """Signal-flow graph construction, reduction, gains and influence assembly."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import REF11, ZOO17
 from netgen import random_network
 from signed_influence import (
     AgentParams,
@@ -20,6 +25,7 @@ from signed_influence import (
     classify,
     compute_spectra,
     individual_influence,
+    load_spec,
     mason_influence,
     reduce_sfg,
     run_analysis,
@@ -73,6 +79,25 @@ class TestFullSfg:
         gains = {(src, dst): g for src, dst, g in full.branches}
         assert gains[("agent", 1), ("agent", 0)] == pytest.approx(m.P[0, 1])
         assert gains[("agent", 7), ("agent", 0)] == pytest.approx(0.13)
+
+    def test_one_branch_per_entry_of_p_and_beta(self):
+        # one P[i, j] branch j -> i per nonzero, except in the rows of
+        # non-stubborn singleton leaders, and one beta branch per stubborn agent
+        nets = [load_spec(str(REF11)), load_spec(str(ZOO17))]
+        nets += [random_network(seed) for seed in range(200)]
+        for k, rn in enumerate(nets):
+            cls, m, full, _, _ = _stack(rn.net, rn.params)
+            leaders = {i for i in cls.singleton_leaders if i not in cls.stubborn}
+            expected = [("P", int(j), int(i), float(m.P[i, j]))
+                        for i, j in zip(*np.nonzero(m.P)) if i not in leaders]
+            expected += [("beta", i, i, float(m.beta[i])) for i in m.stubborn_ids]
+            got = []
+            for (tag, a), (_, i), gain in full.branches:
+                spec = full.sources[a] if tag == "source" else None
+                kind = "beta" if spec and spec.kind == SourceKind.STUBBORN_INITIAL else "P"
+                got.append((kind, spec.agent if spec else a, i, gain))
+            assert sorted(got) == sorted(expected), k
+            assert len(set(full.nodes)) == len(full.nodes) == m.n + len(m.stubborn_ids), k
 
 
 class TestReduceSfg:
@@ -139,7 +164,6 @@ def _tiny_graph(g, loop):
         nodes=(("agent", 0), ("source", 0)),
         sources=(source,),
         branches=tuple(branches),
-        reduced=True,
     )
 
 
@@ -148,6 +172,22 @@ def _follower_chain(followers, gamma):
     net = build_network(followers + 1, [(i, i + 1, 1.0) for i in range(followers)])
     params = AgentParams(gamma=(gamma,) * followers + (0.5,), beta=(0.0,) * (followers + 1))
     return net, params
+
+
+def _mason_c_in_process(hash_seed, net_seed):
+    """Mason's c on a netgen network, as hex bytes, from a fresh interpreter."""
+    tests = pathlib.Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = (
+        "from netgen import random_network; import signed_influence as si; "
+        f"rn = random_network({net_seed}); cls = si.classify(rn.net, rn.params); "
+        "m = si.build_matrices(rn.net, rn.params, cls); sp = si.compute_spectra(m, cls); "
+        "print(si.mason_influence(si.reduce_sfg(m, cls, sp)).c.tobytes().hex())"
+    )
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(hash_seed))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
 
 
 class TestMasonInfluence:
@@ -164,7 +204,6 @@ class TestMasonInfluence:
                 (("source", 0), ("agent", 0), 0.5),
                 (("agent", 0), ("agent", 1), 0.4),
             ),
-            reduced=True,
         )
         assert mason_influence(g).row(1)[0] == pytest.approx(0.2)
 
@@ -193,6 +232,11 @@ class TestMasonInfluence:
         _, _, _, _, reduced = _stack(net, params)
         with pytest.raises(ComplexityCapExceededError):
             mason_influence(reduced, subset_cap=5000)
+
+    def test_bit_identical_across_processes(self):
+        # netgen seed 172's c depends on the loop order in its last bits, and
+        # str hashing differs between these two hash seeds
+        assert _mason_c_in_process(0, 172) == _mason_c_in_process(1, 172)
 
     def test_deep_path_walk_matches_solve(self):
         net, params = _follower_chain(1200, 0.0)
