@@ -32,7 +32,7 @@ class PerturbationResult:
     delta: float
     z_base: np.ndarray
     z_perturbed: np.ndarray
-    deviation_per_unit: float  # ||z' - z||_1 / |delta|
+    deviation_per_unit: float  # ||z' - z||_1 / |x0'[agent] - x0[agent]|
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
 def _setup(net: SignedNetwork, params: AgentParams):
     """Matrices, classification and sink spectra: everything a steady state reads but x(0)."""
     cls = classify(net, params)
-    matrices = build_matrices(net, params, cls)
+    matrices = build_matrices(net, params)
     return matrices, cls, compute_spectra(matrices, cls)
 
 
@@ -74,6 +74,9 @@ def perturb_initial(
 ) -> PerturbationResult:
     """Recompute the steady state with x_agent(0) shifted by delta.
 
+    The deviation is per unit of the shift the addition actually made; a
+    delta lost to rounding against x0[agent] raises ZeroDeltaError.
+
     The per-unit L1 deviation equals the agent's absolute centrality score,
     which makes this an independent check on the influence matrix: both
     steady states are recomputed (sharing one classification and one set of
@@ -84,12 +87,15 @@ def perturb_initial(
     if not (0 <= agent < net.n):
         raise BadIdError(agent)
     x0 = np.asarray(x0, dtype=float)
-    setup = _setup(net, params)
-    z_base = _steady(setup, x0)
     x0p = x0.copy()
     x0p[agent] += delta
+    shift = x0p[agent] - x0[agent]  # delta as rounded against x0[agent]
+    if shift == 0.0 or not np.isfinite(shift):
+        raise ZeroDeltaError(f"delta {delta:g} shifts x0[{agent}] = {x0[agent]:g} by {shift:g}")
+    setup = _setup(net, params)
+    z_base = _steady(setup, x0)
     z_pert = _steady(setup, x0p)
-    deviation = float(np.abs(z_pert - z_base).sum() / abs(delta))
+    deviation = float(np.abs(z_pert - z_base).sum() / abs(shift))
     return PerturbationResult(
         agent=agent,
         delta=float(delta),

@@ -6,6 +6,10 @@ The update rule is
 
 with Q the sign-preserving row normalisation of the adjacency matrix,
 Gamma = diag(gamma) the self-belief and B = diag(beta) the stubbornness.
+
+z, z_o and the gains c all solve x = P x + r, with x given on the sinks
+without a stubborn member (v (w . x(0)) or the source fold when balanced,
+else 0).  `_complete` solves for the other agents K in one solve on I - P_KK.
 """
 
 from __future__ import annotations
@@ -81,9 +85,7 @@ class TrajectoryLog:
     residual: float
 
 
-def build_matrices(
-    net: SignedNetwork, params: AgentParams, classification: AgentClassification
-) -> ModelMatrices:
+def build_matrices(net: SignedNetwork, params: AgentParams) -> ModelMatrices:
     n = net.n
     a = net.adjacency
     with np.errstate(over="ignore"):  # an overflowed row is rescaled below
@@ -229,36 +231,38 @@ def _solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _unit_limits(matrices, classification, spectra, x0):
     """lim P^k x(0) on the sinks: v (w . x(0)) on each stubborn-free balanced sink."""
+    if missing := classification.influence_free_sinks - spectra.keys():
+        raise MissingSpectrumError(min(missing))
     z_o = np.zeros(matrices.n)
     for sink in classification.influence_free_sinks:
-        if sink not in spectra:
-            raise MissingSpectrumError(sink)
         spec = spectra[sink]
         members = list(spec.members)
         z_o[members] = spec.v * float(spec.w @ x0[members])
     return z_o
 
 
-def _fill_followers(matrices, classification, x, drive):
-    """Complete x (n, or n x k) on the followers given its sink rows.
+def _solved_agents(classification: AgentClassification) -> list[int]:
+    """K: the followers and the members of sinks with a stubborn member, sorted."""
+    cls = classification
+    given = {m for s, ms in enumerate(cls.sinks) if not cls.sink_has_stubborn(s) for m in ms}
+    return [i for i in range(len(cls.perm)) if i not in given]
 
-    One solve of (I - P_FF) X_F = P_FL X_L + drive_F for all columns: the
-    follower block is convergent, so each column's limit is unique.
+
+def _complete(matrices, classification, x, rhs):
+    """Complete x (n, or n x k) on K given its rows on the stubborn-free sinks.
+
+    One solve of (I - P_KK) X_K = P_K,: X + R_K for all columns at once.
+    P_KK is convergent (every sink in K has a stubborn member, every
+    follower reaches a sink), so each column's solution is unique.
     """
-    followers = sorted(classification.followers)
-    if followers:
-        leaders = sorted(classification.perm[len(followers):])
-        pff = matrices.P[np.ix_(followers, followers)]
-        pfl = matrices.P[np.ix_(followers, leaders)]
-        rhs = pfl @ x[leaders] + drive[followers]
-        x[followers] = _solve_checked(np.eye(len(followers)) - pff, rhs)
+    k = _solved_agents(classification)
+    if k:
+        given = np.setdiff1d(np.arange(matrices.n), k)
+        b = matrices.P[np.ix_(k, given)] @ x[given] + rhs[k]
+        a = -matrices.P[np.ix_(k, k)]
+        a[np.diag_indices(len(k))] += 1.0
+        x[k] = _solve_checked(a, b)
     return x
-
-
-def _unit_eigenprojection(matrices, classification, spectra, x0):
-    """lim P^k x(0): projection onto the unit eigenspace spanned by the sinks."""
-    z_o = _unit_limits(matrices, classification, spectra, x0)
-    return _fill_followers(matrices, classification, z_o, np.zeros(matrices.n))
 
 
 def steady_state(
@@ -277,47 +281,28 @@ def steady_state(
     ``spectra``, computed once by ``compute_spectra``; a missing one raises
     MissingSpectrumError.
 
-    direct-solve: the sink limits first (v (w . x(0)) on stubborn-free
-    balanced sinks, a block solve on sinks with stubborn members), then one
-    follower solve with z and z_o as two right-hand sides; a whole-system
-    solve when convergent.  eigenprojection: z_o from the unit eigenpairs plus a
-    stubborn-response solve on the complement.  iteration: run the update
-    rule to convergence, with z_o from the unit eigenpairs.
+    z and z_o are v (w . x(0)) on the stubborn-free balanced sinks and 0 on
+    the other stubborn-free sinks; `_complete` solves for every other agent.
+    direct-solve: one complement solve with z and z_o as two right-hand
+    sides.  eigenprojection: z_o and z_s by two complement solves, one per
+    half of the right-hand side.  iteration: run the update rule to
+    convergence, with z_o from the unit eigenpairs.
     """
     x0 = np.asarray(x0, dtype=float)
     n = matrices.n
-    semi = classification.unit_eigen_count > 0
+    drive = matrices.beta * x0
+    limits = _unit_limits(matrices, classification, spectra, x0)
 
+    if method == SteadyStateMethod.DIRECT_SOLVE:
+        zz = np.column_stack([limits, limits])
+        zz = _complete(matrices, classification, zz, np.column_stack([drive, np.zeros(n)]))
+        return SteadyState(z=zz[:, 0], z_o=zz[:, 1], z_s=zz[:, 0] - zz[:, 1], method=method)
+
+    z_o = _complete(matrices, classification, limits, np.zeros(n))
     if method == SteadyStateMethod.ITERATION:
-        z_o = _unit_eigenprojection(matrices, classification, spectra, x0) if semi else np.zeros(n)
         z = simulate(matrices, x0, tol=tol, max_iters=max_iters).xs[-1]
         return SteadyState(z=z, z_o=z_o, z_s=z - z_o, method=method)
 
-    if not semi:
-        z = _solve_checked(np.eye(n) - matrices.P, matrices.beta * x0)
-        return SteadyState(z=z, z_o=np.zeros(n), z_s=z, method=method)
-
-    if method == SteadyStateMethod.DIRECT_SOLVE:
-        z_o = _unit_limits(matrices, classification, spectra, x0)
-        z = z_o.copy()
-        for sink, members in enumerate(classification.sinks):
-            if classification.sink_has_stubborn(sink):
-                members = list(members)
-                block = matrices.P[np.ix_(members, members)]
-                rhs = matrices.beta[members] * x0[members]
-                z[members] = _solve_checked(np.eye(len(members)) - block, rhs)
-        drive = np.column_stack([matrices.beta * x0, np.zeros(n)])
-        zz = _fill_followers(matrices, classification, np.column_stack([z, z_o]), drive)
-        z, z_o = zz[:, 0], zz[:, 1]
-        return SteadyState(z=z, z_o=z_o, z_s=z - z_o, method=method)
-
-    # eigenprojection: z_o from the eigenpairs, z_s from the convergent complement
-    z_o = _unit_eigenprojection(matrices, classification, spectra, x0)
-    free = {m for sink in classification.influence_free_sinks for m in classification.sinks[sink]}
-    comp = [i for i in range(n) if i not in free]
-    z_s = np.zeros(n)
-    if comp:
-        pcc = matrices.P[np.ix_(comp, comp)]
-        rhs = matrices.beta[comp] * x0[comp]
-        z_s[comp] = _solve_checked(np.eye(len(comp)) - pcc, rhs)
+    # eigenprojection: z_s from the stubborn input alone, on its own solve
+    z_s = _complete(matrices, classification, np.zeros(n), drive)
     return SteadyState(z=z_o + z_s, z_o=z_o, z_s=z_s, method=method)

@@ -127,7 +127,6 @@ class AgentClassification:
     sigma: Mapping[int, int]  # defined exactly on members of balanced sinks
     balanced_sinks: frozenset[int]  # effectively balanced (S_b)
     influence_free_sinks: frozenset[int]  # balanced and stubborn-free (S_n)
-    follower_count: int
     perm: tuple[int, ...]  # followers first, then sink members, contiguously
 
     def sink_has_stubborn(self, sink: int) -> bool:
@@ -307,6 +306,5 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         sigma=sigma,
         balanced_sinks=frozenset(balanced_sinks),
         influence_free_sinks=influence_free,
-        follower_count=len(followers),
         perm=perm,
     )

@@ -56,7 +56,7 @@ def run_analysis(
     """
     x0 = np.asarray(x0, dtype=float)
     cls = classify(net, params)
-    matrices = build_matrices(net, params, cls)
+    matrices = build_matrices(net, params)
     spectra = compute_spectra(matrices, cls)
 
     if gain_method == "solve":

@@ -9,18 +9,18 @@ Both graphs are read off one set of node equations u = P'u + C_in v, built
 from P's rows by `_node_equations` for a given source list and set of
 deleted agents.
 
-The production route never builds a graph: `solve_gain` takes the reduced
-node equations straight from P's blocks and solves them, and
-`individual_influence` assembles Θ = G·W from the gains.  Mason's formula
-is the paper's method, the first try of the `auto` gain route and the
-oracle the solve is checked against; the `SfgGraph` is built only for it
-and for DOT export.  `mason_influence` enumerates the loops, their
-conflicts and the graph determinant Δ once per graph, walks each source's
-simple paths once and memoises each path's cofactor on the loops the path
-touches.  A capped enumeration raises `ComplexityCapExceededError`, and Δ
-or a cofactor that cancels to fewer than 8 significant digits (as when γ
-nears 1 at followers) `SingularSystemError`; `auto` falls back to the solve
-on both.
+The production route builds neither: `solve_gain` makes the steady
+state's complement solve (`dynamics._complete`) with the fold rows given,
+and `individual_influence` assembles Θ = G·W from the gains.  Mason's
+formula is the paper's method, the first try of the `auto` gain route and
+the oracle the solve is checked against; the node equations and the
+`SfgGraph` are built only for it and for DOT export.  `mason_influence`
+enumerates the loops, their conflicts and the graph determinant Δ once per
+graph, walks each source's simple paths once and memoises each path's
+cofactor on the loops the path touches.  A capped enumeration raises
+`ComplexityCapExceededError`, and Δ or a cofactor that cancels to fewer
+than 8 significant digits (as when γ nears 1 at followers)
+`SingularSystemError`; `auto` falls back to the solve on both.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .dynamics import ModelMatrices, SinkSpectrum
+from .dynamics import ModelMatrices, SinkSpectrum, _complete, _solved_agents
 from .errors import (
     ComplexityCapExceededError,
     MissingSpectrumError,
@@ -199,9 +199,8 @@ def _reduction(
     any stubborn leader remain ordinary non-source nodes.
     """
     cls = classification
-    for sink in cls.influence_free_sinks:
-        if sink not in spectra:
-            raise MissingSpectrumError(sink)
+    if missing := cls.influence_free_sinks - spectra.keys():
+        raise MissingSpectrumError(min(missing))
     deleted = frozenset(
         m
         for sink, members in enumerate(cls.sinks)
@@ -300,15 +299,20 @@ def solve_gain(
     classification: AgentClassification,
     spectra: dict[int, SinkSpectrum],
 ) -> CollectiveInfluence:
-    """All gains at once by solving the reduced node equations (I - P')C = C_in."""
-    red = _reduction(matrices, classification, spectra)
-    try:
-        c = np.linalg.solve(np.eye(len(red.agents)) - red.pprime, red.cin)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("unit-gain loop among non-sources") from exc
-    if red.agents and not np.all(np.isfinite(c)):
-        raise SingularSystemError("non-finite gains; graph misreduced")
-    return CollectiveInfluence(agents=red.agents, sources=red.sources, c=c)
+    """All gains at once by one complement solve of X = P X + R.
+
+    X is given as the fold matrix on the stubborn-free sinks, R is Btilde in
+    the stubborn-initial columns, and c is X on the non-source agents.
+    """
+    if missing := classification.influence_free_sinks - spectra.keys():
+        raise MissingSpectrumError(min(missing))
+    sources = source_catalog(classification, matrices.stubborn_ids)
+    x = _fold_matrix(sources, matrices.n)
+    rhs = np.zeros_like(x)
+    rhs[:, len(sources) - len(matrices.stubborn_ids):] = matrices.Btilde
+    x = _complete(matrices, classification, x, rhs)
+    agents = tuple(_solved_agents(classification))
+    return CollectiveInfluence(agents=agents, sources=sources, c=x[list(agents)])
 
 
 def mason_influence(

@@ -34,6 +34,9 @@ from .sfg import SfgGraph, SourceKind
 
 SPEC_SCHEMA = "signed-influence/1"
 REPORT_SCHEMA = "signed-influence/report/1"
+# libyaml's parser and emitter when PyYAML was built with them
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ def _read_yaml(path: str):
     """Parse a YAML file; every way that can fail is a one-line SpecFileError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -219,7 +222,7 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
 
 
 def dump_report(report: dict, path: str | None = None) -> str:
-    text = yaml.safe_dump(report, sort_keys=False, default_flow_style=None)
+    text = yaml.dump(report, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
     if path is not None:
         with _open_out(path) as fh:
             fh.write(text)

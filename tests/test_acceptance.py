@@ -68,7 +68,7 @@ def test_criterion_1_collective_influence_table(ref11):
 
 def test_criterion_2_antagonistic_sink_eigenvector(ref11):
     cls = classify(ref11.net, ref11.params)
-    m = build_matrices(ref11.net, ref11.params, cls)
+    m = build_matrices(ref11.net, ref11.params)
     w = sink_spectrum(m, cls, 2).w
     err = float(np.max(np.abs(w - [0.2941, -0.3137, -0.3922])))
     _verdict(2, err <= 1e-3, f"left eigenvector within 1e-3 (max err {err:.2e})")
@@ -126,7 +126,7 @@ def test_criterion_4_centrality_vector(ref11_result):
 
 def test_criterion_5_steady_state_by_three_routes(ref11):
     cls = classify(ref11.net, ref11.params)
-    m = build_matrices(ref11.net, ref11.params, cls)
+    m = build_matrices(ref11.net, ref11.params)
     spectra = compute_spectra(m, cls)
     values = {
         meth.value: steady_state(m, cls, spectra, ref11.x0, method=meth).z[0]
@@ -151,7 +151,7 @@ def test_criterion_6_sign_flip_experiment(ref11):
 
 def _reduced(net, params):
     cls = classify(net, params)
-    m = build_matrices(net, params, cls)
+    m = build_matrices(net, params)
     spectra = compute_spectra(m, cls)
     return cls, m, spectra, reduce_sfg(m, cls, spectra)
 
@@ -189,7 +189,7 @@ def test_criterion_9_convergence_dichotomy():
     for seed in range(100):
         rn = random_network(seed)
         cls = classify(rn.net, rn.params)
-        m = build_matrices(rn.net, rn.params, cls)
+        m = build_matrices(rn.net, rn.params)
         if not cls.influence_free_sinks:
             rho = spectral_radius(m.P)
             if not rho < 1 - 1e-6:
@@ -225,7 +225,7 @@ def test_criterion_11_sink_limit_taxonomy():
         ):
             rn = random_network(seed, kinds=kinds, stubborn_offsets=stub)
             cls = classify(rn.net, rn.params)
-            m = build_matrices(rn.net, rn.params, cls)
+            m = build_matrices(rn.net, rn.params)
             assert len(cls.sinks) == 1
             members = list(cls.sinks[0])
             log = simulate(m, rn.x0, tol=1e-12, thin=10**9)

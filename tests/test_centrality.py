@@ -53,6 +53,11 @@ class TestPerturbInitial:
         with pytest.raises(ZeroDeltaError):
             perturb_initial(ref11.net, ref11.params, ref11.x0, 0, 0.0)
 
+    def test_rejects_delta_lost_against_x0(self, ref11):
+        # x0[0] = 8e17: adding 1 leaves it unchanged, though agent 0's centrality is 0.5
+        with pytest.raises(ZeroDeltaError):
+            perturb_initial(ref11.net, ref11.params, ref11.x0 * 1e17, 0, 1.0)
+
     def test_reference_stubborn_leader(self, ref11):
         res = perturb_initial(ref11.net, ref11.params, ref11.x0, 5, 1.0)
         assert res.deviation_per_unit == pytest.approx(3.92, abs=1e-9)

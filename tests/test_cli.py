@@ -34,6 +34,14 @@ def _write_spec(tmp_path, name="net.yaml", **overrides):
     return str(path)
 
 
+def _scaled_ref11(tmp_path, scale):
+    doc = yaml.safe_load(pathlib.Path(REF11_PATH).read_text())
+    doc["x0"] = [v * scale for v in doc["x0"]]
+    path = tmp_path / "scaled.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
 class TestClassifyCommand:
     def test_reference_network(self, capsys):
         assert main(["classify", REF11_PATH]) == 0
@@ -224,6 +232,14 @@ class TestInfluenceCommand:
         assert main(["influence", REF11_PATH, "--check", "--out", str(out)]) == 0
         assert "check: prediction matches simulation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e12])
+    def test_check_bound_scales_with_x0(self, tmp_path, capsys, scale):
+        # the bound is 1e-6 + 1e-12 * max|x0|: rounding at large opinions is no mismatch
+        path = _scaled_ref11(tmp_path, scale)
+        out = str(tmp_path / "r.yaml")
+        assert main(["influence", path, "--check", "--out", out]) == 0
+        assert main(["influence", path, "--check", "--out", out, "--max-iters", "1"]) == 3
+
     def test_mason_cap_exits_4_and_auto_falls_back(self, tmp_path, capsys):
         # a dense follower web has far too many loops for enumeration
         n = 9
@@ -341,6 +357,13 @@ class TestWhatifCommand:
 
     def test_zero_delta_exits_2(self, capsys):
         assert main(["whatif", REF11_PATH, "--perturb", "1", "0.0"]) == 2
+
+    def test_delta_lost_against_x0_exits_2(self, tmp_path, capsys):
+        # 8e17 + 1 rounds back to 8e17: no shift happened, so no deviation per unit
+        path = _scaled_ref11(tmp_path, 1e17)
+        assert main(["whatif", path, "--perturb", "1", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_edge_exits_2(self, capsys):
         assert main(["whatif", REF11_PATH, "--flip-edge", "5", "1"]) == 2

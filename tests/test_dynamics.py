@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgen import random_network
-from signed_influence import dynamics
 from signed_influence import (
     AgentParams,
     DegenerateEigenspaceError,
@@ -26,7 +25,7 @@ from signed_influence import (
 
 def _setup(net, params):
     cls = classify(net, params)
-    return cls, build_matrices(net, params, cls)
+    return cls, build_matrices(net, params)
 
 
 class TestBuildMatrices:
@@ -266,20 +265,19 @@ class TestSteadyState:
             assert np.allclose(zs[0], zs[1], atol=1e-8)
             assert np.allclose(zs[0], zs[2], atol=1e-6)
 
-    def test_direct_route_makes_one_follower_solve(self, ref11, monkeypatch):
-        # z and z_o share one solve on I - P_FF, whatever the number of sinks
+    def test_direct_route_makes_one_complement_solve(self, ref11, count_calls):
+        # z and z_o share one solve on the 4 followers and the stubborn sink {5, 6, 7}
         cls, m = _setup(ref11.net, ref11.params)
         spectra = compute_spectra(m, cls)
-        sizes = []
-        real = dynamics._solve_checked
-
-        def counting(a, b):
-            sizes.append(a.shape[0])
-            return real(a, b)
-
-        monkeypatch.setattr(dynamics, "_solve_checked", counting)
+        solves = count_calls("_solve_checked")
         steady_state(m, cls, spectra, ref11.x0, method=SteadyStateMethod.DIRECT_SOLVE)
-        assert sizes.count(cls.follower_count) == 1
+        assert [a.shape for a, _ in solves] == [(7, 7)]
+
+    def test_solve_route_makes_two_solves(self, ref11, count_calls):
+        # one for the five gain columns, one for z and z_o, both on the same 7 agents
+        solves = count_calls("_solve_checked")
+        run_analysis(ref11.net, ref11.params, ref11.x0, gain_method="solve")
+        assert sorted(b.shape for _, b in solves) == [(7, 2), (7, 5)]
 
     def test_convergent_case_solves_whole_system(self):
         rn = random_network(11, kinds=("cooperative",), stubborn_offsets=((0,),))

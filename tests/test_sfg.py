@@ -36,7 +36,7 @@ from signed_influence import (
 
 def _stack(net, params):
     cls = classify(net, params)
-    m = build_matrices(net, params, cls)
+    m = build_matrices(net, params)
     spectra = compute_spectra(m, cls)
     return cls, m, build_full_sfg(m, cls), spectra, reduce_sfg(m, cls, spectra)
 
@@ -144,7 +144,7 @@ class TestReduceSfg:
         from signed_influence import MissingSpectrumError
 
         cls = classify(ref11.net, ref11.params)
-        m = build_matrices(ref11.net, ref11.params, cls)
+        m = build_matrices(ref11.net, ref11.params)
         with pytest.raises(MissingSpectrumError):
             reduce_sfg(m, cls, {})
         with pytest.raises(MissingSpectrumError):
@@ -181,7 +181,7 @@ def _mason_c_in_process(hash_seed, net_seed):
     code = (
         "from netgen import random_network; import signed_influence as si; "
         f"rn = random_network({net_seed}); cls = si.classify(rn.net, rn.params); "
-        "m = si.build_matrices(rn.net, rn.params, cls); sp = si.compute_spectra(m, cls); "
+        "m = si.build_matrices(rn.net, rn.params); sp = si.compute_spectra(m, cls); "
         "print(si.mason_influence(si.reduce_sfg(m, cls, sp)).c.tobytes().hex())"
     )
     env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(hash_seed))
@@ -254,6 +254,13 @@ class TestSolveGain:
             assert np.allclose(ci.row(agent), [0.2, 0.2, 0.4, 0.0, 0.2], atol=1e-12)
         for agent in (5, 6, 7):
             assert np.allclose(ci.row(agent), [0.0, 0.0, 0.0, 0.0, 1.0], atol=1e-12)
+
+    def test_one_complement_solve(self, ref11, count_calls):
+        # the five sources' gains on K = followers + stubborn sink {5, 6, 7}
+        cls, m, _, spectra, _ = _stack(ref11.net, ref11.params)
+        solves = count_calls("_solve_checked")
+        solve_gain(m, cls, spectra)
+        assert [(a.shape, b.shape) for a, b in solves] == [((7, 7), (7, 5))]
 
     def test_matches_mason_on_random_networks(self):
         for seed in range(40):
