@@ -47,10 +47,19 @@ class SignFlipResult:
     unchanged: tuple[int, ...]  # agents whose final opinion is unaffected
 
 
+def _num(v: float) -> float:
+    """v at the 12 significant digits reports print, with -0.0 as 0.0."""
+    return float(f"{float(v):.12g}") + 0.0  # -0.0 + 0.0 is +0.0
+
+
 def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
-    """Column-wise absolute sums: how much each agent shapes all final opinions."""
+    """Column-wise absolute sums: how much each agent shapes all final opinions.
+
+    Agents are ranked on their scores at report precision (`_num`), so two
+    scores that print alike are a tie, broken by id.
+    """
     scores = np.abs(influence.theta).sum(axis=0)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    order = sorted(range(len(scores)), key=lambda i: (-_num(scores[i]), i))
     return CentralityResult(scores=scores, ranking=tuple(order), most_influential=order[0])
 
 

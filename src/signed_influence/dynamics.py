@@ -9,7 +9,10 @@ Gamma = diag(gamma) the self-belief and B = diag(beta) the stubbornness.
 
 z, z_o and the gains c all solve x = P x + r, with x given on the sinks
 without a stubborn member (v (w . x(0)) or the source fold when balanced,
-else 0).  `_complete` solves for the other agents K in one solve on I - P_KK.
+else 0).  `_complete` solves for the other agents K in one solve on I - P_KK,
+run chunk by chunk over the condensation: laid out in the classification's
+listener-first block order, I - P_KK is block upper triangular, so the solve
+is a back-substitution from the sinks, one small dense solve per chunk.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .errors import (
 from .graph import AgentClassification, AgentParams, SignedNetwork, SinkKind
 
 _SOLVE_RESIDUAL_TOL = 1e-8
+# consecutive SCCs are solved together until a chunk holds this many agents
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -218,12 +223,27 @@ def compute_spectra(
     }
 
 
-def _solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve_checked(a: np.ndarray, b: np.ndarray, *, bounds: list[int]) -> np.ndarray:
+    """Solve a x = b, a being block upper triangular over the chunks ``bounds``.
+
+    Chunk c spans rows and columns bounds[c]:bounds[c + 1]; x is found from
+    the last chunk back, x_c = solve(a_cc, b_c - a_c,later x_later).  a must
+    be exactly 0 below the chunk diagonal, which makes each chunk's residual
+    that of the whole system; every row's must stay within the tolerance
+    relative to max|b|.
+    """
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+    if any(np.any(a[lo:hi, :lo]) for lo, hi in chunks):
+        raise SingularSystemError("matrix is not block upper triangular over its chunks")
+    x = np.empty_like(b)
+    resid = 0.0
     try:
-        x = np.linalg.solve(a, b)
+        for lo, hi in reversed(chunks):
+            rhs = b[lo:hi] - a[lo:hi, hi:] @ x[hi:]
+            x[lo:hi] = np.linalg.solve(a[lo:hi, lo:hi], rhs)
+            resid = max(resid, np.max(np.abs(a[lo:hi, lo:hi] @ x[lo:hi] - rhs), initial=0.0))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
-    resid = np.max(np.abs(a @ x - b)) if b.size else 0.0
     if not np.isfinite(resid) or resid > _SOLVE_RESIDUAL_TOL * max(1.0, np.max(np.abs(b), initial=0.0)):
         raise SingularSystemError(f"solve residual {resid} too large")
     return x
@@ -241,11 +261,38 @@ def _unit_limits(matrices, classification, spectra, x0):
     return z_o
 
 
-def _solved_agents(classification: AgentClassification) -> list[int]:
-    """K: the followers and the members of sinks with a stubborn member, sorted."""
+def _solved_blocks(classification: AgentClassification) -> list[tuple[int, ...]]:
+    """K's SCCs, listeners first: every block but the stubborn-free sinks.
+
+    K is the followers and the members of sinks with a stubborn member.
+    """
     cls = classification
     given = {m for s, ms in enumerate(cls.sinks) if not cls.sink_has_stubborn(s) for m in ms}
-    return [i for i in range(len(cls.perm)) if i not in given]
+    return [block for block in cls.blocks if block[0] not in given]
+
+
+def _solved_agents(classification: AgentClassification) -> list[int]:
+    """K, sorted."""
+    return sorted(m for block in _solved_blocks(classification) for m in block)
+
+
+def _chunk_bounds(sizes: list[int]) -> list[int]:
+    """Chunk edges over consecutive blocks of the given sizes.
+
+    A chunk closes at the first block end that gives it at least _CHUNK
+    agents, and a block that large is a chunk of its own, so no block is
+    split across chunks.
+    """
+    bounds, end = [0], 0
+    for size in sizes:
+        if size >= _CHUNK and end > bounds[-1]:
+            bounds.append(end)
+        end += size
+        if end - bounds[-1] >= _CHUNK:
+            bounds.append(end)
+    if end > bounds[-1]:
+        bounds.append(end)
+    return bounds
 
 
 def _complete(matrices, classification, x, rhs):
@@ -253,15 +300,19 @@ def _complete(matrices, classification, x, rhs):
 
     One solve of (I - P_KK) X_K = P_K,: X + R_K for all columns at once.
     P_KK is convergent (every sink in K has a stubborn member, every
-    follower reaches a sink), so each column's solution is unique.
+    follower reaches a sink), so each column's solution is unique.  K is a
+    union of whole SCCs; laid out in the listener-first block order I - P_KK
+    is block upper triangular, and `_solve_checked` runs the solve chunk by
+    chunk over the condensation, from the sinks back.
     """
-    k = _solved_agents(classification)
-    if k:
+    blocks = _solved_blocks(classification)
+    if blocks:
+        k = np.array([m for block in blocks for m in block])
         given = np.setdiff1d(np.arange(matrices.n), k)
         b = matrices.P[np.ix_(k, given)] @ x[given] + rhs[k]
-        a = -matrices.P[np.ix_(k, k)]
+        a = -matrices.P.take(k, axis=0).take(k, axis=1)  # twice as fast as np.ix_
         a[np.diag_indices(len(k))] += 1.0
-        x[k] = _solve_checked(a, b)
+        x[k] = _solve_checked(a, b, bounds=_chunk_bounds([len(block) for block in blocks]))
     return x
 
 

@@ -70,7 +70,11 @@ class SignedNetwork:
 
 @dataclass(frozen=True)
 class Condensation:
-    """SCC decomposition plus the acyclic component-level graph."""
+    """SCC decomposition plus the acyclic component-level graph.
+
+    ``components`` is in condensation order, listeners first: every SCC
+    comes before each SCC it listens to, so the sinks come last.
+    """
 
     components: tuple[frozenset[int], ...]
     edges: tuple[tuple[int, int], ...]
@@ -115,7 +119,13 @@ class BalanceResult:
 
 @dataclass(frozen=True)
 class AgentClassification:
-    """Follower/leader/stubborn partition and the sink taxonomy."""
+    """Follower/leader/stubborn partition and the sink taxonomy.
+
+    ``blocks`` holds the SCCs in condensation order, listeners first.  With
+    the agents laid out in that order I - P is block upper triangular, which
+    is what lets the steady-state and gain solve (`dynamics._complete`) run
+    chunk by chunk, from the sinks back.
+    """
 
     followers: frozenset[int]
     singleton_leaders: frozenset[int]  # agents alone in their sink
@@ -127,7 +137,12 @@ class AgentClassification:
     sigma: Mapping[int, int]  # defined exactly on members of balanced sinks
     balanced_sinks: frozenset[int]  # effectively balanced (S_b)
     influence_free_sinks: frozenset[int]  # balanced and stubborn-free (S_n)
-    perm: tuple[int, ...]  # followers first, then sink members, contiguously
+    blocks: tuple[tuple[int, ...], ...]  # sorted SCC members, listeners first
+
+    @property
+    def n(self) -> int:
+        """Number of agents."""
+        return sum(map(len, self.blocks))
 
     def sink_has_stubborn(self, sink: int) -> bool:
         return any(m in self.stubborn for m in self.sinks[sink])
@@ -174,10 +189,15 @@ def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetw
 
 
 def condense(net: SignedNetwork) -> Condensation:
-    """SCC decomposition and the (acyclic) condensation graph."""
+    """SCC decomposition and the (acyclic) condensation graph.
+
+    networkx's Tarjan pass emits every SCC after all the SCCs it listens
+    to.  The components keep that order, reversed: listeners first, the
+    order the steady-state and gain solve runs chunk by chunk over.  It
+    costs no graph pass beyond the SCC search itself.
+    """
     g = net.to_networkx()
-    comps = [frozenset(c) for c in nx.strongly_connected_components(g)]
-    comps.sort(key=min)
+    comps = [frozenset(c) for c in nx.strongly_connected_components(g)][::-1]
     comp_of = {}
     for idx, comp in enumerate(comps):
         for node in comp:
@@ -294,7 +314,6 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         if not any(m in stubborn for m in sinks[idx])
     )
 
-    perm = tuple(sorted(followers)) + tuple(m for members in sinks for m in members)
     return AgentClassification(
         followers=followers,
         singleton_leaders=singleton,
@@ -306,5 +325,5 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         sigma=sigma,
         balanced_sinks=frozenset(balanced_sinks),
         influence_free_sinks=influence_free,
-        perm=perm,
+        blocks=tuple(tuple(sorted(c)) for c in cond.components),
     )

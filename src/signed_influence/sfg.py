@@ -411,7 +411,7 @@ def individual_influence(
     or a stubborn initial opinion, w_j for a cooperative sink and ±w_j for
     the two sides of a balanced sink, w being the sink's left eigenvector.
     """
-    n = len(classification.perm)
+    n = classification.n
     g = _fold_matrix(c.sources, n)
     g[list(c.agents)] = c.c
     w = np.zeros((len(c.sources), n))

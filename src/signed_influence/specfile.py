@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from .centrality import _num
 from .dynamics import spectral_radius
 from .errors import BadIdError, SpecFileError
 from .graph import AgentParams, SignedNetwork, build_network
@@ -144,11 +145,6 @@ def load_spec(path: str) -> NetworkSpec:
     return NetworkSpec(
         net=net, params=params, x0=np.array(doc["x0"], dtype=float), labels=labels
     )
-
-
-def _num(v: float) -> float:
-    """Canonical 12-significant-digit float for serialization."""
-    return float(f"{float(v):.12g}")
 
 
 def _vec(v) -> list[float]:

@@ -5,10 +5,12 @@ import pytest
 
 from netgen import random_network
 from signed_influence import (
+    AgentParams,
     InfluenceMatrix,
     NoSuchEdgeError,
     ZeroDeltaError,
     absolute_centrality,
+    build_network,
     flip_edge_signs,
     perturb_initial,
 )
@@ -32,6 +34,20 @@ class TestAbsoluteCentrality:
         res = absolute_centrality(_influence(np.eye(4)))
         assert res.ranking == (0, 1, 2, 3)
         assert res.most_influential == 0
+
+    def test_scores_equal_at_report_precision_tie(self):
+        res = absolute_centrality(_influence([[0.0, 0.75, 0.7500000000000002]] * 2))
+        assert res.scores[2] > res.scores[1]
+        assert res.ranking == (1, 2, 0)
+
+    def test_cooperative_pair_tie_breaks_by_id(self):
+        # the pair's left eigenvector can come out [0.5, 0.5000000000000002]
+        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+        params = AgentParams(gamma=(0.3, 0.3, 0.3), beta=(0.0, 0.0, 0.0))
+        res = run_analysis(net, params, [1.0, 2.0, 3.0], gain_method="solve").centrality
+        assert f"{res.scores[1]:.12g}" == f"{res.scores[2]:.12g}" == "1.5"
+        assert res.ranking == (1, 2, 0)
+        assert res.most_influential == 1
 
     def test_reference_network(self, ref11):
         res = run_analysis(ref11.net, ref11.params, ref11.x0, gain_method="solve")

@@ -1,8 +1,10 @@
 """Command-line surface: commands, formats, exit codes, round-trips."""
 
 import csv
+import dataclasses
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -207,6 +209,15 @@ class TestInfluenceCommand:
         ra = yaml.safe_load(a.read_text())
         rb = yaml.safe_load(b.read_text())
         assert diff_reports(ra, rb) == []
+
+    def test_report_prints_no_signed_zeros(self, ref11):
+        res = signed_influence.run_analysis(ref11.net, ref11.params, ref11.x0, "solve")
+        z_o = np.full(11, -0.0)
+        res = dataclasses.replace(res, steady=dataclasses.replace(res.steady, z_o=z_o))
+        text = signed_influence.dump_report(signed_influence.build_report(res, 1e-10, 10))
+        line = next(row for row in text.splitlines() if row.lstrip().startswith("z_o:"))
+        assert line.split(":", 1)[1].split() == ["[0.0,"] + ["0.0,"] * 9 + ["0.0]"]
+        assert re.search(r"-0\.0(?![0-9])", text) is None
 
     def test_unreadable_report_is_one_line(self, tmp_path):
         path = tmp_path / "report.yaml"

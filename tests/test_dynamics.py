@@ -1,5 +1,8 @@
 """Model matrices, convergence, simulation, spectra and steady states."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from netgen import random_network
 from signed_influence import (
     AgentParams,
     DegenerateEigenspaceError,
+    SingularSystemError,
     SteadyStateMethod,
     StubbornSinkRejectedError,
     build_matrices,
@@ -18,9 +22,21 @@ from signed_influence import (
     run_analysis,
     simulate,
     sink_spectrum,
+    solve_gain,
     spectral_radius,
     steady_state,
 )
+from signed_influence.dynamics import (
+    _CHUNK,
+    _chunk_bounds,
+    _solve_checked,
+    _solved_agents,
+    _solved_blocks,
+)
+from signed_influence.sfg import _fold_matrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from synth import synth_network  # noqa: E402
 
 
 def _setup(net, params):
@@ -299,3 +315,115 @@ class TestSteadyState:
         zy = steady_state(m, cls, spectra, y).z
         zc = steady_state(m, cls, spectra, a * x + b * y).z
         assert np.allclose(zc, a * zx + b * zy, atol=1e-7)
+
+
+def _dense_complete(m, cls, x, rhs):
+    """The whole-matrix oracle: one dense solve of (I - P_KK) X_K = P_K,given X_given + R_K."""
+    k = _solved_agents(cls)
+    given = np.setdiff1d(np.arange(m.n), k)
+    x = x.copy()
+    a = np.eye(len(k)) - m.P[np.ix_(k, k)]
+    x[k] = np.linalg.solve(a, m.P[np.ix_(k, given)] @ x[given] + rhs[k])
+    return x
+
+
+def _assert_close(got, want):
+    scale = max(1.0, np.max(np.abs(want), initial=0.0))
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+def _assert_matches_dense(net, params, x0):
+    """z, z_o and the gains c of the chunked solve equal the dense oracle's."""
+    cls, m = _setup(net, params)
+    spectra = compute_spectra(m, cls)
+    ss = steady_state(m, cls, spectra, x0)  # the oracle reads only the given rows
+    _assert_close(ss.z, _dense_complete(m, cls, ss.z, m.beta * x0))
+    _assert_close(ss.z_o, _dense_complete(m, cls, ss.z_o, np.zeros(m.n)))
+    ci = solve_gain(m, cls, spectra)
+    g = _fold_matrix(ci.sources, m.n)
+    g[list(ci.agents)] = ci.c
+    rhs = np.zeros_like(g)
+    rhs[:, len(ci.sources) - len(m.stubborn_ids):] = m.Btilde
+    _assert_close(ci.c, _dense_complete(m, cls, g, rhs)[list(ci.agents)])
+
+
+def _chunked_network(seed=0):
+    """Signed follower SCCs of 100, 30, 50, 3 and 70 agents in a chain, the
+    last listening to a stubborn cooperative sink of 70 and a stubborn-free
+    balanced sink of 4.  Every agent may also listen to a later block."""
+    rng = np.random.default_rng(seed)
+    sizes = (100, 30, 50, 3, 70, 70, 4)
+    starts = np.cumsum((0,) + sizes).tolist()
+    blocks = [list(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
+    sides = {m: 1 if m % 3 else -1 for m in blocks[-1]}  # the balanced sink's camps
+    edges = {}
+    for b, members in enumerate(blocks):
+        for a, c in zip(members, members[1:] + members[:1]):
+            if b == 6:
+                sign = sides[a] * sides[c]
+            elif b == 5:
+                sign = 1
+            else:
+                sign = rng.choice([1, -1])
+            edges[a, c] = sign * rng.uniform(0.5, 2.0)
+        if b < 5:
+            for a in members:
+                if rng.random() < 0.5:
+                    later = rng.integers(starts[b + 1], starts[-1])
+                    edges[a, later] = rng.choice([1, -1]) * rng.uniform(0.5, 2.0)
+        if b < 4:
+            edges[members[0], blocks[b + 1][0]] = 1.0
+    edges[blocks[4][0], blocks[5][0]] = -1.0
+    edges[blocks[4][1], blocks[6][0]] = 1.0
+    n = starts[-1]
+    beta = np.where(rng.random(n) < 0.1, rng.uniform(0.05, 0.2, n), 0.0)
+    beta[blocks[6]] = 0.0
+    beta[blocks[5][0]] = 0.3
+    gamma = rng.uniform(0.1, 0.5, n)
+    net = build_network(n, [(i, j, float(w)) for (i, j), w in edges.items()])
+    params = AgentParams(gamma=tuple(gamma.tolist()), beta=tuple(beta.tolist()))
+    return net, params, rng.uniform(-5, 5, n)
+
+
+class TestComplementSolve:
+    """The chunked solve over the condensation against one dense solve."""
+
+    def test_chunks_close_at_block_ends(self):
+        assert _chunk_bounds([40, 100, 30, 50, 3]) == [0, 40, 140, 220, 223]
+        assert _chunk_bounds([1] * 130) == [0, 64, 128, 130]
+        assert _chunk_bounds([3]) == [0, 3]
+        assert _chunk_bounds([_CHUNK]) == [0, _CHUNK]
+
+    def test_matches_dense_on_netgen(self):
+        for seed in range(200):
+            rn = random_network(seed)
+            _assert_matches_dense(rn.net, rn.params, rn.x0)
+
+    @pytest.mark.parametrize("n", [200, 1000, 2000])
+    def test_matches_dense_on_synth(self, n):
+        s = synth_network(n, 0)
+        _assert_matches_dense(s.net, s.params, s.x0)
+
+    def test_matches_dense_across_big_blocks(self):
+        # the SCCs of 100 and 70 and the stubborn sink are chunks of their own;
+        # 30 + 50 close a chunk past _CHUNK, and the 3 before the 70 one more
+        net, params, x0 = _chunked_network()
+        cls, _ = _setup(net, params)
+        sizes = [len(block) for block in _solved_blocks(cls)]
+        assert sizes == [100, 30, 50, 3, 70, 70]
+        assert _chunk_bounds(sizes) == [0, 100, 180, 183, 253, 323]
+        _assert_matches_dense(net, params, x0)
+
+    def test_rejects_nonzero_below_chunk_diagonal(self):
+        a = np.eye(100)
+        a[70, 3] = 0.5
+        assert np.allclose(a @ _solve_checked(a, np.ones(100), bounds=[0, 100]), 1.0)
+        with pytest.raises(SingularSystemError):
+            _solve_checked(a, np.ones(100), bounds=[0, 64, 100])
+
+    def test_rejects_singular_chunk(self):
+        a = np.eye(100) + np.triu(np.full((100, 100), 0.01), 1)
+        a[90, 90] = 0.0
+        a[90, 91:] = 0.0
+        with pytest.raises(SingularSystemError):
+            _solve_checked(a, np.ones((100, 2)), bounds=[0, 64, 100])

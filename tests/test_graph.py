@@ -178,9 +178,19 @@ class TestClassify:
         with pytest.raises(ParamConstraintViolatedError):
             classify(net, params)
 
-    def test_perm_orders_followers_then_sinks(self, ref11):
+    def test_blocks_listener_first(self, ref11):
+        # follower 0 listens to the cycle {1, 2, 3}, which listens to all three sinks
         cls = classify(ref11.net, ref11.params)
-        assert cls.perm == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+        assert cls.blocks == ((0,), (1, 2, 3), (8, 9, 10), (5, 6, 7), (4,))
+        assert cls.n == 11
+
+    def test_blocks_come_before_what_they_listen_to(self):
+        for seed in range(20):
+            rn = random_network(seed)
+            cls = classify(rn.net, rn.params)
+            block_of = {m: b for b, members in enumerate(cls.blocks) for m in members}
+            assert sorted(block_of) == list(range(rn.net.n))
+            assert all(block_of[i] <= block_of[j] for i, j, _ in rn.net.edges), seed
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), perm_seed=st.integers(0, 10_000))
