@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     SingularSystemError,
     StubbornSinkRejectedError,
 )
-from .graph import AgentClassification, AgentParams, SignedNetwork, SinkKind
+from .graph import AgentClassification, AgentParams, SignedNetwork, SinkKind, strong_components
 
 _SOLVE_RESIDUAL_TOL = 1e-8
 # consecutive SCCs are solved together until a chunk holds this many agents
@@ -125,22 +125,31 @@ def build_matrices(net: SignedNetwork, params: AgentParams) -> ModelMatrices:
 
 
 def spectral_radius(m: np.ndarray) -> float:
-    """Exact spectral radius: the maximum over the diagonal blocks of m's SCCs.
+    """Exact spectral radius of a bare matrix, over the SCCs of its support.
 
-    Permuted to condensation order, m is block triangular over the strongly
-    connected components of its support, so its eigenvalues are those of
+    `block_spectral_radius` over the components `strong_components` finds
+    in m's off-diagonal nonzeros.
+    """
+    m = np.asarray(m, dtype=float)
+    rows, cols = np.nonzero(m)
+    off = rows != cols
+    arcs = zip(rows[off].tolist(), cols[off].tolist())
+    return block_spectral_radius(m, strong_components(m.shape[0], arcs))
+
+
+def block_spectral_radius(m: np.ndarray, blocks: Iterable[Iterable[int]]) -> float:
+    """Exact spectral radius: the maximum over m's diagonal blocks.
+
+    ``blocks`` partitions m's indices into unions of SCCs of its support,
+    as `AgentClassification.blocks` does for P.  Permuted to condensation
+    order, m is block triangular over them, so its eigenvalues are those of
     the diagonal blocks.  A 1x1 block contributes |m_ii|; a larger one its
     dense eigenvalues.  Diagnostic only, read by the report; convergence
     decisions are structural, never spectral.
     """
-    m = np.asarray(m, dtype=float)
-    g = nx.DiGraph()
-    g.add_nodes_from(range(m.shape[0]))
-    rows, cols = np.nonzero(m)
-    g.add_edges_from(zip(rows.tolist(), cols.tolist()))
     rho = 0.0
-    for comp in nx.strongly_connected_components(g):
-        idx = sorted(comp)
+    for block in blocks:
+        idx = sorted(block)
         if len(idx) == 1:
             rho = max(rho, abs(float(m[idx[0], idx[0]])))
         else:

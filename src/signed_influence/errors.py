@@ -70,10 +70,14 @@ class MissingSpectrumError(SignedInfluenceError):
 
 
 class ComplexityCapExceededError(SignedInfluenceError):
-    """Path/loop enumeration exceeded the configured cap."""
+    """An enumeration would pass its cap: more than ``limit`` of ``what``.
 
-    def __init__(self, limit):
-        super().__init__(f"enumeration cap of {limit} exceeded")
+    ``reached`` is a count already known to pass the cap, when there is one.
+    """
+
+    def __init__(self, limit, what, reached=None):
+        at_least = "" if reached is None else f" (at least {reached})"
+        super().__init__(f"more than {limit} {what}{at_least}")
         self.limit = limit
 
 

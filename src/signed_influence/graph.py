@@ -61,12 +61,6 @@ class SignedNetwork:
         """Nodes of the digraph itself (not the condensation) with no out-edges."""
         return frozenset(i for i in range(self.n) if self.out_degree[i] == 0)
 
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.n))
-        g.add_weighted_edges_from(self.edges)
-        return g
-
 
 @dataclass(frozen=True)
 class Condensation:
@@ -188,16 +182,26 @@ def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetw
     return SignedNetwork(n=n, edges=tuple(sorted(frozen)), weakly_connected=connected)
 
 
+def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
+    """The SCCs of the digraph on 0..n-1 with the given arcs, listeners first.
+
+    networkx's Tarjan pass emits every SCC after all the SCCs it listens
+    to; the order is kept, reversed.
+    """
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(arcs)
+    return [frozenset(c) for c in nx.strongly_connected_components(g)][::-1]
+
+
 def condense(net: SignedNetwork) -> Condensation:
     """SCC decomposition and the (acyclic) condensation graph.
 
-    networkx's Tarjan pass emits every SCC after all the SCCs it listens
-    to.  The components keep that order, reversed: listeners first, the
+    The components are in `strong_components`' order, listeners first: the
     order the steady-state and gain solve runs chunk by chunk over.  It
     costs no graph pass beyond the SCC search itself.
     """
-    g = net.to_networkx()
-    comps = [frozenset(c) for c in nx.strongly_connected_components(g)][::-1]
+    comps = strong_components(net.n, [(i, j) for i, j, _ in net.edges])
     comp_of = {}
     for idx, comp in enumerate(comps):
         for node in comp:

@@ -17,16 +17,18 @@ the oracle the solve is checked against; the node equations and the
 `SfgGraph` are built only for it and for DOT export.  `mason_influence`
 enumerates the loops, their conflicts and the graph determinant Δ once per
 graph, walks each source's simple paths once and memoises each path's
-cofactor on the loops the path touches.  A capped enumeration raises
-`ComplexityCapExceededError`, and Δ or a cofactor that cancels to fewer
-than 8 significant digits (as when γ nears 1 at followers)
-`SingularSystemError`; `auto` falls back to the solve on both.
+cofactor on the loops the path touches.  Before any alternating sum it
+counts the sets of non-touching loops, a product over the components of
+the loop-conflict graph, and a count over the cap raises
+`ComplexityCapExceededError` as a capped loop, pair or path enumeration
+does; Δ or a cofactor that cancels to fewer than 8 significant digits (as
+when γ nears 1 at followers) raises `SingularSystemError`.  `auto` falls
+back to the solve on both.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -245,35 +247,81 @@ def reduce_sfg(
     return _graph(_reduction(matrices, classification, spectra))
 
 
-def _loop_conflicts(
-    loops: list[tuple[frozenset, float]], cap: int = DEFAULT_ENUM_CAP
-) -> list[set[int]]:
+def _loop_conflicts(loops: list[frozenset], cap: int) -> list[set[int]]:
+    """conflicts[k]: the loops that share a node with loop k, k included.
+
+    Read off a node -> loops map, so the cost follows the loops through
+    each node; the number of loop pairs is capped before anything is built.
+    """
     if len(loops) * (len(loops) - 1) // 2 > cap:
-        raise ComplexityCapExceededError(cap)
+        raise ComplexityCapExceededError(cap, "loop pairs")
+    through: dict[NodeKey, list[int]] = {}
+    for k, nodes in enumerate(loops):
+        for node in nodes:
+            through.setdefault(node, []).append(k)
     conflicts = [set() for _ in loops]
-    for a, b in itertools.combinations(range(len(loops)), 2):
-        if loops[a][0] & loops[b][0]:
-            conflicts[a].add(b)
-            conflicts[b].add(a)
+    for ks in through.values():
+        for k in ks:
+            conflicts[k].update(ks)
     return conflicts
 
 
-def _alternating_sum(
-    gains: list[float],
-    conflicts: list[set[int]],
-    allowed: set[int],
-    cap: int,
-) -> float:
+def _count_loop_sets(conflicts: list[set[int]], cap: int) -> int:
+    """The number of nonempty sets of pairwise non-touching loops, capped.
+
+    The sets factor over the connected components of the conflict graph:
+    there are Π_c I_c − 1 of them, I_c counting component c's sets with the
+    empty one.  Each component is walked depth first, only as far as the
+    cap leaves room for (a lone loop, I = 2, in one step), and the product
+    stops as soon as it passes the cap.  The count is the number of sets Δ's
+    alternating sum visits, and every cofactor's sum visits some of them,
+    so no sum can exceed the cap once the count is under it.
+    """
+    product, seen = 1, set()
+    for start in range(len(conflicts)):
+        if start in seen:
+            continue
+        component, queue = {start}, [start]
+        while queue:
+            for k in conflicts[queue.pop()] - component:
+                component.add(k)
+                queue.append(k)
+        seen |= component
+        product *= 1 + _count_component(conflicts, sorted(component), (cap + 1) // product - 1)
+        if product - 1 > cap:
+            raise ComplexityCapExceededError(cap, "sets of non-touching loops", product - 1)
+    return product - 1
+
+
+def _count_component(conflicts: list[set[int]], order: list[int], limit: int) -> int:
+    """Nonempty sets of pairwise non-touching loops among ``order``.
+
+    Walked depth first in increasing loop order, as `_alternating_sum`
+    walks them; stops at limit + 1.
+    """
+    count, stack = 0, [(0, frozenset())]
+    while stack:
+        pos, blocked = stack.pop()
+        for nxt in range(pos, len(order)):
+            if order[nxt] not in blocked:
+                count += 1
+                if count > limit:
+                    return count
+                stack.append((nxt + 1, blocked | conflicts[order[nxt]]))
+    return count
+
+
+def _alternating_sum(gains: list[float], conflicts: list[set[int]], allowed: set[int]) -> float:
     """Sum over independent loop subsets of (-1)^|subset| * product of gains.
 
     Depth first over the subsets in increasing loop order, on an explicit
     stack, so a long run of non-touching loops cannot exhaust the
     interpreter's recursion limit.  A frame holds the next position to try,
     the loops blocked so far, its partial sum and the gain of the loop whose
-    subsets it is expanding.
+    subsets it is expanding.  The number of subsets is capped before any
+    sum, by `_count_loop_sets`.
     """
     order = sorted(allowed)
-    count = 0
     stack = [[0, set(), 1.0, 0.0]]
     while True:
         frame = stack[-1]
@@ -287,11 +335,8 @@ def _alternating_sum(
             stack[-1][2] += -stack[-1][3] * frame[2]
             continue
         idx = order[pos]
-        count += 1
-        if count > cap:
-            raise ComplexityCapExceededError(cap)
         frame[0], frame[3] = pos + 1, gains[idx]
-        stack.append([pos + 1, blocked | conflicts[idx] | {idx}, 1.0, 0.0])
+        stack.append([pos + 1, blocked | conflicts[idx], 1.0, 0.0])
 
 
 def solve_gain(
@@ -324,9 +369,13 @@ def mason_influence(
 
     Δ_path is the alternating sum over the loops the path does not touch.
     Loops are taken in a canonical order, so c is the same in every process.
-    The caps apply in turn to the loops, their pairs, each alternating sum
-    and the paths walked from one source.  An alternating sum that keeps
-    fewer than 8 significant digits raises `SingularSystemError`.
+    The caps are decided in turn: ``enum_cap`` on the loops as they are
+    enumerated, then on their pairs before the conflicts are built;
+    ``subset_cap`` on the sets of non-touching loops, counted by
+    `_count_loop_sets` before any sum (each sum visits at most that many);
+    ``enum_cap`` again on the paths walked from one source.  An alternating
+    sum that keeps fewer than 8 significant digits raises
+    `SingularSystemError`.
     """
     nxg = g.to_networkx()
     cycles = []
@@ -334,24 +383,25 @@ def mason_influence(
         first = cyc.index(min(cyc))  # canonical: from the smallest node key
         cycles.append(cyc[first:] + cyc[:first])
         if len(cycles) > enum_cap:
-            raise ComplexityCapExceededError(enum_cap)
+            raise ComplexityCapExceededError(enum_cap, "loops")
     loops = []
     for cyc in sorted(cycles):  # simple_cycles' order follows per-process str hashing
         gain = 1.0
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             gain *= nxg[a][b]["gain"]
         loops.append((frozenset(cyc), gain))
-    conflicts = _loop_conflicts(loops, enum_cap)
+    conflicts = _loop_conflicts([nodes for nodes, _ in loops], enum_cap)
+    _count_loop_sets(conflicts, subset_cap)
     gains = [gain for _, gain in loops]
     flipped = [-abs(gain) for gain in gains]  # turns every term of a sum into its |term|
 
     def cofactor(allowed: set[int]) -> float:
-        total = _alternating_sum(gains, conflicts, allowed, subset_cap)
+        total = _alternating_sum(gains, conflicts, allowed)
         if not np.isfinite(total):
             raise SingularSystemError(f"Mason's alternating sum is {total}")
         # Σ|terms| <= Π(1 + |g|); only a sum that bound cannot clear pays for Σ|terms|
         if abs(total) < _MIN_RELATIVE_SUM * math.prod(1.0 + abs(gains[k]) for k in allowed):
-            scale = _alternating_sum(flipped, conflicts, allowed, subset_cap)
+            scale = _alternating_sum(flipped, conflicts, allowed)
             if abs(total) < _MIN_RELATIVE_SUM * scale:
                 raise SingularSystemError(
                     f"Mason's alternating sum cancels to {total:.3g} of {scale:.3g}"
@@ -385,7 +435,7 @@ def mason_influence(
                 continue
             walked += 1
             if walked > enum_cap:
-                raise ComplexityCapExceededError(enum_cap)
+                raise ComplexityCapExceededError(enum_cap, "paths from one source")
             gain *= data["gain"]
             touched |= touches[nxt]
             if touched not in cofactors:

@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from .centrality import _num
-from .dynamics import spectral_radius
+from .dynamics import block_spectral_radius
 from .errors import BadIdError, SpecFileError
 from .graph import AgentParams, SignedNetwork, build_network
 from .pipeline import AnalysisResult
@@ -189,7 +189,7 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
         },
         "convergence": {
             "kind": cls.convergence,
-            "spectral_radius_estimate": _num(spectral_radius(result.matrices.P)),
+            "spectral_radius_estimate": _num(block_spectral_radius(result.matrices.P, cls.blocks)),
             "unit_eigen_count": cls.unit_eigen_count,
         },
         "steady_state": {

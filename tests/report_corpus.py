@@ -1,0 +1,110 @@
+"""Write the 404 `influence` reports, or compare two sets of them.
+
+The corpus is the CLI's `influence` report under `--method auto` and
+`--method solve` for both fixtures and the 200 netgen seeds, written with
+PYTHONHASHSEED=0.  Two corpora, say from a commit and from its parent, are
+the same outputs when every report is byte-identical or `diff_reports`-clean.
+
+    python tests/report_corpus.py write DIR [--src SRC]
+    python tests/report_corpus.py compare DIR_A DIR_B
+
+`write` runs the package found in SRC (default: this checkout's `src`), so
+`--src` pointed at another checkout's `src` writes that commit's reports
+from the same specs.  `compare` prints how many reports are byte-identical,
+how many only `diff_reports`-clean and how many dirty (a report missing on
+one side counts as dirty), lists the dirty ones and exits 1 if there are any.
+It is not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+REPO = TESTS.parent
+METHODS = ("auto", "solve")
+NETGEN_SEEDS = 200
+
+
+def _write_specs(spec_dir: Path) -> list[Path]:
+    """Both fixtures and a spec per netgen seed."""
+    sys.path[:0] = [str(TESTS), str(REPO / "perfbench")]
+    from netgen import random_network
+    from synth import spec_text
+
+    spec_dir.mkdir(parents=True, exist_ok=True)
+    specs = [REPO / "fixtures" / "reference11.yaml", REPO / "fixtures" / "showcase17.yaml"]
+    for seed in range(NETGEN_SEEDS):
+        rn = random_network(seed)
+        path = spec_dir / f"netgen-{seed}.yaml"
+        path.write_text(spec_text(rn.net, rn.params, rn.x0))
+        specs.append(path)
+    return specs
+
+
+def write(out: Path, src: Path) -> int:
+    if os.environ.get("PYTHONHASHSEED") != "0":  # the hash seed is fixed at start-up
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        cmd = [sys.executable, __file__, "write", str(out), "--src", str(src)]
+        return subprocess.run(cmd, env=env).returncode
+    sys.path.insert(0, str(src))
+    from signed_influence import cli
+
+    specs = _write_specs(out / "specs")
+    failed = 0
+    for spec in specs:
+        for method in METHODS:
+            report = out / f"{spec.stem}-{method}.yaml"
+            code = cli.main(["influence", str(spec), "--method", method, "--out", str(report)])
+            if code != 0:
+                print(f"{report.name}: exit {code}", file=sys.stderr)
+                failed += 1
+    print(f"{len(specs) * len(METHODS) - failed} reports written to {out}, {failed} failed")
+    return 1 if failed else 0
+
+
+def compare(a_dir: Path, b_dir: Path) -> int:
+    sys.path.insert(0, str(REPO / "src"))
+    from signed_influence.specfile import diff_reports, load_report
+
+    names = sorted({p.name for p in a_dir.glob("*.yaml")} | {p.name for p in b_dir.glob("*.yaml")})
+    identical, clean, dirty = 0, 0, []
+    for name in names:
+        a, b = a_dir / name, b_dir / name
+        if not (a.exists() and b.exists()):
+            dirty.append(f"{name}: only in {a_dir if a.exists() else b_dir}")
+        elif a.read_bytes() == b.read_bytes():
+            identical += 1
+        elif diffs := diff_reports(load_report(str(a)), load_report(str(b))):
+            dirty.append(f"{name}: {len(diffs)} differences, first {diffs[0]}")
+        else:
+            clean += 1
+    print(f"{len(names)} reports: {identical} byte-identical, "
+          f"{clean} diff_reports-clean, {len(dirty)} dirty")
+    for line in dirty:
+        print(f"  {line}")
+    return 1 if dirty else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("write", help="write the corpus into DIR")
+    p.add_argument("dir", type=Path)
+    p.add_argument("--src", type=Path, default=REPO / "src",
+                   help="the src directory whose package writes the reports")
+    p = sub.add_parser("compare", help="compare two corpora")
+    p.add_argument("a", type=Path)
+    p.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "write":
+        return write(args.dir.resolve(), args.src.resolve())
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,6 +17,7 @@ from signed_influence import (
     StubbornSinkRejectedError,
     build_matrices,
     build_network,
+    build_report,
     classify,
     compute_spectra,
     run_analysis,
@@ -28,6 +29,7 @@ from signed_influence import (
 )
 from signed_influence.dynamics import (
     _CHUNK,
+    block_spectral_radius,
     _chunk_bounds,
     _solve_checked,
     _solved_agents,
@@ -136,6 +138,19 @@ class TestSpectralRadius:
             _, m = _setup(rn.net, rn.params)
             expected = np.max(np.abs(np.linalg.eigvals(m.P)))
             assert spectral_radius(m.P) == pytest.approx(expected, abs=1e-12), seed
+
+    def test_classification_blocks_give_the_same_radius(self):
+        for seed in range(200):
+            rn = random_network(seed)
+            cls, m = _setup(rn.net, rn.params)
+            assert block_spectral_radius(m.P, cls.blocks) == spectral_radius(m.P), seed
+
+    def test_report_reads_rho_off_the_classification(self, ref11, count_calls):
+        res = run_analysis(ref11.net, ref11.params, ref11.x0, gain_method="solve")
+        searches = count_calls("strong_components")
+        report = build_report(res, 1e-10, 10)
+        assert searches == []
+        assert report["convergence"]["spectral_radius_estimate"] == 1.0
 
 
 class TestConvergenceVerdict:

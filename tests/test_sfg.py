@@ -1,11 +1,13 @@
 """Signal-flow graph construction, reduction, gains and influence assembly."""
 
 import dataclasses
+import itertools
 import os
 import pathlib
 import subprocess
 import sys
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -32,6 +34,10 @@ from signed_influence import (
     solve_gain,
     steady_state,
 )
+from signed_influence.sfg import DEFAULT_SUBSET_CAP, _count_loop_sets, _loop_conflicts
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+from synth import synth_network  # noqa: E402
 
 
 def _stack(net, params):
@@ -232,6 +238,59 @@ class TestMasonInfluence:
         _, _, _, _, reduced = _stack(net, params)
         with pytest.raises(ComplexityCapExceededError):
             mason_influence(reduced, subset_cap=5000)
+
+    def test_subset_cap_boundary(self):
+        # k non-touching self-loops make exactly 2^k - 1 sets of them
+        k = 10
+        net, params = _follower_chain(k, 0.3)
+        _, _, _, _, reduced = _stack(net, params)
+        mason_influence(reduced, subset_cap=2**k - 1)
+        with pytest.raises(ComplexityCapExceededError) as err:
+            mason_influence(reduced, subset_cap=2**k - 2)
+        assert err.value.limit == 2**k - 2
+        assert str(err.value) == "more than 1022 sets of non-touching loops (at least 1023)"
+
+    def test_cap_error_names_what_it_capped(self, ref11):
+        _, _, _, _, reduced = _stack(ref11.net, ref11.params)  # 8 loops, 28 pairs
+        for cap, message in ((7, "more than 7 loops"), (27, "more than 27 loop pairs")):
+            with pytest.raises(ComplexityCapExceededError, match=f"^{message}$") as err:
+                mason_influence(reduced, enum_cap=cap)
+            assert err.value.limit == cap
+        net, params = _follower_chain(5, 0.0)  # no loops, 5 paths from the leader
+        _, _, _, _, reduced = _stack(net, params)
+        with pytest.raises(ComplexityCapExceededError, match="^more than 4 paths from one source$"):
+            mason_influence(reduced, enum_cap=4)
+
+    def test_loop_set_count_matches_brute_force(self):
+        for seed in range(30):
+            rn = random_network(seed)
+            _, _, _, _, reduced = _stack(rn.net, rn.params)
+            loops = [frozenset(cyc) for cyc in nx.simple_cycles(reduced.to_networkx())]
+            brute = sum(
+                len(frozenset().union(*subset)) == sum(map(len, subset))
+                for size in range(1, len(loops) + 1)
+                for subset in itertools.combinations(loops, size)
+            )
+            conflicts = _loop_conflicts(loops, len(loops) ** 2)
+            assert _count_loop_sets(conflicts, brute) == brute, seed
+            for cap in range(brute):
+                with pytest.raises(ComplexityCapExceededError):
+                    _count_loop_sets(conflicts, cap)
+
+    def test_subset_cap_decided_before_any_sum(self, count_calls):
+        # synth n = 100: 95 lone follower self-loops, 2^95 - 1 sets of them
+        s = synth_network(100, 0)
+        _, _, _, _, reduced = _stack(s.net, s.params)
+        sums = count_calls("_alternating_sum")
+        with pytest.raises(ComplexityCapExceededError) as err:
+            mason_influence(reduced)
+        assert sums == []
+        assert err.value.limit == DEFAULT_SUBSET_CAP
+        assert str(err.value) == "more than 100000 sets of non-touching loops (at least 131071)"
+
+    def test_auto_takes_the_solve_past_the_subset_cap(self):
+        s = synth_network(100, 0)
+        assert run_analysis(s.net, s.params, s.x0, "auto").gain_method_used == "solve"
 
     def test_bit_identical_across_processes(self):
         # netgen seed 172's c depends on the loop order in its last bits, and
