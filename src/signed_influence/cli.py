@@ -74,7 +74,9 @@ def cmd_classify(args) -> int:
 def cmd_simulate(args) -> int:
     spec = load_spec(args.file)
     _, matrices = _setup(spec)
-    log = simulate(matrices, spec.x0, tol=args.tol, max_iters=args.max_iters)
+    # without --csv only the final state is read: keep x(0) and it, not every iterate
+    thin = 1 if args.csv else args.max_iters + 1
+    log = simulate(matrices, spec.x0, tol=args.tol, max_iters=args.max_iters, thin=thin)
     if args.csv:
         write_trajectory_csv(args.csv, log.xs)
     final = log.xs[-1]
@@ -95,7 +97,8 @@ def cmd_influence(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     if args.check:
-        log = simulate(result.matrices, spec.x0, tol=args.tol, max_iters=args.max_iters)
+        log = simulate(result.matrices, spec.x0, tol=args.tol, max_iters=args.max_iters,
+                       thin=args.max_iters + 1)  # x(0) and the final state only
         predicted = result.influence.theta @ spec.x0
         mismatch = float(np.max(np.abs(predicted - log.xs[-1])))
         # absolute at unit scale, relative to the opinions' scale beyond it

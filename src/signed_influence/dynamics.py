@@ -84,7 +84,7 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class TrajectoryLog:
-    xs: np.ndarray  # (iterations+1) x n, starting at x(0)
+    xs: np.ndarray  # x(0), every thin-th iterate and the last one, one row each
     converged: bool
     iterations: int
     residual: float
@@ -164,7 +164,11 @@ def simulate(
     max_iters: int = 100_000,
     thin: int = 1,
 ) -> TrajectoryLog:
-    """Iterate the update rule until the sup-norm residual drops below tol."""
+    """Iterate the update rule until the sup-norm residual drops below tol.
+
+    The log keeps x(0), every thin-th iterate and the last one; a thin
+    above max_iters keeps x(0) and the last iterate only.
+    """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (matrices.n,):
         raise ValueError(f"x0 must have length {matrices.n}")

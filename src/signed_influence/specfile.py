@@ -15,12 +15,19 @@ A network spec is a small YAML document:
 Reports are YAML as well, schema ``signed-influence/report/1``, with every
 number serialized to 12 significant digits so that a re-ingested report
 diffs clean against a fresh run.
+
+Specs and reports are read with PyYAML (libyaml's parser when present),
+because specs are user-written and may use any YAML. Reports are written
+by this module's own writer: its output is byte-identical to PyYAML's
+libyaml dump, and it raises TypeError on a value outside the report schema
+rather than write other YAML.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +42,8 @@ from .sfg import SfgGraph, SourceKind
 
 SPEC_SCHEMA = "signed-influence/1"
 REPORT_SCHEMA = "signed-influence/report/1"
-# libyaml's parser and emitter when PyYAML was built with them
+# libyaml's parser when PyYAML was built with it
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass(frozen=True)
@@ -112,15 +118,13 @@ def load_spec(path: str) -> NetworkSpec:
     edges = doc.get("edges", [])
     _require(isinstance(edges, list), "edges must be a list")
     parsed = []
-    for e in edges:
-        _require(
-            isinstance(e, (list, tuple)) and len(e) == 3, f"edge {e!r} must be [from, to, weight]"
-        )
-        _require(
-            not isinstance(e[0], bool) and not isinstance(e[1], bool),
-            f"edge {e!r}: agent ids must be integers",
-        )
-        _require(_number(e[2]), f"edge {e!r}: weight must be a number")
+    for e in edges:  # each message is formatted only when its check fails
+        if not (isinstance(e, (list, tuple)) and len(e) == 3):
+            raise SpecFileError(f"edge {e!r} must be [from, to, weight]")
+        if isinstance(e[0], bool) or isinstance(e[1], bool):
+            raise SpecFileError(f"edge {e!r}: agent ids must be integers")
+        if not _number(e[2]):
+            raise SpecFileError(f"edge {e!r}: weight must be a number")
         parsed.append((e[0], e[1], e[2]))
     for field in ("gamma", "beta", "x0"):
         v = doc.get(field)
@@ -148,11 +152,11 @@ def load_spec(path: str) -> NetworkSpec:
 
 
 def _vec(v) -> list[float]:
-    return [_num(x) for x in np.asarray(v).ravel()]
+    return [_num(x) for x in np.asarray(v).ravel().tolist()]
 
 
 def _mat(m) -> list[list[float]]:
-    return [_vec(row) for row in np.asarray(m)]
+    return [[_num(x) for x in row] for row in np.asarray(m).tolist()]
 
 
 def _source_entry(spec) -> dict:
@@ -217,8 +221,108 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
     }
 
 
+# The report writer emits the bytes PyYAML's CSafeDumper emits with
+# sort_keys=False and default_flow_style=None: mappings and sequences of
+# scalars in flow style, all else in block style. It knows only the values
+# a report holds; any other value is a TypeError, never other YAML.
+_WIDTH = 80  # libyaml breaks a flow collection once the column passes this
+_PLAIN = re.compile(r"[A-Za-z][A-Za-z0-9_/-]*")
+# YAML 1.1 reads these as bools or null, so PyYAML would quote them
+_RESERVED = frozenset("yes Yes YES no No NO true True TRUE false False FALSE "
+                      "on On ON off Off OFF null Null NULL".split())
+_FLOAT_WORDS = {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}
+
+
+def _float(x: float) -> str:  # SafeRepresenter.represent_float
+    r = repr(x)
+    return r if "." in r else _FLOAT_WORDS.get(r) or r.replace("e", ".0e", 1)
+
+
+def _str(s: str) -> str:
+    if s in _RESERVED or not _PLAIN.fullmatch(s):
+        raise TypeError(f"report string {s!r} would need quoting")
+    return s
+
+
+def _key(k) -> str:
+    if type(k) is not str or len(k) > 128:  # libyaml writes a longer key as "? key"
+        raise TypeError(f"report key {k!r} is not a short string")
+    return _str(k)
+
+
+_SCALAR = {bool: lambda b: "true" if b else "false", int: int.__repr__, float: _float, str: _str}
+
+
+def _once(value, seen: set) -> None:  # PyYAML would write a shared one as an anchor and alias
+    if id(value) in seen:
+        raise TypeError("a report holds the same list or mapping twice")
+    seen.add(id(value))
+
+
+def _flow(value, indent: int, col: int, seen: set) -> str | None:
+    """value in flow style, opened at column col and wrapped as libyaml wraps
+    it (continuation lines at indent), or None for a block collection."""
+    kind = type(value)
+    if kind in _SCALAR:
+        return _SCALAR[kind](value)
+    if kind is not list and kind is not dict:
+        raise TypeError(f"a report cannot hold {kind.__name__} {value!r}")
+    try:
+        if kind is list:
+            texts, brackets = [_SCALAR[type(x)](x) for x in value], "[]"
+        else:
+            texts, brackets = [f"{_key(k)}: {_SCALAR[type(v)](v)}" for k, v in value.items()], "{}"
+    except KeyError:  # it holds a collection (or a value _block refuses)
+        return None
+    _once(value, seen)
+    parts, start, col = [brackets[0]], 0, col + 1
+    for i, text in enumerate(texts):
+        if col > _WIDTH:  # a new line before this item
+            if i:
+                parts.append(", ".join(texts[start:i]) + ",")
+            parts.append("\n" + " " * indent)
+            start, col = i, indent
+        elif i:
+            col += 1
+        col += len(text) + 1
+    parts += [", ".join(texts[start:]), brackets[1]]
+    return "".join(parts)
+
+
+def _block(value, indent: int, lead: str, out: list, seen: set) -> None:
+    """A block collection with its entries at indent; lead goes before the first."""
+    _once(value, seen)
+    for i, entry in enumerate(value.items() if type(value) is dict else value):
+        out.append(lead if i == 0 else "\n" + " " * indent)
+        if type(value) is dict:
+            key = _key(entry[0])
+            out.append(key + ":")
+            _value(entry[1], indent, indent + len(key) + 1, True, out, seen)
+        else:
+            out.append("-")
+            _value(entry, indent, indent + 1, False, out, seen)
+
+
+def _value(value, indent: int, col: int, in_map: bool, out: list, seen: set) -> None:
+    """value after a "key:" (in_map) or "-" ending at column col, in a block at indent."""
+    text = _flow(value, indent + 2, col + 1, seen)
+    if text is not None:
+        out += [" ", text]
+    elif in_map:  # a sequence in a mapping is not indented further
+        inner = indent + 2 if type(value) is dict else indent
+        _block(value, inner, "\n" + " " * inner, out, seen)
+    else:
+        _block(value, indent + 2, " ", out, seen)
+
+
 def dump_report(report: dict, path: str | None = None) -> str:
-    text = yaml.dump(report, Dumper=_DUMPER, sort_keys=False, default_flow_style=None)
+    if type(report) is not dict:
+        raise TypeError(f"a report is a dict, not {type(report).__name__}")
+    out, seen = [], set()
+    flow = _flow(report, 2, 0, seen)
+    if flow is None:
+        _block(report, 0, "", out, seen)
+    text = ("".join(out) if flow is None else flow) + "\n"
     if path is not None:
         with _open_out(path) as fh:
             fh.write(text)

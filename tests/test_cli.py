@@ -14,6 +14,7 @@ import yaml
 
 import signed_influence
 from conftest import ZOO17, REF11
+from signed_influence import cli
 from signed_influence.cli import main
 from signed_influence.specfile import diff_reports
 
@@ -182,6 +183,27 @@ class TestSimulateCommand:
             rows = list(csv.reader(fh))
         assert len(rows) == 2  # header + x(0) only
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, kept", [
+        (["influence", REF11_PATH, "--check"], "ends"),
+        (["simulate", REF11_PATH], "ends"),
+        (["simulate", REF11_PATH, "--csv", "CSV"], "all"),
+    ], ids=["influence-check", "simulate", "simulate-csv"])
+    def test_iterates_kept_only_for_the_csv(self, tmp_path, monkeypatch, capsys, argv, kept):
+        logs = []
+
+        def spy(*args, **kwargs):
+            logs.append(signed_influence.simulate(*args, **kwargs))
+            return logs[-1]
+
+        monkeypatch.setattr(cli, "simulate", spy)
+        assert main([str(tmp_path / "t.csv") if a == "CSV" else a for a in argv]) == 0
+        capsys.readouterr()
+        (log,) = logs
+        if kept == "ends":
+            assert len(log.xs) <= 2
+        else:
+            assert len(log.xs) == log.iterations + 1
 
     def test_tolerance_sweep_finals_agree(self, capsys):
         finals = []
