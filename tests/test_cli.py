@@ -184,12 +184,12 @@ class TestSimulateCommand:
         assert len(rows) == 2  # header + x(0) only
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv, kept", [
-        (["influence", REF11_PATH, "--check"], "ends"),
-        (["simulate", REF11_PATH], "ends"),
-        (["simulate", REF11_PATH, "--csv", "CSV"], "all"),
+    @pytest.mark.parametrize("argv", [
+        ["influence", REF11_PATH, "--check"],
+        ["simulate", REF11_PATH],
+        ["simulate", REF11_PATH, "--csv"],
     ], ids=["influence-check", "simulate", "simulate-csv"])
-    def test_iterates_kept_only_for_the_csv(self, tmp_path, monkeypatch, capsys, argv, kept):
+    def test_iterates_kept_only_for_the_csv(self, tmp_path, monkeypatch, capsys, argv):
         logs = []
 
         def spy(*args, **kwargs):
@@ -197,13 +197,14 @@ class TestSimulateCommand:
             return logs[-1]
 
         monkeypatch.setattr(cli, "simulate", spy)
-        assert main([str(tmp_path / "t.csv") if a == "CSV" else a for a in argv]) == 0
+        with_csv = argv[-1] == "--csv"
+        assert main(argv + [str(tmp_path / "t.csv")] * with_csv) == 0
         capsys.readouterr()
         (log,) = logs
-        if kept == "ends":
-            assert len(log.xs) <= 2
-        else:
+        if with_csv:
             assert len(log.xs) == log.iterations + 1
+        else:
+            assert len(log.xs) <= 2
 
     def test_tolerance_sweep_finals_agree(self, capsys):
         finals = []
