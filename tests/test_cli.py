@@ -20,6 +20,7 @@ from signed_influence.specfile import diff_reports
 
 REF11_PATH = str(REF11)
 ZOO17_PATH = str(ZOO17)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _write_spec(tmp_path, name="net.yaml", **overrides):
@@ -224,6 +225,15 @@ class TestInfluenceCommand:
         c = np.array(report["collective_influence"]["c"])
         assert np.allclose(c[0], [0.02, 0.12, 0.04, 0.5, 0.32], atol=1e-9)
         assert report["provenance"]["gain_method"] == "mason"  # auto, under cap
+
+    @pytest.mark.parametrize("method", ["auto", "solve"])
+    @pytest.mark.parametrize("path", [REF11_PATH, ZOO17_PATH], ids=["reference11", "showcase17"])
+    def test_reproduces_golden_report(self, tmp_path, path, method):
+        # tests/golden holds the reports as committed; any drift in the output shows here
+        out = tmp_path / "report.yaml"
+        assert main(["influence", path, "--method", method, "--out", str(out)]) == 0
+        golden = GOLDEN / f"{pathlib.Path(path).stem}-{method}.yaml"
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_round_trip_diff_is_empty(self, tmp_path):
         a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
