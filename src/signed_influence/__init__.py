@@ -51,13 +51,11 @@ from .graph import (
     AgentClassification,
     AgentParams,
     BalanceResult,
-    Condensation,
     SignedNetwork,
     SinkKind,
     build_network,
     check_structural_balance,
     classify,
-    condense,
 )
 from .pipeline import AnalysisResult, run_analysis
 from .sfg import (
@@ -81,7 +79,7 @@ from .specfile import (
     export_dot,
     load_report,
     load_spec,
-    write_trajectory_csv,
+    trajectory_csv,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .dynamics import (
     steady_state,
 )
 from .errors import BadIdError, NoSuchEdgeError, ZeroDeltaError
-from .graph import AgentParams, SignedNetwork, build_network, classify
+from .graph import AgentParams, SignedNetwork, classify
 from .sfg import InfluenceMatrix
 
 
@@ -127,10 +127,9 @@ def flip_edge_signs(
         if (i, j) not in existing:
             raise NoSuchEdgeError(i, j)
     flip = set(edges)
-    flipped_edges = [
-        (i, j, -w if (i, j) in flip else w) for i, j, w in net.edges
-    ]
-    net_flipped = build_network(net.n, flipped_edges)
+    # only signs change: ids, order, support and weak connectivity stay valid
+    flipped_edges = tuple((i, j, -w if (i, j) in flip else w) for i, j, w in net.edges)
+    net_flipped = replace(net, edges=flipped_edges)
 
     x0 = np.asarray(x0, dtype=float)
     z_base = _steady(_setup(net, params), x0)

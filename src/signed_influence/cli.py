@@ -9,6 +9,7 @@ determinant), 4 enumeration complexity cap hit with no fallback permitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -34,7 +35,7 @@ from .specfile import (
     dump_report,
     export_dot,
     load_spec,
-    write_trajectory_csv,
+    trajectory_csv,
 )
 
 EXIT_OK = 0
@@ -74,11 +75,10 @@ def cmd_classify(args) -> int:
 def cmd_simulate(args) -> int:
     spec = load_spec(args.file)
     _, matrices = _setup(spec)
-    # without --csv only the final state is read: keep x(0) and it, not every iterate
-    thin = 1 if args.csv else args.max_iters + 1
-    log = simulate(matrices, spec.x0, tol=args.tol, max_iters=args.max_iters, thin=thin)
-    if args.csv:
-        write_trajectory_csv(args.csv, log.xs)
+    # --csv streams each iterate to the file as it is computed
+    table = trajectory_csv(args.csv, spec.net.n) if args.csv else contextlib.nullcontext()
+    with table as row:
+        log = simulate(matrices, spec.x0, tol=args.tol, max_iters=args.max_iters, on_iterate=row)
     final = log.xs[-1]
     print(f"iterations: {log.iterations}  residual: {log.residual:.6g}")
     print("final x:", " ".join(f"{v:.12g}" for v in final))
@@ -97,8 +97,7 @@ def cmd_influence(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     if args.check:
-        log = simulate(result.matrices, spec.x0, tol=args.tol, max_iters=args.max_iters,
-                       thin=args.max_iters + 1)  # x(0) and the final state only
+        log = simulate(result.matrices, spec.x0, tol=args.tol, max_iters=args.max_iters)
         predicted = result.influence.theta @ spec.x0
         mismatch = float(np.max(np.abs(predicted - log.xs[-1])))
         # absolute at unit scale, relative to the opinions' scale beyond it

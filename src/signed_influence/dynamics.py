@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,15 +38,13 @@ _CHUNK = 64
 
 @dataclass(frozen=True)
 class ModelMatrices:
-    """Q, P and the stubbornness input matrix, in the original agent indexing."""
+    """P and the stubbornness input matrix, in the original agent indexing."""
 
     n: int
-    Q: np.ndarray
     P: np.ndarray
     Btilde: np.ndarray  # n x s, column h carries beta at the h-th stubborn agent
     stubborn_ids: tuple[int, ...]
     beta: np.ndarray
-    gamma: np.ndarray
 
     def sink_block(self, classification: AgentClassification, sink: int) -> np.ndarray:
         members = classification.sinks[sink]
@@ -84,7 +82,7 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class TrajectoryLog:
-    xs: np.ndarray  # x(0), every thin-th iterate and the last one, one row each
+    xs: np.ndarray  # x(0) and the last iterate, one row each (x(0) alone after 0 steps)
     converged: bool
     iterations: int
     residual: float
@@ -92,7 +90,9 @@ class TrajectoryLog:
 
 def build_matrices(net: SignedNetwork, params: AgentParams) -> ModelMatrices:
     n = net.n
-    a = net.adjacency
+    a = np.zeros((n, n))
+    for i, j, w in net.edges:
+        a[i, j] = w
     with np.errstate(over="ignore"):  # an overflowed row is rescaled below
         absrow = np.abs(a).sum(axis=1)
     big = ~np.isfinite(absrow)
@@ -113,15 +113,7 @@ def build_matrices(net: SignedNetwork, params: AgentParams) -> ModelMatrices:
     stubborn_ids = params.stubborn_agents()
     btilde = np.zeros((n, len(stubborn_ids)))
     btilde[list(stubborn_ids), range(len(stubborn_ids))] = beta[list(stubborn_ids)]
-    return ModelMatrices(
-        n=n,
-        Q=q,
-        P=p,
-        Btilde=btilde,
-        stubborn_ids=stubborn_ids,
-        beta=beta,
-        gamma=gamma,
-    )
+    return ModelMatrices(n=n, P=p, Btilde=btilde, stubborn_ids=stubborn_ids, beta=beta)
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -162,20 +154,21 @@ def simulate(
     x0: np.ndarray,
     tol: float = 1e-10,
     max_iters: int = 100_000,
-    thin: int = 1,
+    on_iterate: Callable[[int, np.ndarray], object] | None = None,
 ) -> TrajectoryLog:
     """Iterate the update rule until the sup-norm residual drops below tol.
 
-    The log keeps x(0), every thin-th iterate and the last one; a thin
-    above max_iters keeps x(0) and the last iterate only.
+    The log keeps x(0) and the last iterate only, so its memory does not
+    grow with the iteration count; ``on_iterate(k, x)``, when given, is
+    handed x(0) and then every iterate x(k) as it is computed.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (matrices.n,):
         raise ValueError(f"x0 must have length {matrices.n}")
     drive = matrices.beta * x0
-    xs = [x0.copy()]
-    last_recorded = 0
     x = x0.copy()
+    if on_iterate is not None:
+        on_iterate(0, x)
     residual = np.inf
     iters = 0
     converged = False
@@ -184,15 +177,13 @@ def simulate(
         residual = float(np.max(np.abs(nxt - x)))
         x = nxt
         iters += 1
-        if iters % thin == 0:
-            xs.append(x.copy())
-            last_recorded = iters
+        if on_iterate is not None:
+            on_iterate(iters, x)
         if residual < tol:
             converged = True
             break
-    if last_recorded != iters:
-        xs.append(x.copy())
-    return TrajectoryLog(np.array(xs), converged=converged, iterations=iters, residual=residual)
+    xs = np.array([x0, x] if iters else [x0])
+    return TrajectoryLog(xs, converged=converged, iterations=iters, residual=residual)
 
 
 def sink_spectrum(

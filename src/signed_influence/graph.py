@@ -1,8 +1,10 @@
 """Signed weighted digraphs and their structural classification.
 
 The structural layer everything else builds on: strongly connected
-components, the condensation graph and its sinks, the follower / opinion
-leader split, and the balance taxonomy of each sink.
+components, the sinks of the condensation graph, the follower / opinion
+leader split, and the balance taxonomy of each sink.  `classify` finds the
+sinks in one pass over the edge list and decides each sink's kind with one
+two-colouring of its internal edges.
 
 Agent ids are 0-based everywhere; human-facing 1-based names, when
 wanted, belong in spec-file labels.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
@@ -44,13 +46,6 @@ class SignedNetwork:
     weakly_connected: bool
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            a[i, j] = w
-        return a
-
-    @cached_property
     def out_degree(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=int)
         for i, _, _ in self.edges:
@@ -60,19 +55,6 @@ class SignedNetwork:
     def graph_sinks(self) -> frozenset[int]:
         """Nodes of the digraph itself (not the condensation) with no out-edges."""
         return frozenset(i for i in range(self.n) if self.out_degree[i] == 0)
-
-
-@dataclass(frozen=True)
-class Condensation:
-    """SCC decomposition plus the acyclic component-level graph.
-
-    ``components`` is in condensation order, listeners first: every SCC
-    comes before each SCC it listens to, so the sinks come last.
-    """
-
-    components: tuple[frozenset[int], ...]
-    edges: tuple[tuple[int, int], ...]
-    sinks: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -114,6 +96,12 @@ class BalanceResult:
 @dataclass(frozen=True)
 class AgentClassification:
     """Follower/leader/stubborn partition and the sink taxonomy.
+
+    The sinks are the SCCs with no edge to another SCC, found in one pass
+    over the edge list.  A sink of two or more agents is two-coloured once
+    over its internal edges: no colouring means unbalanced, all +1 means
+    cooperative (every internal tie positive), anything else balanced,
+    with that colouring as sigma.
 
     ``blocks`` holds the SCCs in condensation order, listeners first.  With
     the agents laid out in that order I - P is block upper triangular, which
@@ -186,7 +174,9 @@ def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[frozenset
     """The SCCs of the digraph on 0..n-1 with the given arcs, listeners first.
 
     networkx's Tarjan pass emits every SCC after all the SCCs it listens
-    to; the order is kept, reversed.
+    to; the order is kept, reversed.  This is the condensation order: the
+    SCCs are the condensation graph's nodes, and `classify` reads its sinks
+    off them with one pass over the edges, never building the graph itself.
     """
     g = nx.DiGraph()
     g.add_nodes_from(range(n))
@@ -194,46 +184,13 @@ def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[frozenset
     return [frozenset(c) for c in nx.strongly_connected_components(g)][::-1]
 
 
-def condense(net: SignedNetwork) -> Condensation:
-    """SCC decomposition and the (acyclic) condensation graph.
+def _two_colour(members: Sequence[int], internal: Iterable[Edge]) -> dict[int, int] | None:
+    """sigma with ``sigma_i * sigma_j == sign(a_ij)`` on every internal edge, or None.
 
-    The components are in `strong_components`' order, listeners first: the
-    order the steady-state and gain solve runs chunk by chunk over.  It
-    costs no graph pass beyond the SCC search itself.
+    Each edge is read in both directions, so (i, j) and (j, i) of opposite
+    signs leave no colouring.  Every undirected component is anchored at +1
+    on its lowest member, members[0] first, so the labelling is canonical.
     """
-    comps = strong_components(net.n, [(i, j) for i, j, _ in net.edges])
-    comp_of = {}
-    for idx, comp in enumerate(comps):
-        for node in comp:
-            comp_of[node] = idx
-    cedges = set()
-    for i, j, _ in net.edges:
-        ci, cj = comp_of[i], comp_of[j]
-        if ci != cj:
-            cedges.add((ci, cj))
-    has_out = {ci for ci, _ in cedges}
-    sinks = tuple(idx for idx in range(len(comps)) if idx not in has_out)
-    return Condensation(components=tuple(comps), edges=tuple(sorted(cedges)), sinks=sinks)
-
-
-def check_structural_balance(net: SignedNetwork, members: Iterable[int]) -> BalanceResult:
-    """Two-color a strongly connected node set over its undirected signed edges.
-
-    Sign consistency requires ``sigma_i * sigma_j == sign(a_ij)`` for every
-    internal edge; if (i, j) and (j, i) disagree in sign the set is
-    unbalanced.  The lowest-id member is anchored at +1 so the returned
-    labelling is canonical.
-    """
-    members = sorted(set(members))
-    member_set = set(members)
-    internal = [(i, j, w) for i, j, w in net.edges if i in member_set and j in member_set]
-    sub = nx.DiGraph()
-    sub.add_nodes_from(members)
-    sub.add_weighted_edges_from(internal)
-    if len(members) > 1 and not nx.is_strongly_connected(sub):
-        raise NotStronglyConnectedError(f"nodes {members} are not strongly connected")
-
-    # (i, j) and (j, i) of opposite signs give v two different wants below
     adj = {m: [] for m in members}
     for i, j, w in internal:
         s = 1 if w > 0 else -1
@@ -241,10 +198,10 @@ def check_structural_balance(net: SignedNetwork, members: Iterable[int]) -> Bala
         adj[j].append((i, s))
 
     sigma = {}
-    for start in members:  # single component when strongly connected, but be safe
+    for start in members:
         if start in sigma:
             continue
-        sigma[start] = 1  # members[0] first, so the labelling is anchored there
+        sigma[start] = 1
         queue = [start]
         while queue:
             u = queue.pop()
@@ -254,8 +211,27 @@ def check_structural_balance(net: SignedNetwork, members: Iterable[int]) -> Bala
                     sigma[v] = want
                     queue.append(v)
                 elif sigma[v] != want:
-                    return BalanceResult(balanced=False, sigma=None)
-    return BalanceResult(balanced=True, sigma=sigma)
+                    return None
+    return sigma
+
+
+def check_structural_balance(net: SignedNetwork, members: Iterable[int]) -> BalanceResult:
+    """Two-color a strongly connected node set over its undirected signed edges.
+
+    Sign consistency requires ``sigma_i * sigma_j == sign(a_ij)`` for every
+    internal edge; if (i, j) and (j, i) disagree in sign the set is
+    unbalanced.  The lowest-id member is anchored at +1 so the returned
+    labelling is canonical.  `classify` runs the same two-colouring on each
+    sink without this function's scan of the whole edge list.
+    """
+    members = sorted(set(members))
+    index = {m: k for k, m in enumerate(members)}
+    internal = [(i, j, w) for i, j, w in net.edges if i in index and j in index]
+    arcs = [(index[i], index[j]) for i, j, _ in internal]
+    if len(members) > 1 and len(strong_components(len(members), arcs)) > 1:
+        raise NotStronglyConnectedError(f"nodes {members} are not strongly connected")
+    sigma = _two_colour(members, internal)
+    return BalanceResult(balanced=sigma is not None, sigma=sigma)
 
 
 def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
@@ -265,10 +241,23 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
     if len(params.gamma) != net.n:
         raise ParamConstraintViolatedError(net.n, "parameter length mismatch")
 
-    cond = condense(net)
-    sink_sets = [cond.components[s] for s in cond.sinks]
-    sink_sets.sort(key=min)
-    sinks = tuple(tuple(sorted(s)) for s in sink_sets)
+    comps = strong_components(net.n, [(i, j) for i, j, _ in net.edges])
+    comp_of = [0] * net.n
+    for idx, comp in enumerate(comps):
+        for node in comp:
+            comp_of[node] = idx
+    # one pass: an edge inside an SCC is internal, one between SCCs rules out a sink
+    internal = [[] for _ in comps]
+    has_out = [False] * len(comps)
+    for edge in net.edges:
+        ci, cj = comp_of[edge[0]], comp_of[edge[1]]
+        if ci == cj:
+            internal[ci].append(edge)
+        else:
+            has_out[ci] = True
+    sink_comps = [c for c, out in enumerate(has_out) if not out]
+    sink_comps.sort(key=lambda c: min(comps[c]))
+    sinks = tuple(tuple(sorted(comps[c])) for c in sink_comps)
 
     leaders = set()
     sink_of = {}
@@ -291,26 +280,21 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         if params.gamma[i] <= 0.0:
             raise ParamConstraintViolatedError(i, "group opinion leaders need gamma > 0")
 
-    a = net.adjacency
     sink_kind = {}
     sigma = {}
-    balanced_sinks = set()
-    for idx, members in enumerate(sinks):
+    for idx, (members, c) in enumerate(zip(sinks, sink_comps)):
         if len(members) == 1:
             sink_kind[idx] = SinkKind.SINGLETON_LEADER
-            balanced_sinks.add(idx)
             continue
-        if (a[np.ix_(members, members)] >= 0.0).all():
-            sink_kind[idx] = SinkKind.COOPERATIVE
-            balanced_sinks.add(idx)
-            continue
-        result = check_structural_balance(net, members)
-        if result.balanced:
-            sink_kind[idx] = SinkKind.BALANCED
-            balanced_sinks.add(idx)
-            sigma.update(result.sigma)
-        else:
+        colour = _two_colour(members, internal[c])
+        if colour is None:
             sink_kind[idx] = SinkKind.UNBALANCED
+        elif all(s == 1 for s in colour.values()):  # strongly connected: every tie positive
+            sink_kind[idx] = SinkKind.COOPERATIVE
+        else:
+            sink_kind[idx] = SinkKind.BALANCED
+            sigma.update(colour)
+    balanced_sinks = frozenset(s for s, kind in sink_kind.items() if kind != SinkKind.UNBALANCED)
 
     influence_free = frozenset(
         idx
@@ -327,7 +311,7 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         sink_of=sink_of,
         sink_kind=sink_kind,
         sigma=sigma,
-        balanced_sinks=frozenset(balanced_sinks),
+        balanced_sinks=balanced_sinks,
         influence_free_sinks=influence_free,
-        blocks=tuple(tuple(sorted(c)) for c in cond.components),
+        blocks=tuple(tuple(sorted(c)) for c in comps),
     )

@@ -25,10 +25,12 @@ rather than write other YAML.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 import yaml
@@ -401,11 +403,14 @@ def export_dot(g: SfgGraph, path: str | None = None, labels=None) -> str:
     return text
 
 
-def write_trajectory_csv(path: str, xs: np.ndarray) -> None:
-    """Trajectory table with columns k, x_0, ..., x_{n-1}."""
-    n = xs.shape[1]
+@contextlib.contextmanager
+def trajectory_csv(path: str, n: int) -> Iterator[Callable[[int, np.ndarray], object]]:
+    """Trajectory table with columns k, x_0, ..., x_{n-1}, one row per call.
+
+    Yields ``row(k, x)``, which writes the row at once: pass it to
+    `simulate` as ``on_iterate`` and the table streams to the file.
+    """
     with _open_out(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k"] + [f"x_{i}" for i in range(n)])
-        for k, row in enumerate(xs):
-            writer.writerow([k] + [f"{v:.12g}" for v in row])
+        yield lambda k, x: writer.writerow([k] + [f"{v:.12g}" for v in x.tolist()])

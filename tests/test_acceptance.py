@@ -177,7 +177,7 @@ def test_criterion_8_master_identity():
         rng = np.random.default_rng(seed + 10_000)
         for _ in range(5):
             x0 = rng.uniform(-10, 10, rn.net.n)
-            log = simulate(res.matrices, x0, tol=1e-12, thin=10**9)
+            log = simulate(res.matrices, x0, tol=1e-12)
             pred = res.influence.theta @ x0
             worst = max(worst, float(np.max(np.abs(pred - log.xs[-1]))))
     _verdict(8, worst <= 1e-6, f"prediction matches simulation limit (max diff {worst:.2e})")
@@ -196,7 +196,7 @@ def test_criterion_9_convergence_dichotomy():
                 ok, detail = False, f"seed {seed}: rho {rho}"
                 break
         else:
-            log = simulate(m, rn.x0, tol=1e-8, thin=10**9)
+            log = simulate(m, rn.x0, tol=1e-8)
             if not log.converged:
                 ok, detail = False, f"seed {seed}: no fixed point"
                 break
@@ -228,7 +228,7 @@ def test_criterion_11_sink_limit_taxonomy():
             m = build_matrices(rn.net, rn.params)
             assert len(cls.sinks) == 1
             members = list(cls.sinks[0])
-            log = simulate(m, rn.x0, tol=1e-12, thin=10**9)
+            log = simulate(m, rn.x0, tol=1e-12)
             z = log.xs[-1][members]
             if kinds[0] == "balanced":
                 mags = np.abs(z)

@@ -129,6 +129,12 @@ class TestFlipEdgeSigns:
         assert rho_calls == []
         assert sorted(args[2] for args in sinks) == [0, 0, 2, 2]
 
+    def test_flip_builds_no_network(self, ref11, count_calls):
+        # only signs change, so the flipped network is not validated again
+        builds = count_calls("build_network")
+        flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5), (8, 9)))
+        assert builds == []
+
     def test_reference_experiment(self, ref11):
         res = flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5), (1, 9)))
         assert res.mean_abs_deviation == pytest.approx(0.1493, abs=1e-3)

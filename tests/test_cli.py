@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,10 +203,29 @@ class TestSimulateCommand:
         assert main(argv + [str(tmp_path / "t.csv")] * with_csv) == 0
         capsys.readouterr()
         (log,) = logs
-        if with_csv:
-            assert len(log.xs) == log.iterations + 1
-        else:
-            assert len(log.xs) <= 2
+        assert log.iterations > 1
+        assert len(log.xs) <= 2  # --csv streams the iterates to the file instead
+
+    def test_csv_memory_does_not_grow_with_iterations(self, tmp_path, capsys):
+        # a slow chain: 0.995 self-belief never settles to 1e-10 within the cap
+        n = 100
+        spec = _write_spec(
+            tmp_path, n=n, edges=[[i, i + 1, 1.0] for i in range(n - 1)],
+            gamma=[0.995] * n, beta=[0.0] * n, x0=[float(i % 7) for i in range(n)],
+        )
+        peaks = []
+        for iters in (200, 2000):
+            csv_path = tmp_path / f"traj-{iters}.csv"
+            tracemalloc.start()
+            try:
+                code = main(["simulate", spec, "--max-iters", str(iters), "--csv", str(csv_path)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 3
+            assert len(csv_path.read_text().splitlines()) == iters + 2
+        capsys.readouterr()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_tolerance_sweep_finals_agree(self, capsys):
         finals = []

@@ -46,19 +46,26 @@ def _setup(net, params):
     return cls, build_matrices(net, params)
 
 
+def _q(m, params):
+    """Q read back from P = Gamma + (I - Gamma - B) Q, row by row."""
+    gamma, beta = np.array(params.gamma), np.array(params.beta)
+    return (m.P - np.diag(gamma)) / (1.0 - gamma - beta)[:, None]
+
+
 class TestBuildMatrices:
     def test_two_node_cycle(self):
         net = build_network(2, [(0, 1, 2.0), (1, 0, 1.0)])
         params = AgentParams(gamma=(0.4, 0.4), beta=(0.0, 0.0))
         _, m = _setup(net, params)
-        assert np.allclose(m.Q, [[0, 1], [1, 0]])
+        assert np.allclose(_q(m, params), [[0, 1], [1, 0]])
         assert np.allclose(m.P, [[0.4, 0.6], [0.6, 0.4]])
 
     def test_sign_preserving_normalization(self, ref11):
         _, m = _setup(ref11.net, ref11.params)
+        q = _q(m, ref11.params)
         # antagonistic row: weights -5 and 11 normalize by |−5| + |11|
-        assert m.Q[9, 8] == pytest.approx(-5 / 16)
-        assert m.Q[9, 10] == pytest.approx(11 / 16)
+        assert q[9, 8] == pytest.approx(-5 / 16)
+        assert q[9, 10] == pytest.approx(11 / 16)
         assert m.P[9, 8] == pytest.approx(-0.25)
         assert m.P[9, 10] == pytest.approx(0.55)
 
@@ -66,7 +73,7 @@ class TestBuildMatrices:
         net = build_network(2, [(0, 1, 3.0)])
         params = AgentParams(gamma=(0.2, 0.5), beta=(0.1, 0.0))
         _, m = _setup(net, params)
-        assert m.Q[1, 1] == 1.0
+        assert _q(m, params)[1, 1] == 1.0
         assert m.P[1, 1] == 1.0  # gamma + (1 - gamma) * 1
 
     def test_row_abs_sums_equal_one_minus_beta(self):
@@ -81,7 +88,7 @@ class TestBuildMatrices:
         net = build_network(3, [(0, 1, 1e308), (0, 2, -1e308)])
         params = AgentParams(gamma=(0.5, 0.5, 0.5), beta=(0.0, 0.0, 0.0))
         cls, m = _setup(net, params)
-        assert m.Q[0].tolist() == [0.0, 0.5, -0.5]
+        assert _q(m, params)[0].tolist() == [0.0, 0.5, -0.5]
         z = steady_state(m, cls, compute_spectra(m, cls), np.array([0.0, 1.0, 3.0])).z
         assert z[0] == pytest.approx(-1.0)
 
@@ -198,12 +205,14 @@ class TestSimulate:
         assert log.xs.shape == (1, 11)
         assert not log.converged
 
-    def test_thinning_keeps_final_state(self, ref11):
+    def test_log_keeps_x0_and_last_iterate(self, ref11):
         _, m = _setup(ref11.net, ref11.params)
-        full = simulate(m, ref11.x0)
-        thinned = simulate(m, ref11.x0, thin=17)
-        assert np.allclose(thinned.xs[-1], full.xs[-1])
-        assert len(thinned.xs) < len(full.xs)
+        seen = []
+        log = simulate(m, ref11.x0, on_iterate=lambda k, x: seen.append((k, x.copy())))
+        assert log.xs.shape == (2, 11)
+        assert [k for k, _ in seen] == list(range(log.iterations + 1))
+        assert np.array_equal(log.xs[0], seen[0][1]) and np.array_equal(log.xs[0], ref11.x0)
+        assert np.array_equal(log.xs[-1], seen[-1][1])
 
 
 class TestSinkSpectrum:

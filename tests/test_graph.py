@@ -1,4 +1,8 @@
-"""Network validation, condensation, balance checks and classification."""
+"""Network validation, balance checks and classification."""
+
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +19,15 @@ from signed_influence import (
     SelfLoopError,
     SinkKind,
     ZeroWeightError,
+    build_matrices,
     build_network,
     check_structural_balance,
     classify,
-    condense,
 )
 from signed_influence.errors import BadIdError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from synth import synth_network  # noqa: E402
 
 
 class TestBuildNetwork:
@@ -46,40 +53,15 @@ class TestBuildNetwork:
 
     def test_adjacency_and_sinks(self):
         net = build_network(3, [(0, 1, 2.0), (1, 2, -3.0)])
-        assert net.adjacency[0, 1] == 2.0
-        assert net.adjacency[1, 2] == -3.0
+        # with gamma = beta = 0, P is the sign-preserving normalised adjacency
+        m = build_matrices(net, AgentParams(gamma=(0.0,) * 3, beta=(0.0,) * 3))
+        assert m.P.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
         assert net.graph_sinks() == {2}
         assert net.weakly_connected
 
     def test_disconnected_flag(self):
         net = build_network(4, [(0, 1, 1.0), (2, 3, 1.0)])
         assert not net.weakly_connected
-
-
-class TestCondense:
-    def test_cycle_plus_tail(self):
-        net = build_network(4, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        cond = condense(net)
-        assert set(cond.components) == {frozenset({0, 1}), frozenset({2}), frozenset({3})}
-        assert len(cond.sinks) == 1
-        assert cond.components[cond.sinks[0]] == frozenset({3})
-
-    def test_representative_network_has_five_sinks(self, zoo17):
-        cond = condense(zoo17.net)
-        assert len(cond.components) == 6
-        assert len(cond.sinks) == 5
-        sink_sets = {cond.components[s] for s in cond.sinks}
-        assert frozenset({10}) in sink_sets
-        assert frozenset({14, 15, 16}) in sink_sets
-
-    def test_condensation_is_acyclic(self):
-        import networkx as nx
-
-        for seed in range(20):
-            rn = random_network(seed)
-            cond = condense(rn.net)
-            g = nx.DiGraph(list(cond.edges))
-            assert nx.is_directed_acyclic_graph(g)
 
 
 class TestStructuralBalance:
@@ -178,6 +160,19 @@ class TestClassify:
         with pytest.raises(ParamConstraintViolatedError):
             classify(net, params)
 
+    def test_cycle_plus_tail(self):
+        net = build_network(4, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        cls = classify(net, AgentParams(gamma=(0.2,) * 4, beta=(0.0,) * 4))
+        assert set(cls.blocks) == {(0, 1), (2,), (3,)}
+        assert cls.sinks == ((3,),)
+
+    def test_representative_network_has_five_sinks(self, zoo17):
+        cls = classify(zoo17.net, zoo17.params)
+        assert len(cls.blocks) == 6
+        assert len(cls.sinks) == 5
+        assert (10,) in cls.sinks
+        assert (14, 15, 16) in cls.sinks
+
     def test_blocks_listener_first(self, ref11):
         # follower 0 listens to the cycle {1, 2, 3}, which listens to all three sinks
         cls = classify(ref11.net, ref11.params)
@@ -205,3 +200,53 @@ class TestClassify:
         assert a.followers == b.followers
         assert a.sink_kind == b.sink_kind
         assert a.sigma == b.sigma
+
+
+def _oracle_networks():
+    for seed in range(200):
+        rn = random_network(seed)
+        yield f"netgen-{seed}", rn.net, rn.params
+    for n in (100, 1000):
+        s = synth_network(n, 0)
+        yield f"synth-{n}", s.net, s.params
+
+
+class TestOnePassClassify:
+    def test_kinds_agree_with_edge_signs_and_balance_check(self):
+        for name, net, params in _oracle_networks():
+            cls = classify(net, params)
+            balanced_members = set()
+            for idx, members in enumerate(cls.sinks):
+                kind = cls.sink_kind[idx]
+                if len(members) == 1:
+                    assert kind == SinkKind.SINGLETON_LEADER, name
+                    continue
+                inside = set(members)
+                signs = [w > 0 for i, j, w in net.edges if i in inside and j in inside]
+                assert (kind == SinkKind.COOPERATIVE) == all(signs), (name, idx)
+                if kind == SinkKind.COOPERATIVE:
+                    continue
+                res = check_structural_balance(net, members)
+                assert (kind == SinkKind.BALANCED) == res.balanced, (name, idx)
+                if res.balanced:
+                    assert {m: cls.sigma[m] for m in members} == res.sigma, (name, idx)
+                    balanced_members |= inside
+            assert set(cls.sigma) == balanced_members, name
+
+    def test_makes_no_balance_check_call(self, zoo17, count_calls):
+        checks = count_calls("check_structural_balance")
+        cls = classify(zoo17.net, zoo17.params)
+        assert SinkKind.BALANCED in cls.sink_kind.values()
+        assert SinkKind.UNBALANCED in cls.sink_kind.values()
+        assert checks == []
+
+    def test_memory_stays_linear(self):
+        # a dense n x n array at n = 3000 alone would take 72 MB
+        s = synth_network(3000, 0)
+        tracemalloc.start()
+        try:
+            classify(s.net, s.params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
