@@ -4,7 +4,10 @@ The structural layer everything else builds on: strongly connected
 components, the sinks of the condensation graph, the follower / opinion
 leader split, and the balance taxonomy of each sink.  `classify` finds the
 sinks in one pass over the edge list and decides each sink's kind with one
-two-colouring of its internal edges.
+two-colouring of its internal edges.  The graph routines are the module's
+own, on plain lists: union-find for weak connectivity while
+`build_network` validates the edges, and an iterative Tarjan for the
+strongly connected components.
 
 Agent ids are 0-based everywhere; human-facing 1-based names, when
 wanted, belong in spec-file labels.
@@ -13,16 +16,17 @@ wanted, belong in spec-file labels.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
     BadIdError,
     DuplicateEdgeError,
+    NetworkValidationError,
     NotStronglyConnectedError,
     NotWeaklyConnectedError,
     ParamConstraintViolatedError,
@@ -31,6 +35,8 @@ from .errors import (
 )
 
 Edge = tuple[int, int, float]
+_INT = (int, np.integer)
+_REAL = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -141,13 +147,20 @@ class AgentClassification:
 
 
 def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetwork:
-    """Validate and freeze a signed network description."""
+    """Validate and freeze a signed network description.
+
+    Weak connectivity is decided in the same pass, by union-find over the
+    edges (path halving, union by size).
+    """
     if n < 1:
         raise BadIdError(n)
     seen = set()
     frozen = []
+    parent = list(range(n))
+    size = [1] * n
+    parts = n
     for i, j, w in edges:
-        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+        if not (isinstance(i, _INT) and isinstance(j, _INT)) or bool in (type(i), type(j)):
             raise BadIdError((i, j))
         i, j = int(i), int(j)
         if not (0 <= i < n):
@@ -158,30 +171,83 @@ def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetw
             raise SelfLoopError(i)
         if (i, j) in seen:
             raise DuplicateEdgeError(i, j)
-        w = float(w)
-        if w == 0.0 or not np.isfinite(w):
+        if not isinstance(w, _REAL) or isinstance(w, bool):
+            raise NetworkValidationError(f"edge ({i}, {j}): weight {w!r} is not a real number")
+        try:
+            w = float(w)
+        except OverflowError:  # an int too large for a float
+            w = math.inf
+        if w == 0.0 or not math.isfinite(w):
             raise ZeroWeightError(i, j)
         seen.add((i, j))
         frozen.append((i, j, w))
-    und = nx.Graph()
-    und.add_nodes_from(range(n))
-    und.add_edges_from((i, j) for i, j, _ in frozen)
-    connected = nx.is_connected(und)
-    return SignedNetwork(n=n, edges=tuple(sorted(frozen)), weakly_connected=connected)
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            if size[i] < size[j]:
+                i, j = j, i
+            parent[j] = i
+            size[i] += size[j]
+            parts -= 1
+    return SignedNetwork(n=n, edges=tuple(sorted(frozen)), weakly_connected=parts == 1)
 
 
 def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
     """The SCCs of the digraph on 0..n-1 with the given arcs, listeners first.
 
-    networkx's Tarjan pass emits every SCC after all the SCCs it listens
-    to; the order is kept, reversed.  This is the condensation order: the
-    SCCs are the condensation graph's nodes, and `classify` reads its sinks
-    off them with one pass over the edges, never building the graph itself.
+    Tarjan's algorithm (SIAM J. Comput. 1972) on an explicit stack, so a
+    long chain cannot exhaust the recursion limit.  The roots are tried in
+    id order and each node's successors in arc order; the pass emits every
+    SCC after all the SCCs it listens to, and that order is kept, reversed.
+    This is the condensation order: the SCCs are the condensation graph's
+    nodes, and `classify` reads its sinks off them with one pass over the
+    edges, never building the graph itself.
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(arcs)
-    return [frozenset(c) for c in nx.strongly_connected_components(g)][::-1]
+    succ = [[] for _ in range(n)]
+    for i, j in arcs:
+        succ[i].append(j)
+    done = n + 1  # the preorder of a node whose SCC is emitted: above every live one
+    order = [0] * n  # preorder number from 1; 0 = not visited yet
+    low = [0] * n
+    stack = []  # visited nodes whose SCC is not emitted yet
+    comps = []
+    count = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack.append(root)
+        path, todo = [root], [iter(succ[root])]  # the DFS path, its successors left
+        while path:
+            v = path[-1]
+            for w in todo[-1]:
+                if not order[w]:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append(w)
+                    path.append(w)
+                    todo.append(iter(succ[w]))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                todo.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                if low[v] == order[v]:
+                    k = len(stack) - 1
+                    while stack[k] != v:
+                        k -= 1
+                    comp = stack[k:]
+                    del stack[k:]
+                    for w in comp:
+                        order[w] = done
+                    comps.append(frozenset(comp))
+    return comps[::-1]
 
 
 def _two_colour(members: Sequence[int], internal: Iterable[Edge]) -> dict[int, int] | None:

@@ -15,8 +15,9 @@ and `individual_influence` assembles Θ = G·W from the gains.  Mason's
 formula is the paper's method, the first try of the `auto` gain route and
 the oracle the solve is checked against; the node equations and the
 `SfgGraph` are built only for it and for DOT export.  `mason_influence`
-enumerates the loops, their conflicts and the graph determinant Δ once per
-graph, walks each source's simple paths once and memoises each path's
+enumerates the loops (Johnson's elementary circuits, on successor lists
+read off the branches), their conflicts and the graph determinant Δ once
+per graph, walks each source's simple paths once and memoises each path's
 cofactor on the loops the path touches.  Before any alternating sum it
 counts the sets of non-touching loops, a product over the components of
 the loop-conflict graph, and a count over the cap raises
@@ -32,7 +33,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .dynamics import ModelMatrices, SinkSpectrum, _complete, _solved_agents
@@ -41,7 +41,7 @@ from .errors import (
     MissingSpectrumError,
     SingularSystemError,
 )
-from .graph import AgentClassification, SinkKind
+from .graph import AgentClassification, SinkKind, strong_components
 
 NodeKey = tuple[str, int]  # ("agent", i) | ("source", r)
 
@@ -88,13 +88,6 @@ class SfgGraph:
 
     def nonsource_agents(self) -> tuple[int, ...]:
         return tuple(i for tag, i in self.nodes if tag == "agent")
-
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        for src, dst, gain in self.branches:
-            g.add_edge(src, dst, gain=gain)
-        return g
 
 
 @dataclass(frozen=True)
@@ -247,7 +240,81 @@ def reduce_sfg(
     return _graph(_reduction(matrices, classification, spectra))
 
 
-def _loop_conflicts(loops: list[frozenset], cap: int) -> list[set[int]]:
+def _adjacency(g: SfgGraph) -> tuple[dict[NodeKey, int], list[dict[int, float]]]:
+    """Each node's position in key order, and per position its successors'
+    positions mapped to the branch gains, in branch order."""
+    pos = {key: k for k, key in enumerate(sorted(g.nodes))}
+    out = [{} for _ in pos]
+    for src, dst, gain in g.branches:
+        out[pos[src]][pos[dst]] = gain
+    return pos, out
+
+
+def _circuits(succ: list[list[int]], cap: int) -> list[list[int]]:
+    """The elementary circuits of the digraph on 0..n-1, each from its least node.
+
+    Johnson's algorithm (SIAM J. Comput. 1975).  The circuits through the
+    least node s of a strong component are walked depth first from s; a
+    node stays blocked while no unblocked path from it leads back to s, so
+    no walk enters a dead end twice.  Then s is removed and the rest split
+    into strong components again.  A self-loop is a circuit of its own.
+    Finding a circuit past ``cap`` raises at once.
+    """
+    circuits = []
+
+    def found(circuit: list[int]) -> None:
+        circuits.append(circuit)
+        if len(circuits) > cap:
+            raise ComplexityCapExceededError(cap, "loops")
+
+    def parts(nodes) -> list[list[int]]:
+        """The strong components of two or more nodes among ``nodes``, sorted."""
+        pos = {v: k for k, v in enumerate(nodes)}
+        arcs = ((pos[v], pos[w]) for v in nodes for w in succ[v] if w in pos and w != v)
+        comps = strong_components(len(pos), arcs)
+        return [[nodes[k] for k in sorted(comp)] for comp in comps if len(comp) > 1]
+
+    for v, ws in enumerate(succ):
+        if v in ws:
+            found([v])
+    work = parts(range(len(succ)))
+    while work:
+        comp = work.pop()
+        s, inside = comp[0], set(comp)
+        local = {v: [w for w in succ[v] if w in inside and w != v] for v in comp}
+        blocked, waiting, path = {s}, {}, [s]
+        stack = [[iter(local[s]), False]]  # per node on the path: successors left, found
+        while stack:
+            frame = stack[-1]
+            for w in frame[0]:
+                if w == s:
+                    found(path.copy())
+                    frame[1] = True
+                elif w not in blocked:
+                    blocked.add(w)
+                    path.append(w)
+                    stack.append([iter(local[w]), False])
+                    break
+            else:
+                stack.pop()
+                v = path.pop()
+                if frame[1]:  # v leads back to s: unblock it and whoever waits on it
+                    todo = [v]
+                    while todo:
+                        u = todo.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            todo.extend(waiting.pop(u, ()))
+                    if stack:
+                        stack[-1][1] = True
+                else:
+                    for w in local[v]:
+                        waiting.setdefault(w, set()).add(v)
+        work.extend(parts(comp[1:]))
+    return circuits
+
+
+def _loop_conflicts(loops: list[frozenset[int]], cap: int) -> list[set[int]]:
     """conflicts[k]: the loops that share a node with loop k, k included.
 
     Read off a node -> loops map, so the cost follows the loops through
@@ -255,7 +322,7 @@ def _loop_conflicts(loops: list[frozenset], cap: int) -> list[set[int]]:
     """
     if len(loops) * (len(loops) - 1) // 2 > cap:
         raise ComplexityCapExceededError(cap, "loop pairs")
-    through: dict[NodeKey, list[int]] = {}
+    through: dict[int, list[int]] = {}
     for k, nodes in enumerate(loops):
         for node in nodes:
             through.setdefault(node, []).append(k)
@@ -377,18 +444,12 @@ def mason_influence(
     sum that keeps fewer than 8 significant digits raises
     `SingularSystemError`.
     """
-    nxg = g.to_networkx()
-    cycles = []
-    for cyc in nx.simple_cycles(nxg):
-        first = cyc.index(min(cyc))  # canonical: from the smallest node key
-        cycles.append(cyc[first:] + cyc[:first])
-        if len(cycles) > enum_cap:
-            raise ComplexityCapExceededError(enum_cap, "loops")
+    pos, out = _adjacency(g)
     loops = []
-    for cyc in sorted(cycles):  # simple_cycles' order follows per-process str hashing
+    for cyc in sorted(_circuits([list(o) for o in out], enum_cap)):
         gain = 1.0
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            gain *= nxg[a][b]["gain"]
+            gain *= out[a][b]
         loops.append((frozenset(cyc), gain))
     conflicts = _loop_conflicts([nodes for nodes, _ in loops], enum_cap)
     _count_loop_sets(conflicts, subset_cap)
@@ -410,23 +471,23 @@ def mason_influence(
 
     delta = cofactor(set(range(len(loops))))
 
-    touches = dict.fromkeys(nxg, 0)  # node -> bit mask of the loops through it
+    touches = [0] * len(pos)  # node -> bit mask of the loops through it
     for k, (nodes, _) in enumerate(loops):
         for node in nodes:
             touches[node] |= 1 << k
     cofactors = {0: delta}  # bit mask of touched loops -> cofactor
 
     agents = g.nonsource_agents()
-    row = {("agent", i): k for k, i in enumerate(agents)}
+    row = {pos["agent", i]: k for k, i in enumerate(agents)}
     c = np.zeros((len(agents), len(g.sources)))
     for r in range(len(g.sources)):
-        src = ("source", r)
+        src = pos["source", r]
         on_path = {src}
-        stack = [(src, iter(nxg[src].items()), 1.0, 0)]
+        stack = [(src, iter(out[src].items()), 1.0, 0)]
         walked = 0
         while stack:
             node, succ, gain, touched = stack[-1]
-            for nxt, data in succ:
+            for nxt, branch_gain in succ:
                 if nxt not in on_path:
                     break
             else:
@@ -436,14 +497,14 @@ def mason_influence(
             walked += 1
             if walked > enum_cap:
                 raise ComplexityCapExceededError(enum_cap, "paths from one source")
-            gain *= data["gain"]
+            gain *= branch_gain
             touched |= touches[nxt]
             if touched not in cofactors:
                 allowed = {k for k in range(len(loops)) if not touched >> k & 1}
                 cofactors[touched] = cofactor(allowed)
             c[row[nxt], r] += gain * cofactors[touched]
             on_path.add(nxt)
-            stack.append((nxt, iter(nxg[nxt].items()), gain, touched))
+            stack.append((nxt, iter(out[nxt].items()), gain, touched))
     c /= delta
     return CollectiveInfluence(agents=agents, sources=g.sources, c=c)
 

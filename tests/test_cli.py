@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import os
 import pathlib
 import re
@@ -147,18 +148,29 @@ class TestInvalidArguments:
         assert flag in err
 
 
-def test_import_loads_no_scipy():
-    # scipy.sparse.csgraph alone would add ~27 MB of resident memory
+@functools.cache
+def _packages_loaded_by_import():
+    """Top-level names in sys.modules after a fresh interpreter imports the library."""
     src = pathlib.Path(signed_influence.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
         "import sys, signed_influence, signed_influence.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    return out.split()
+
+
+def test_import_loads_no_scipy():
+    # scipy.sparse.csgraph alone would add ~27 MB of resident memory
+    assert "scipy" not in _packages_loaded_by_import()
+
+
+def test_import_loads_no_networkx():
+    # networkx is a test oracle only: importing it takes ~0.2 s and ~19 MB
+    assert "networkx" not in _packages_loaded_by_import()
 
 
 class TestSimulateCommand:

@@ -4,15 +4,18 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgen import random_network
+from conftest import REF11, ZOO17
+from netgen import KINDS, random_network
 from signed_influence import (
     AgentParams,
     DuplicateEdgeError,
+    NetworkValidationError,
     NotStronglyConnectedError,
     NotWeaklyConnectedError,
     ParamConstraintViolatedError,
@@ -23,8 +26,10 @@ from signed_influence import (
     build_network,
     check_structural_balance,
     classify,
+    load_spec,
 )
 from signed_influence.errors import BadIdError
+from signed_influence.graph import strong_components
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from synth import synth_network  # noqa: E402
@@ -50,6 +55,28 @@ class TestBuildNetwork:
             build_network(2, [(0, 2, 1.0)])
         with pytest.raises(BadIdError):
             build_network(2, [(-1, 0, 1.0)])
+
+    def test_rejects_bool_ids(self):
+        for edge in ((True, 0, 1.0), (0, True, 1.0), (np.int64(0), False, 1.0)):
+            with pytest.raises(BadIdError):
+                build_network(2, [edge])
+
+    def test_rejects_weights_that_are_not_real_numbers(self):
+        for weight in ("2.5", True, np.bool_(True), None, 1j):
+            with pytest.raises(NetworkValidationError) as err:
+                build_network(2, [(0, 1, weight)])
+            assert str(err.value) == f"edge (0, 1): weight {weight!r} is not a real number"
+        with pytest.raises(NetworkValidationError, match=r"^edge \(0, 1\): weight 'a\\nb' is"):
+            build_network(2, [(0, 1, "a\nb")])  # still one line
+
+    def test_accepts_numpy_and_int_weights(self):
+        net = build_network(3, [(0, 1, np.float32(0.5)), (1, 2, np.int64(-2)), (2, 0, 3)])
+        assert net.edges == ((0, 1, 0.5), (1, 2, -2.0), (2, 0, 3.0))
+        assert all(type(w) is float for _, _, w in net.edges)
+
+    def test_rejects_int_weight_too_large_for_a_float(self):
+        with pytest.raises(ZeroWeightError):
+            build_network(2, [(0, 1, 10**400)])
 
     def test_adjacency_and_sinks(self):
         net = build_network(3, [(0, 1, 2.0), (1, 2, -3.0)])
@@ -250,3 +277,47 @@ class TestOnePassClassify:
         finally:
             tracemalloc.stop()
         assert peak < 20e6, peak
+
+
+def _scc_oracle_networks():
+    for path in (REF11, ZOO17):
+        spec = load_spec(str(path))
+        yield path.stem, spec.net
+    for seed in range(200):
+        yield f"netgen-{seed}", random_network(seed).net
+    for k, seed in enumerate(range(1000, 1200)):
+        yield f"kinds-{seed}", random_network(seed, kinds=(KINDS[k % 4], KINDS[k // 4 % 4])).net
+    for n in (100, 1000, 10_000):
+        yield f"synth-{n}", synth_network(n, 0).net
+
+
+class TestNetworkxOracle:
+    def test_strong_components_in_networkx_order_reversed(self):
+        for name, net in _scc_oracle_networks():
+            arcs = [(i, j) for i, j, _ in net.edges]
+            g = nx.DiGraph()
+            g.add_nodes_from(range(net.n))
+            g.add_edges_from(arcs)
+            want = [frozenset(c) for c in nx.strongly_connected_components(g)][::-1]
+            assert strong_components(net.n, arcs) == want, name
+
+    def test_long_chain_and_cycle_need_no_recursion(self):
+        n = 100_000
+        chain = strong_components(n, [(i, i + 1) for i in range(n - 1)])
+        assert len(chain) == n and chain[0] == {0} and chain[-1] == {n - 1}
+        assert strong_components(n, [(i, (i + 1) % n) for i in range(n)]) == [frozenset(range(n))]
+
+    def test_weakly_connected_matches_networkx(self):
+        rng = np.random.default_rng(0)
+        disconnected = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            size = (int(rng.integers(0, 9)), 2)
+            pairs = {(int(i), int(j)) for i, j in rng.integers(0, n, size=size)}
+            edges = [(i, j, 1.0) for i, j in sorted(pairs) if i != j]
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from((i, j) for i, j, _ in edges)
+            assert build_network(n, edges).weakly_connected == nx.is_connected(g), (n, edges)
+            disconnected += not nx.is_connected(g)
+        assert 50 < disconnected < 250

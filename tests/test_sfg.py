@@ -34,7 +34,14 @@ from signed_influence import (
     solve_gain,
     steady_state,
 )
-from signed_influence.sfg import DEFAULT_SUBSET_CAP, _count_loop_sets, _loop_conflicts
+from signed_influence.sfg import (
+    DEFAULT_ENUM_CAP,
+    DEFAULT_SUBSET_CAP,
+    _adjacency,
+    _circuits,
+    _count_loop_sets,
+    _loop_conflicts,
+)
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 from synth import synth_network  # noqa: E402
@@ -196,7 +203,33 @@ def _mason_c_in_process(hash_seed, net_seed):
     ).stdout
 
 
+def _loop_oracle_graphs():
+    for path in (REF11, ZOO17):
+        spec = load_spec(str(path))
+        yield path.stem, _stack(spec.net, spec.params)[4]
+    for seed in range(200):
+        rn = random_network(seed)
+        yield f"netgen-{seed}", _stack(rn.net, rn.params)[4]
+    s = synth_network(100, 0)  # the benchmark's fallback network
+    yield "synth-100", _stack(s.net, s.params)[4]
+    yield "chain-1050", _stack(*_follower_chain(1050, 0.3))[4]
+
+
 class TestMasonInfluence:
+    def test_loops_match_networkx_simple_cycles(self):
+        for name, g in _loop_oracle_graphs():
+            nxg = nx.DiGraph((src, dst) for src, dst, _ in g.branches)
+            want = []
+            for cyc in nx.simple_cycles(nxg):
+                first = cyc.index(min(cyc))
+                want.append(cyc[first:] + cyc[:first])
+            pos, out = _adjacency(g)
+            keys = sorted(pos, key=pos.get)
+            # each circuit comes out from its least node already: no rotation here
+            circuits = _circuits([list(o) for o in out], DEFAULT_ENUM_CAP)
+            got = [[keys[k] for k in cyc] for cyc in circuits]
+            assert sorted(got) == sorted(want), name
+
     def test_single_path_single_loop(self):
         ci = mason_influence(_tiny_graph(0.3, 0.6))
         assert ci.c[0, 0] == pytest.approx(0.3 / (1 - 0.6))
@@ -265,7 +298,8 @@ class TestMasonInfluence:
         for seed in range(30):
             rn = random_network(seed)
             _, _, _, _, reduced = _stack(rn.net, rn.params)
-            loops = [frozenset(cyc) for cyc in nx.simple_cycles(reduced.to_networkx())]
+            nxg = nx.DiGraph((src, dst) for src, dst, _ in reduced.branches)
+            loops = [frozenset(cyc) for cyc in nx.simple_cycles(nxg)]
             brute = sum(
                 len(frozenset().union(*subset)) == sum(map(len, subset))
                 for size in range(1, len(loops) + 1)
