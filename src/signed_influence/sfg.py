@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -250,7 +251,7 @@ def _adjacency(g: SfgGraph) -> tuple[dict[NodeKey, int], list[dict[int, float]]]
     return pos, out
 
 
-def _circuits(succ: list[list[int]], cap: int) -> list[list[int]]:
+def _circuits(succ: Sequence[Collection[int]], cap: int) -> list[list[int]]:
     """The elementary circuits of the digraph on 0..n-1, each from its least node.
 
     Johnson's algorithm (SIAM J. Comput. 1975).  The circuits through the
@@ -446,7 +447,7 @@ def mason_influence(
     """
     pos, out = _adjacency(g)
     loops = []
-    for cyc in sorted(_circuits([list(o) for o in out], enum_cap)):
+    for cyc in sorted(_circuits(out, enum_cap)):
         gain = 1.0
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             gain *= out[a][b]

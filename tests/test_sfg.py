@@ -226,8 +226,7 @@ class TestMasonInfluence:
             pos, out = _adjacency(g)
             keys = sorted(pos, key=pos.get)
             # each circuit comes out from its least node already: no rotation here
-            circuits = _circuits([list(o) for o in out], DEFAULT_ENUM_CAP)
-            got = [[keys[k] for k in cyc] for cyc in circuits]
+            got = [[keys[k] for k in cyc] for cyc in _circuits(out, DEFAULT_ENUM_CAP)]
             assert sorted(got) == sorted(want), name
 
     def test_single_path_single_loop(self):
