@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
+    ModelMatrices,
     SteadyStateMethod,
     build_matrices,
     compute_spectra,
@@ -63,11 +64,28 @@ def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
     return CentralityResult(scores=scores, ranking=tuple(order), most_influential=order[0])
 
 
-def _setup(net: SignedNetwork, params: AgentParams):
-    """Matrices, classification and sink spectra: everything a steady state reads but x(0)."""
+def _setup(net: SignedNetwork, params: AgentParams, matrices: ModelMatrices | None = None):
+    """Matrices, classification and sink spectra: everything a steady state reads but x(0).
+
+    ``matrices``, when given, are the network's, and are not built again.
+    """
     cls = classify(net, params)
-    matrices = build_matrices(net, params)
+    if matrices is None:
+        matrices = build_matrices(net, params)
     return matrices, cls, compute_spectra(matrices, cls)
+
+
+def _flipped(matrices: ModelMatrices, edges) -> ModelMatrices:
+    """The matrices with p_ij negated on the given edges.
+
+    A flip keeps every |w|, so the |w| row sums, the other entries and the
+    pattern are those of the base, and the entries come out the numbers
+    `build_matrices` gives the flipped network.
+    """
+    vals = matrices.vals.copy()
+    at = [matrices.entry(i, j) for i, j in edges]
+    vals[at] = -vals[at]
+    return replace(matrices, vals=vals)
 
 
 def _steady(setup, x0: np.ndarray) -> np.ndarray:
@@ -132,8 +150,9 @@ def flip_edge_signs(
     net_flipped = replace(net, edges=flipped_edges)
 
     x0 = np.asarray(x0, dtype=float)
-    z_base = _steady(_setup(net, params), x0)
-    z_flip = _steady(_setup(net_flipped, params), x0)
+    base = _setup(net, params)
+    z_base = _steady(base, x0)
+    z_flip = _steady(_setup(net_flipped, params, _flipped(base[0], flip)), x0)
     deltas = z_flip - z_base
     unchanged = tuple(i for i in range(net.n) if abs(deltas[i]) <= atol)
     return SignFlipResult(

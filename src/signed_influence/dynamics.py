@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,17 +40,64 @@ _CHUNK = 64
 
 @dataclass(frozen=True)
 class ModelMatrices:
-    """P and the stubbornness input matrix, in the original agent indexing."""
+    """P as CSR rows, and the stubbornness input matrix, in the original agent indexing.
+
+    Row i of P keeps its nonzeros, columns ascending, at entries
+    indptr[i]:indptr[i + 1] of ``cols`` and ``vals``: one per edge i listens
+    on, plus p_ii where it is nonzero.
+    """
 
     n: int
-    P: np.ndarray
+    indptr: np.ndarray  # n + 1 row starts
+    cols: np.ndarray
+    vals: np.ndarray
     Btilde: np.ndarray  # n x s, column h carries beta at the h-th stubborn agent
     stubborn_ids: tuple[int, ...]
     beta: np.ndarray
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.arange(self.n).repeat(self.indptr[1:] - self.indptr[:-1])
+
+    def dense(self) -> np.ndarray:
+        """P as a dense n x n array, the same numbers as the rows."""
+        p = np.zeros((self.n, self.n))
+        p[self.rows, self.cols] = self.vals
+        return p
+
+    def diagonal(self) -> np.ndarray:
+        on = self.rows == self.cols
+        d = np.zeros(self.n)
+        d[self.cols[on]] = self.vals[on]
+        return d
+
+    def block(self, members: Sequence[int]) -> np.ndarray:
+        """The dense diagonal block P[members][:, members], ``members`` sorted."""
+        members = np.asarray(members, dtype=np.intp)
+        idx, counts = _entries(self.indptr, members)
+        cols = self.cols[idx]
+        at = members.searchsorted(cols).clip(max=len(members) - 1)
+        hit = members[at] == cols
+        out = np.zeros((len(members), len(members)))
+        out[np.arange(len(members)).repeat(counts)[hit], at[hit]] = self.vals[idx[hit]]
+        return out
+
+    def entry(self, i: int, j: int) -> int:
+        """The index into ``cols`` and ``vals`` of p_ij, which must be stored."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return int(lo + self.cols[lo:hi].searchsorted(j))
+
     def sink_block(self, classification: AgentClassification, sink: int) -> np.ndarray:
-        members = classification.sinks[sink]
-        return self.P[np.ix_(members, members)]
+        return self.block(classification.sinks[sink])
+
+
+def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entry indices of the given CSR rows, row after row, and each row's count."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = counts.cumsum()
+    return (starts - ends + counts).repeat(counts) + np.arange(ends[-1] if len(ends) else 0), counts
 
 
 @dataclass(frozen=True)
@@ -89,64 +138,155 @@ class TrajectoryLog:
 
 
 def build_matrices(net: SignedNetwork, params: AgentParams) -> ModelMatrices:
+    """P = Gamma + (I - Gamma - B) Q as CSR rows, from the edges, in numpy.
+
+    q_ij is w_ij over the row's sum of |w|, and q_ii = 1 on a row without
+    edges.  A row whose |w| sum overflows is divided by its largest |w|
+    first.  The numbers are those of the dense build: each row's |w| sum
+    adds as numpy adds the dense row (`_dense_row_sums`), and every entry
+    is the same product and quotient.
+    """
     n = net.n
-    a = np.zeros((n, n))
-    for i, j, w in net.edges:
-        a[i, j] = w
+    flat = np.fromiter(chain.from_iterable(net.edges), float, 3 * len(net.edges))
+    rows, cols, w = flat[0::3].astype(np.intp), flat[1::3].astype(np.intp), flat[2::3]
     with np.errstate(over="ignore"):  # an overflowed row is rescaled below
-        absrow = np.abs(a).sum(axis=1)
+        absrow = _dense_row_sums(rows, cols, np.abs(w), n)
     big = ~np.isfinite(absrow)
-    if big.any():  # |a| row sum overflowed: scale by the row maximum first
-        a = a.copy()
-        a[big] /= np.abs(a[big]).max(axis=1, keepdims=True)
-        absrow[big] = np.abs(a[big]).sum(axis=1)
-    live = absrow > 0.0
-    q = np.zeros((n, n))
-    q[live] = a[live] / absrow[live, None]
-    dead = np.flatnonzero(~live)
-    q[dead, dead] = 1.0
+    if big.any():
+        top = np.zeros(n)
+        np.maximum.at(top, rows, np.abs(w))
+        scaled = big[rows]
+        w = w.copy()
+        w[scaled] /= top[rows[scaled]]
+        absrow[big] = _dense_row_sums(rows[scaled], cols[scaled], np.abs(w[scaled]), n)[big]
     gamma = np.array(params.gamma, dtype=float)
     beta = np.array(params.beta, dtype=float)
-    p = (1.0 - gamma - beta)[:, None] * q
-    p[np.diag_indices(n)] += gamma
+    coef = 1.0 - gamma - beta
+    vals = np.concatenate((coef[rows] * (w / absrow[rows]), np.where(absrow > 0.0, gamma, coef + gamma)))
+    rows = np.concatenate((rows, np.arange(n)))
+    cols = np.concatenate((cols, np.arange(n)))
+    order = np.argsort(rows * n + cols)  # by row, then column
+    order = order[vals[order] != 0.0]  # only nonzeros are stored
 
     stubborn_ids = params.stubborn_agents()
     btilde = np.zeros((n, len(stubborn_ids)))
     btilde[list(stubborn_ids), range(len(stubborn_ids))] = beta[list(stubborn_ids)]
-    return ModelMatrices(n=n, P=p, Btilde=btilde, stubborn_ids=stubborn_ids, beta=beta)
+    return ModelMatrices(
+        n=n,
+        indptr=np.searchsorted(rows[order], np.arange(n + 1)),
+        cols=cols[order],
+        vals=vals[order],
+        Btilde=btilde,
+        stubborn_ids=stubborn_ids,
+        beta=beta,
+    )
+
+
+def _dense_row_sums(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Each row's sum of ``vals``, bit for bit as numpy sums the row laid out densely.
+
+    numpy adds a contiguous row of length n pairwise: fewer than 8 numbers
+    in turn; up to 128 in eight interleaved running sums, combined as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), and then the last n % 8 in
+    turn; more as the sums of two halves, the first a multiple of 8 long.
+    Adding a zero is exact, so the places of the nonzeros alone fix the
+    order, and the entries, sorted by row and column, are folded along that
+    tree.  P is then the same numbers as a dense build makes, and so is
+    everything computed from it.  Up to 128 columns a row is one run, and
+    the rows are laid out densely and summed by numpy itself.
+    """
+    if n <= 128:
+        dense = np.zeros((n, n))
+        dense[rows, cols] = vals
+        return dense.sum(axis=1)
+    leaves, todo = [], [(0, n, 1)]  # (start, length, heap node) of each run summed directly
+    while todo:
+        lo, length, node = todo.pop()
+        if length <= 128:
+            leaves.append((lo, length, node))
+        else:
+            half = length // 2 - length // 2 % 8
+            todo += [(lo + half, length - half, 2 * node + 1), (lo, half, 2 * node)]
+    start, length, heap = (np.array(col) for col in zip(*leaves))
+    leaf = np.searchsorted(start, cols, side="right") - 1
+    p = cols - start[leaf]
+    key = rows * len(leaves) + leaf
+    run = p < np.where(length >= 8, length - length % 8, 0)[leaf]
+
+    # the eight running sums, each in turn, then their tree
+    lane = key[run] * 8 + p[run] % 8
+    order = np.argsort(lane, kind="stable")
+    k, v = _fold(lane[order], vals[run][order])
+    for _ in range(3):
+        k, v = _fold(k >> 1, v)
+    # then the rest of the run in turn
+    tail = ~run
+    k, v = np.concatenate((k, key[tail])), np.concatenate((v, vals[tail]))
+    order = np.lexsort((np.concatenate((np.full(len(v) - tail.sum(), -1), p[tail])), k))
+    k, v = _fold(k[order], v[order])
+    # the runs' sums, two halves at a time, from the deepest split up
+    span = 1 << int(heap.max()).bit_length()  # above every heap node
+    k = k // len(leaves) * span + heap[k % len(leaves)]
+    for depth in range(int(heap.max()).bit_length() - 1, 0, -1):
+        node = k % span
+        k, v = _fold(np.where(node >> depth > 0, k - node + (node >> 1), k), v)
+    sums = np.zeros(n)
+    sums[k // span] = v
+    return sums
+
+
+def _fold(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum each run of equal adjacent keys from the left: ((v0 + v1) + v2) + ..."""
+    while len(keys) > 1:
+        same = keys[1:] == keys[:-1]
+        if not same.any():
+            break
+        first = np.flatnonzero(same & ~np.concatenate(([False], same[:-1])))
+        vals = vals.copy()
+        vals[first] += vals[first + 1]
+        keep = np.ones(len(keys), dtype=bool)
+        keep[first + 1] = False
+        keys, vals = keys[keep], vals[keep]
+    return keys, vals
 
 
 def spectral_radius(m: np.ndarray) -> float:
     """Exact spectral radius of a bare matrix, over the SCCs of its support.
 
-    `block_spectral_radius` over the components `strong_components` finds
-    in m's off-diagonal nonzeros.
+    The maximum of `_radius` over the diagonal blocks of the components
+    `strong_components` finds in m's off-diagonal nonzeros.
     """
     m = np.asarray(m, dtype=float)
     rows, cols = np.nonzero(m)
     off = rows != cols
-    arcs = zip(rows[off].tolist(), cols[off].tolist())
-    return block_spectral_radius(m, strong_components(m.shape[0], arcs))
+    comps = strong_components(m.shape[0], zip(rows[off].tolist(), cols[off].tolist()))
+    return max((_radius(m[np.ix_(idx, idx)]) for idx in map(sorted, comps)), default=0.0)
 
 
-def block_spectral_radius(m: np.ndarray, blocks: Iterable[Iterable[int]]) -> float:
-    """Exact spectral radius: the maximum over m's diagonal blocks.
+def block_spectral_radius(matrices: ModelMatrices, blocks: Iterable[Iterable[int]]) -> float:
+    """Exact spectral radius of P: the maximum over its diagonal blocks.
 
-    ``blocks`` partitions m's indices into unions of SCCs of its support,
-    as `AgentClassification.blocks` does for P.  Permuted to condensation
-    order, m is block triangular over them, so its eigenvalues are those of
-    the diagonal blocks.  A 1x1 block contributes |m_ii|; a larger one its
-    dense eigenvalues.  Diagnostic only, read by the report; convergence
-    decisions are structural, never spectral.
+    ``blocks`` partitions the agents into unions of SCCs of P's support, as
+    `AgentClassification.blocks` does.  Permuted to condensation order, P
+    is block triangular over them, so its eigenvalues are those of the
+    diagonal blocks.  A 1x1 block contributes |p_ii|; a larger one the
+    dense eigenvalues of its block, gathered from the rows.  Diagnostic
+    only, read by the report; convergence decisions are structural, never
+    spectral.
     """
-    rho = 0.0
-    for block in blocks:
-        idx = sorted(block)
-        if len(idx) == 1:
-            rho = max(rho, abs(float(m[idx[0], idx[0]])))
-        else:
-            rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(m[np.ix_(idx, idx)])))))
+    blocks = [sorted(block) for block in blocks]
+    singles = [block[0] for block in blocks if len(block) == 1]
+    rho = float(np.max(np.abs(matrices.diagonal()[singles]), initial=0.0))
+    for idx in blocks:
+        if len(idx) > 1:
+            rho = max(rho, _radius(matrices.block(idx)))
     return rho
+
+
+def _radius(block: np.ndarray) -> float:
+    if len(block) == 1:
+        return abs(float(block[0, 0]))
+    return float(np.max(np.abs(np.linalg.eigvals(block))))
 
 
 def simulate(
@@ -165,6 +305,7 @@ def simulate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (matrices.n,):
         raise ValueError(f"x0 must have length {matrices.n}")
+    p = matrices.dense()  # the iteration oracle keeps the dense product's rounding
     drive = matrices.beta * x0
     x = x0.copy()
     if on_iterate is not None:
@@ -173,7 +314,7 @@ def simulate(
     iters = 0
     converged = False
     while iters < max_iters:
-        nxt = matrices.P @ x + drive
+        nxt = p @ x + drive
         residual = float(np.max(np.abs(nxt - x)))
         x = nxt
         iters += 1
@@ -227,28 +368,72 @@ def compute_spectra(
     }
 
 
-def _solve_checked(a: np.ndarray, b: np.ndarray, *, bounds: list[int]) -> np.ndarray:
-    """Solve a x = b, a being block upper triangular over the chunks ``bounds``.
+def _solve_checked(
+    indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray, *, bounds: list[int]
+) -> np.ndarray:
+    """Solve x_N = M_N,: x + r_N in place, N = bounds[-1], M given as CSR rows of N.
 
-    Chunk c spans rows and columns bounds[c]:bounds[c + 1]; x is found from
-    the last chunk back, x_c = solve(a_cc, b_c - a_c,later x_later).  a must
-    be exactly 0 below the chunk diagonal, which makes each chunk's residual
-    that of the whole system; every row's must stay within the tolerance
-    relative to max|b|.
+    x (one row per column of M, and any number of columns) holds r on its
+    first N rows and the known values on the rest.  I - M_NN must be block
+    upper triangular over the chunks ``bounds``: chunk c spans rows and
+    columns bounds[c]:bounds[c + 1], and an entry left of its row's chunk
+    raises.  x is found from the last chunk back.  Each chunk gathers its
+    small dense block from its rows' entries inside it, and its rows'
+    entries to known and to later columns into two slabs over the columns
+    they use, each taken in one product:
+
+        b_c = r_c + M_c,known x_known,  x_c = solve(I - M_cc, b_c + M_c,later x_later).
+
+    No chunk depends on an earlier one, so each chunk's residual is that of
+    the whole system; every row's must stay within the tolerance relative
+    to max|b|.
     """
-    chunks = list(zip(bounds[:-1], bounds[1:]))
-    if any(np.any(a[lo:hi, :lo]) for lo, hi in chunks):
+    n_solved, width = bounds[-1], len(x)
+    edges = np.array(bounds)
+    row = np.arange(n_solved).repeat(indptr[1 : n_solved + 1] - indptr[:n_solved])
+    chunk = edges.searchsorted(row, side="right") - 1
+    if (cols < edges[chunk]).any():
         raise SingularSystemError("matrix is not block upper triangular over its chunks")
-    x = np.empty_like(b)
-    resid = 0.0
+    # the entries by chunk, then inside (0), later (1) or known (2), then
+    # column: each part is a run, and so are the distinct columns of each
+    part = 3 * chunk + (cols >= edges[chunk + 1]) + (cols >= n_solved)
+    key = part * width + cols
+    order = key.argsort(kind="stable")
+    key, part, cols, vals = key[order], part[order], cols[order], vals[order]
+    rows = row[order] - edges[chunk[order]]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    new[1:] = key[1:] != key[:-1]
+    used, slot = cols[new], new.cumsum() - 1
+    runs = part.searchsorted(np.arange(3 * len(bounds) - 2))
+    used_runs = part[new].searchsorted(np.arange(3 * len(bounds) - 2))
+    slot -= used_runs[part]
+
+    def product(p: int, height: int) -> np.ndarray | float:
+        """Part p's entries times x, by one dense product over its columns."""
+        e = slice(runs[p], runs[p + 1])
+        if e.start == e.stop:
+            return 0.0
+        slab = np.zeros((height, used_runs[p + 1] - used_runs[p]))
+        slab[rows[e], slot[e]] = vals[e]
+        return slab @ x[used[used_runs[p]:used_runs[p + 1]]]
+
+    resid = scale = 0.0
     try:
-        for lo, hi in reversed(chunks):
-            rhs = b[lo:hi] - a[lo:hi, hi:] @ x[hi:]
-            x[lo:hi] = np.linalg.solve(a[lo:hi, lo:hi], rhs)
-            resid = max(resid, np.max(np.abs(a[lo:hi, lo:hi] @ x[lo:hi] - rhs), initial=0.0))
+        for c in range(len(bounds) - 2, -1, -1):
+            lo, hi = bounds[c], bounds[c + 1]
+            b = x[lo:hi] + product(3 * c + 2, hi - lo)
+            rhs = b + product(3 * c + 1, hi - lo)
+            e = slice(runs[3 * c], runs[3 * c + 1])
+            a = np.zeros((hi - lo, hi - lo))
+            a[rows[e], cols[e] - lo] = -vals[e]
+            a[np.diag_indices(hi - lo)] += 1.0
+            x[lo:hi] = np.linalg.solve(a, rhs)
+            resid = max(resid, np.max(np.abs(a @ x[lo:hi] - rhs), initial=0.0))
+            scale = max(scale, np.max(np.abs(b), initial=0.0))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
-    if not np.isfinite(resid) or resid > _SOLVE_RESIDUAL_TOL * max(1.0, np.max(np.abs(b), initial=0.0)):
+    if not np.isfinite(resid) or resid > _SOLVE_RESIDUAL_TOL * max(1.0, scale):
         raise SingularSystemError(f"solve residual {resid} too large")
     return x
 
@@ -307,16 +492,24 @@ def _complete(matrices, classification, x, rhs):
     follower reaches a sink), so each column's solution is unique.  K is a
     union of whole SCCs; laid out in the listener-first block order I - P_KK
     is block upper triangular, and `_solve_checked` runs the solve chunk by
-    chunk over the condensation, from the sinks back.
+    chunk over the condensation, from the sinks back, on K's rows of P with
+    the given agents numbered after K.
     """
     blocks = _solved_blocks(classification)
     if blocks:
-        k = np.array([m for block in blocks for m in block])
-        given = np.setdiff1d(np.arange(matrices.n), k)
-        b = matrices.P[np.ix_(k, given)] @ x[given] + rhs[k]
-        a = -matrices.P.take(k, axis=0).take(k, axis=1)  # twice as fast as np.ix_
-        a[np.diag_indices(len(k))] += 1.0
-        x[k] = _solve_checked(a, b, bounds=_chunk_bounds([len(block) for block in blocks]))
+        k = np.fromiter(chain.from_iterable(blocks), dtype=np.intp)
+        free = np.ones(matrices.n, dtype=bool)
+        free[k] = False
+        given = free.nonzero()[0]
+        place = np.empty(matrices.n, dtype=np.intp)
+        place[np.concatenate((k, given))] = np.arange(matrices.n)
+        idx, counts = _entries(matrices.indptr, k)
+        indptr = np.concatenate(([0], counts.cumsum()))
+        work = np.concatenate((rhs[k], x[given]))
+        bounds = _chunk_bounds([len(block) for block in blocks])
+        x[k] = _solve_checked(
+            indptr, place[matrices.cols[idx]], matrices.vals[idx], work, bounds=bounds
+        )[: len(k)]
     return x
 
 

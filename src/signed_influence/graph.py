@@ -6,8 +6,8 @@ leader split, and the balance taxonomy of each sink.  `classify` finds the
 sinks in one pass over the edge list and decides each sink's kind with one
 two-colouring of its internal edges.  The graph routines are the module's
 own, on plain lists: union-find for weak connectivity while
-`build_network` validates the edges, and an iterative Tarjan for the
-strongly connected components.
+`build_network` validates the edges, and an iterative Tarjan over flat
+successor lists for the strongly connected components.
 
 Agent ids are 0-based everywhere; human-facing 1-based names, when
 wanted, belong in spec-file labels.
@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,14 +55,12 @@ class SignedNetwork:
 
     @cached_property
     def out_degree(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, _, _ in self.edges:
-            deg[i] += 1
-        return deg
+        listeners = np.fromiter((i for i, _, _ in self.edges), dtype=int, count=len(self.edges))
+        return np.bincount(listeners, minlength=self.n)
 
     def graph_sinks(self) -> frozenset[int]:
         """Nodes of the digraph itself (not the condensation) with no out-edges."""
-        return frozenset(i for i in range(self.n) if self.out_degree[i] == 0)
+        return frozenset(np.flatnonzero(self.out_degree == 0).tolist())
 
 
 @dataclass(frozen=True)
@@ -197,17 +197,25 @@ def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetw
 def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
     """The SCCs of the digraph on 0..n-1 with the given arcs, listeners first.
 
+    An arc is a pair (i, j); anything after j, such as an edge's weight,
+    is ignored, so ``net.edges`` serve as arcs as they are.
+
     Tarjan's algorithm (SIAM J. Comput. 1972) on an explicit stack, so a
-    long chain cannot exhaust the recursion limit.  The roots are tried in
-    id order and each node's successors in arc order; the pass emits every
+    long chain cannot exhaust the recursion limit.  The successors are kept
+    flat, node v's at succ[first[v]:first[v + 1]] in arc order, and each
+    node on the DFS path keeps an int cursor into them, so the search
+    allocates no per-node list or iterator.  The roots are tried in id
+    order and each node's successors in arc order; the pass emits every
     SCC after all the SCCs it listens to, and that order is kept, reversed.
     This is the condensation order: the SCCs are the condensation graph's
     nodes, and `classify` reads its sinks off them with one pass over the
     edges, never building the graph itself.
     """
-    succ = [[] for _ in range(n)]
-    for i, j in arcs:
-        succ[i].append(j)
+    arcs = sorted(arcs, key=itemgetter(0))  # stable: each node's arcs in arc order
+    tails = [arc[0] for arc in arcs]
+    succ = [arc[1] for arc in arcs]
+    first = [bisect_left(tails, v) for v in range(n + 1)]
+    cursor, end = first[:n], first[1:]  # per node: its next successor to try, and its last + 1
     done = n + 1  # the preorder of a node whose SCC is emitted: above every live one
     order = [0] * n  # preorder number from 1; 0 = not visited yet
     low = [0] * n
@@ -220,25 +228,27 @@ def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[frozenset
         count += 1
         order[root] = low[root] = count
         stack.append(root)
-        path, todo = [root], [iter(succ[root])]  # the DFS path, its successors left
+        path = [root]  # the DFS path
         while path:
             v = path[-1]
-            for w in todo[-1]:
+            k = cursor[v]
+            while k < end[v]:
+                w = succ[k]
+                k += 1
                 if not order[w]:
-                    count += 1
-                    order[w] = low[w] = count
-                    stack.append(w)
-                    path.append(w)
-                    todo.append(iter(succ[w]))
                     break
                 if order[w] < low[v]:
                     low[v] = order[w]
             else:
+                cursor[v] = k
                 path.pop()
-                todo.pop()
                 if path and low[v] < low[path[-1]]:
                     low[path[-1]] = low[v]
-                if low[v] == order[v]:
+                if low[v] == order[v] and stack[-1] == v:  # the common lone node
+                    stack.pop()
+                    order[v] = done
+                    comps.append(frozenset((v,)))
+                elif low[v] == order[v]:
                     k = len(stack) - 1
                     while stack[k] != v:
                         k -= 1
@@ -247,6 +257,12 @@ def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[frozenset
                     for w in comp:
                         order[w] = done
                     comps.append(frozenset(comp))
+                continue
+            cursor[v] = k
+            count += 1
+            order[w] = low[w] = count
+            stack.append(w)
+            path.append(w)
     return comps[::-1]
 
 
@@ -307,18 +323,18 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
     if len(params.gamma) != net.n:
         raise ParamConstraintViolatedError(net.n, "parameter length mismatch")
 
-    comps = strong_components(net.n, [(i, j) for i, j, _ in net.edges])
+    comps = strong_components(net.n, net.edges)
     comp_of = [0] * net.n
     for idx, comp in enumerate(comps):
         for node in comp:
             comp_of[node] = idx
     # one pass: an edge inside an SCC is internal, one between SCCs rules out a sink
-    internal = [[] for _ in comps]
+    internal = {}
     has_out = [False] * len(comps)
     for edge in net.edges:
         ci, cj = comp_of[edge[0]], comp_of[edge[1]]
         if ci == cj:
-            internal[ci].append(edge)
+            internal.setdefault(ci, []).append(edge)
         else:
             has_out[ci] = True
     sink_comps = [c for c, out in enumerate(has_out) if not out]
@@ -336,12 +352,11 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
     group = frozenset(leaders) - singleton
     stubborn = frozenset(params.stubborn_agents())
 
-    graph_sinks = net.graph_sinks()
-    for i in range(net.n):
-        if i not in graph_sinks and params.gamma[i] + params.beta[i] >= 1.0:
-            raise ParamConstraintViolatedError(
-                i, f"gamma+beta={params.gamma[i] + params.beta[i]} must be < 1 off sinks"
-            )
+    listens = net.out_degree > 0
+    for i in np.flatnonzero(listens & (np.add(params.gamma, params.beta) >= 1.0))[:1].tolist():
+        raise ParamConstraintViolatedError(
+            i, f"gamma+beta={params.gamma[i] + params.beta[i]} must be < 1 off sinks"
+        )
     for i in group:
         if params.gamma[i] <= 0.0:
             raise ParamConstraintViolatedError(i, "group opinion leaders need gamma > 0")
@@ -352,7 +367,7 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         if len(members) == 1:
             sink_kind[idx] = SinkKind.SINGLETON_LEADER
             continue
-        colour = _two_colour(members, internal[c])
+        colour = _two_colour(members, internal.get(c, ()))
         if colour is None:
             sink_kind[idx] = SinkKind.UNBALANCED
         elif all(s == 1 for s in colour.values()):  # strongly connected: every tie positive
@@ -379,5 +394,5 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         sigma=sigma,
         balanced_sinks=balanced_sinks,
         influence_free_sinks=influence_free,
-        blocks=tuple(tuple(sorted(c)) for c in comps),
+        blocks=tuple(tuple(sorted(c)) if len(c) > 1 else tuple(c) for c in comps),
     )

@@ -36,7 +36,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .dynamics import ModelMatrices, SinkSpectrum, _complete, _solved_agents
+from .dynamics import ModelMatrices, SinkSpectrum, _complete, _entries, _solved_agents
 from .errors import (
     ComplexityCapExceededError,
     MissingSpectrumError,
@@ -170,16 +170,29 @@ def _node_equations(
 
     Agents folded into a source (a member of any non-stubborn-initial
     source) and the deleted agents are not nodes; every other agent is a
-    non-source node.  The stubborn-initial sources come last in ``sources``.
+    non-source node, and only those agents' rows of P are read.  The
+    stubborn-initial sources come last in ``sources``.
     """
-    fold = _fold_matrix(sources, matrices.n)
-    keep = ~fold.any(axis=1)
+    source_of = np.full(matrices.n, -1)  # the collective source an agent is folded into
+    for r, spec in enumerate(sources):
+        if spec.kind != SourceKind.STUBBORN_INITIAL:
+            source_of[list(spec.members)] = r
+    keep = source_of < 0
     keep[list(deleted)] = False
-    agents = tuple(np.flatnonzero(keep).tolist())
-    rows = matrices.P[list(agents)]
-    cin = rows @ fold
-    cin[:, len(sources) - len(matrices.stubborn_ids):] = matrices.Btilde[list(agents)]
-    return _NodeEquations(agents, sources, rows[:, list(agents)], cin)
+    agents = np.flatnonzero(keep)
+    place = np.full(matrices.n, -1)
+    place[agents] = np.arange(len(agents))
+    idx, counts = _entries(matrices.indptr, agents)
+    row = np.repeat(np.arange(len(agents)), counts)
+    cols, vals = matrices.cols[idx], matrices.vals[idx]
+    inner, into = place[cols] >= 0, source_of[cols] >= 0
+    pprime = np.zeros((len(agents), len(agents)))
+    pprime[row[inner], place[cols[inner]]] = vals[inner]
+    cin = np.zeros((len(agents), len(sources)))
+    # in column order within each row, as the product P[N, :] F sums them
+    np.add.at(cin, (row[into], source_of[cols[into]]), vals[into])
+    cin[:, len(sources) - len(matrices.stubborn_ids):] = matrices.Btilde[agents]
+    return _NodeEquations(tuple(agents.tolist()), sources, pprime, cin)
 
 
 def _reduction(
@@ -522,15 +535,25 @@ def individual_influence(
     W (s x n) maps each source back to its agents: 1 for a singleton leader
     or a stubborn initial opinion, w_j for a cooperative sink and ±w_j for
     the two sides of a balanced sink, w being the sink's left eigenvector.
+    No W is built: each source's column of G is scattered into the columns
+    of Θ of its agents with their factors, and the two sides of a balanced
+    sink share their columns, G's two columns times the 2 x |sink| rows of W.
     """
     n = classification.n
     g = _fold_matrix(c.sources, n)
     g[list(c.agents)] = c.c
-    w = np.zeros((len(c.sources), n))
+    theta = np.zeros((n, n))
+    single = [(r, spec.agent) for r, spec in enumerate(c.sources)
+              if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL)]
+    if single:
+        rs, agents = zip(*single)
+        theta[:, list(agents)] = g[:, list(rs)]
     for r, spec in enumerate(c.sources):
-        if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL):
-            w[r, spec.agent] = 1.0
-        else:
+        if spec.kind == SourceKind.COOPERATIVE_SINK:
             spectrum = spectra[spec.sink]
-            w[r, list(spectrum.members)] = -spectrum.w if spec.side == -1 else spectrum.w
-    return InfluenceMatrix(theta=g @ w)
+            theta[:, list(spectrum.members)] = g[:, r, None] * spectrum.w
+        elif spec.kind == SourceKind.BALANCED_PARTITION and spec.side == 1:  # then side -1
+            spectrum = spectra[spec.sink]
+            w = np.array([spectrum.w, -spectrum.w])
+            theta[:, list(spectrum.members)] = g[:, r:r + 2] @ w
+    return InfluenceMatrix(theta=theta)

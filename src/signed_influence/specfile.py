@@ -195,7 +195,7 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
         },
         "convergence": {
             "kind": cls.convergence,
-            "spectral_radius_estimate": _num(block_spectral_radius(result.matrices.P, cls.blocks)),
+            "spectral_radius_estimate": _num(block_spectral_radius(result.matrices, cls.blocks)),
             "unit_eigen_count": cls.unit_eigen_count,
         },
         "steady_state": {

@@ -1,9 +1,11 @@
-"""Write the 404 `influence` reports, or compare two sets of them.
+"""Write the 404 `influence` reports and 202 `simulate` runs, or compare two corpora.
 
 The corpus is the CLI's `influence` report under `--method auto` and
-`--method solve` for both fixtures and the 200 netgen seeds, written with
-PYTHONHASHSEED=0.  Two corpora, say from a commit and from its parent, are
-the same outputs when every report is byte-identical or `diff_reports`-clean.
+`--method solve` for both fixtures and the 200 netgen seeds, and for each
+of those specs the `simulate --csv` table with the lines `simulate` prints,
+written with PYTHONHASHSEED=0.  Two corpora, say from a commit and from its
+parent, are the same outputs when every report is byte-identical or
+`diff_reports`-clean and every simulate file is byte-identical.
 
     python tests/report_corpus.py write DIR [--src SRC]
     python tests/report_corpus.py compare DIR_A DIR_B
@@ -12,13 +14,15 @@ the same outputs when every report is byte-identical or `diff_reports`-clean.
 `--src` pointed at another checkout's `src` writes that commit's reports
 from the same specs.  `compare` prints how many reports are byte-identical,
 how many only `diff_reports`-clean and how many dirty (a report missing on
-one side counts as dirty), lists the dirty ones and exits 1 if there are any.
+one side counts as dirty), then how many simulate files differ or are
+missing, lists the dirty ones and exits 1 if there are any.
 It is not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import subprocess
 import sys
@@ -63,7 +67,14 @@ def write(out: Path, src: Path) -> int:
             if code != 0:
                 print(f"{report.name}: exit {code}", file=sys.stderr)
                 failed += 1
-    print(f"{len(specs) * len(METHODS) - failed} reports written to {out}, {failed} failed")
+        table = out / f"{spec.stem}-simulate.csv"
+        with open(out / f"{spec.stem}-simulate.out", "w") as fh, contextlib.redirect_stdout(fh):
+            code = cli.main(["simulate", str(spec), "--csv", str(table)])
+        if code != 0:
+            print(f"{table.name}: exit {code}", file=sys.stderr)
+            failed += 1
+    written = len(specs) * (len(METHODS) + 1) - failed
+    print(f"{written} reports and simulate runs written to {out}, {failed} failed")
     return 1 if failed else 0
 
 
@@ -85,6 +96,13 @@ def compare(a_dir: Path, b_dir: Path) -> int:
             clean += 1
     print(f"{len(names)} reports: {identical} byte-identical, "
           f"{clean} diff_reports-clean, {len(dirty)} dirty")
+    runs = sorted({p.name for d in (a_dir, b_dir) for p in d.glob("*-simulate.*")})
+    moved = [name for name in runs
+             if not ((a_dir / name).exists() and (b_dir / name).exists())
+             or (a_dir / name).read_bytes() != (b_dir / name).read_bytes()]
+    print(f"{len(runs)} simulate files: {len(runs) - len(moved)} byte-identical, "
+          f"{len(moved)} differ or missing")
+    dirty += [f"{name}: differs or missing" for name in moved]
     for line in dirty:
         print(f"  {line}")
     return 1 if dirty else 0

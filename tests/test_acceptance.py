@@ -191,7 +191,7 @@ def test_criterion_9_convergence_dichotomy():
         cls = classify(rn.net, rn.params)
         m = build_matrices(rn.net, rn.params)
         if not cls.influence_free_sinks:
-            rho = spectral_radius(m.P)
+            rho = spectral_radius(m.dense())
             if not rho < 1 - 1e-6:
                 ok, detail = False, f"seed {seed}: rho {rho}"
                 break

@@ -1,5 +1,9 @@
 """Absolute influence centrality and the what-if experiments."""
 
+import dataclasses
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,8 +18,11 @@ from signed_influence import (
     flip_edge_signs,
     perturb_initial,
 )
-from signed_influence import centrality
+from signed_influence import build_matrices, centrality
 from signed_influence.pipeline import run_analysis
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from synth import synth_network  # noqa: E402
 
 
 def _influence(theta):
@@ -128,6 +135,28 @@ class TestFlipEdgeSigns:
         flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5),))
         assert rho_calls == []
         assert sorted(args[2] for args in sinks) == [0, 0, 2, 2]
+
+    def test_flipped_matrices_equal_a_fresh_build(self, ref11):
+        # negating the base's entries gives build_matrices' own numbers
+        s = synth_network(200, 0)
+        sink_edge = next((i, j) for i, j, _ in s.net.edges if i >= s.follower_count)
+        cases = [(ref11.net, ref11.params, (i, j)) for i, j, _ in ref11.net.edges]
+        cases += [(s.net, s.params, sink_edge), (s.net, s.params, s.net.edges[0][:2])]
+        for net, params, edge in cases:
+            base = build_matrices(net, params)
+            flipped = dataclasses.replace(net, edges=tuple(
+                (i, j, -w if (i, j) == edge else w) for i, j, w in net.edges))
+            want = build_matrices(flipped, params)
+            got = centrality._flipped(base, {edge})
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, (
+                    edge, field.name)
+
+    def test_flip_builds_matrices_once(self, ref11, count_calls):
+        builds = count_calls("build_matrices")
+        flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5), (8, 9)))
+        assert len(builds) == 1
 
     def test_flip_builds_no_network(self, ref11, count_calls):
         # only signs change, so the flipped network is not validated again

@@ -1,6 +1,8 @@
 """Model matrices, convergence, simulation, spectra and steady states."""
 
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from netgen import random_network
 from signed_influence import (
     AgentParams,
     DegenerateEigenspaceError,
+    ModelMatrices,
     SingularSystemError,
     SteadyStateMethod,
     StubbornSinkRejectedError,
@@ -31,6 +34,7 @@ from signed_influence.dynamics import (
     _CHUNK,
     block_spectral_radius,
     _chunk_bounds,
+    _dense_row_sums,
     _solve_checked,
     _solved_agents,
     _solved_blocks,
@@ -46,10 +50,31 @@ def _setup(net, params):
     return cls, build_matrices(net, params)
 
 
+def _dense_build(net, params):
+    """P built densely from the edges: the reference the rows must equal bit for bit."""
+    n = net.n
+    a = np.zeros((n, n))
+    for i, j, w in net.edges:
+        a[i, j] = w
+    with np.errstate(over="ignore"):
+        absrow = np.abs(a).sum(axis=1)
+    big = ~np.isfinite(absrow)
+    a[big] /= np.abs(a[big]).max(axis=1, keepdims=True)
+    absrow[big] = np.abs(a[big]).sum(axis=1)
+    live = absrow > 0.0
+    q = np.zeros((n, n))
+    q[live] = a[live] / absrow[live, None]
+    q[~live, ~live] = 1.0
+    gamma, beta = np.array(params.gamma), np.array(params.beta)
+    p = (1.0 - gamma - beta)[:, None] * q
+    p[np.diag_indices(n)] += gamma
+    return p
+
+
 def _q(m, params):
     """Q read back from P = Gamma + (I - Gamma - B) Q, row by row."""
     gamma, beta = np.array(params.gamma), np.array(params.beta)
-    return (m.P - np.diag(gamma)) / (1.0 - gamma - beta)[:, None]
+    return (m.dense() - np.diag(gamma)) / (1.0 - gamma - beta)[:, None]
 
 
 class TestBuildMatrices:
@@ -58,7 +83,7 @@ class TestBuildMatrices:
         params = AgentParams(gamma=(0.4, 0.4), beta=(0.0, 0.0))
         _, m = _setup(net, params)
         assert np.allclose(_q(m, params), [[0, 1], [1, 0]])
-        assert np.allclose(m.P, [[0.4, 0.6], [0.6, 0.4]])
+        assert np.allclose(m.dense(), [[0.4, 0.6], [0.6, 0.4]])
 
     def test_sign_preserving_normalization(self, ref11):
         _, m = _setup(ref11.net, ref11.params)
@@ -66,21 +91,21 @@ class TestBuildMatrices:
         # antagonistic row: weights -5 and 11 normalize by |−5| + |11|
         assert q[9, 8] == pytest.approx(-5 / 16)
         assert q[9, 10] == pytest.approx(11 / 16)
-        assert m.P[9, 8] == pytest.approx(-0.25)
-        assert m.P[9, 10] == pytest.approx(0.55)
+        assert m.dense()[9, 8] == pytest.approx(-0.25)
+        assert m.dense()[9, 10] == pytest.approx(0.55)
 
     def test_sink_row_self_normalizes(self):
         net = build_network(2, [(0, 1, 3.0)])
         params = AgentParams(gamma=(0.2, 0.5), beta=(0.1, 0.0))
         _, m = _setup(net, params)
         assert _q(m, params)[1, 1] == 1.0
-        assert m.P[1, 1] == 1.0  # gamma + (1 - gamma) * 1
+        assert m.dense()[1, 1] == 1.0  # gamma + (1 - gamma) * 1
 
     def test_row_abs_sums_equal_one_minus_beta(self):
         for seed in range(25):
             rn = random_network(seed)
             _, m = _setup(rn.net, rn.params)
-            sums = np.abs(m.P).sum(axis=1)
+            sums = np.abs(m.dense()).sum(axis=1)
             assert np.allclose(sums, 1.0 - m.beta, atol=1e-12)
 
     def test_row_sum_overflow_is_rescaled(self):
@@ -91,6 +116,32 @@ class TestBuildMatrices:
         assert _q(m, params)[0].tolist() == [0.0, 0.5, -0.5]
         z = steady_state(m, cls, compute_spectra(m, cls), np.array([0.0, 1.0, 3.0])).z
         assert z[0] == pytest.approx(-1.0)
+
+    def test_rows_are_the_dense_build_bit_for_bit(self, ref11, zoo17):
+        nets = [(ref11.net, ref11.params), (zoo17.net, zoo17.params)]
+        nets += [(rn.net, rn.params) for rn in map(random_network, range(200))]
+        nets += [(s.net, s.params) for s in (synth_network(200, 0), synth_network(1000, 1))]
+        nets.append((build_network(3, [(0, 1, 1e308), (0, 2, -1e308), (1, 2, 3.0)]),
+                     AgentParams(gamma=(0.5, 0.0, 0.5), beta=(0.0, 0.2, 0.0))))
+        for k, (net, params) in enumerate(nets):
+            m = build_matrices(net, params)
+            assert np.array_equal(m.dense(), _dense_build(net, params)), k
+            # columns ascending within each row, and only nonzeros stored
+            rows = np.repeat(np.arange(m.n), np.diff(m.indptr))
+            assert np.all((np.diff(m.cols) > 0) | (np.diff(rows) > 0)), k
+            assert np.all(m.vals != 0.0) and m.indptr[-1] == len(m.cols) == len(m.vals), k
+
+    def test_row_sums_add_in_numpys_dense_order(self):
+        # numpy sums a dense row pairwise; the rows' sums must be its very numbers
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 8, 9, 16, 17, 100, 128, 129, 136, 300, 1000, 2500):
+            a = np.zeros((n, n))
+            for r in range(n):
+                k = int(rng.integers(0, min(n, 40) + 1)) if r % 5 else int(rng.integers(0, n + 1))
+                cols = rng.choice(n, k, replace=False)
+                a[r, cols] = rng.uniform(0, 1, k) * 10.0 ** rng.integers(-8, 8, k)
+            rows, cols = np.nonzero(a)
+            assert np.array_equal(_dense_row_sums(rows, cols, a[rows, cols], n), a.sum(axis=1)), n
 
     def test_stubborn_input_matrix(self, ref11):
         _, m = _setup(ref11.net, ref11.params)
@@ -143,14 +194,14 @@ class TestSpectralRadius:
         for seed in range(200):
             rn = random_network(seed)
             _, m = _setup(rn.net, rn.params)
-            expected = np.max(np.abs(np.linalg.eigvals(m.P)))
-            assert spectral_radius(m.P) == pytest.approx(expected, abs=1e-12), seed
+            expected = np.max(np.abs(np.linalg.eigvals(m.dense())))
+            assert spectral_radius(m.dense()) == pytest.approx(expected, abs=1e-12), seed
 
     def test_classification_blocks_give_the_same_radius(self):
         for seed in range(200):
             rn = random_network(seed)
             cls, m = _setup(rn.net, rn.params)
-            assert block_spectral_radius(m.P, cls.blocks) == spectral_radius(m.P), seed
+            assert block_spectral_radius(m, cls.blocks) == spectral_radius(m.dense()), seed
 
     def test_report_reads_rho_off_the_classification(self, ref11, count_calls):
         res = run_analysis(ref11.net, ref11.params, ref11.x0, gain_method="solve")
@@ -165,7 +216,7 @@ class TestConvergenceVerdict:
         cls, m = _setup(ref11.net, ref11.params)
         assert cls.convergence == "semi-convergent"
         assert cls.unit_eigen_count == 2
-        assert spectral_radius(m.P) == pytest.approx(1.0, abs=1e-12)
+        assert spectral_radius(m.dense()) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_stubborn_sinks_give_convergence(self):
         rn = random_network(3, kinds=("cooperative", "balanced"),
@@ -173,7 +224,7 @@ class TestConvergenceVerdict:
         cls, m = _setup(rn.net, rn.params)
         assert cls.convergence == "convergent"
         assert cls.unit_eigen_count == 0
-        assert spectral_radius(m.P) < 1 - 1e-6
+        assert spectral_radius(m.dense()) < 1 - 1e-6
 
     def test_decision_is_structural(self):
         # verdict must match the presence of stubborn-free balanced sinks
@@ -311,19 +362,21 @@ class TestSteadyState:
         spectra = compute_spectra(m, cls)
         solves = count_calls("_solve_checked")
         steady_state(m, cls, spectra, ref11.x0, method=SteadyStateMethod.DIRECT_SOLVE)
-        assert [a.shape for a, _ in solves] == [(7, 7)]
+        # 7 rows solved; x holds them and the 4 given agents, z and z_o side by side
+        assert [(len(indptr) - 1, x.shape) for indptr, _, _, x in solves] == [(7, (11, 2))]
 
     def test_solve_route_makes_two_solves(self, ref11, count_calls):
         # one for the five gain columns, one for z and z_o, both on the same 7 agents
         solves = count_calls("_solve_checked")
         run_analysis(ref11.net, ref11.params, ref11.x0, gain_method="solve")
-        assert sorted(b.shape for _, b in solves) == [(7, 2), (7, 5)]
+        assert sorted((len(indptr) - 1, x.shape) for indptr, _, _, x in solves) == [
+            (7, (11, 2)), (7, (11, 5))]
 
     def test_convergent_case_solves_whole_system(self):
         rn = random_network(11, kinds=("cooperative",), stubborn_offsets=((0,),))
         cls, m = _setup(rn.net, rn.params)
         ss = steady_state(m, cls, compute_spectra(m, cls), rn.x0)
-        expected = np.linalg.solve(np.eye(m.n) - m.P, m.beta * rn.x0)
+        expected = np.linalg.solve(np.eye(m.n) - m.dense(), m.beta * rn.x0)
         assert np.allclose(ss.z, expected)
         assert np.all(ss.z_o == 0.0)
 
@@ -346,9 +399,17 @@ def _dense_complete(m, cls, x, rhs):
     k = _solved_agents(cls)
     given = np.setdiff1d(np.arange(m.n), k)
     x = x.copy()
-    a = np.eye(len(k)) - m.P[np.ix_(k, k)]
-    x[k] = np.linalg.solve(a, m.P[np.ix_(k, given)] @ x[given] + rhs[k])
+    p = m.dense()
+    a = np.eye(len(k)) - p[np.ix_(k, k)]
+    x[k] = np.linalg.solve(a, p[np.ix_(k, given)] @ x[given] + rhs[k])
     return x
+
+
+def _rows(m):
+    """A dense matrix's CSR rows: indptr, cols and vals."""
+    rows, cols = np.nonzero(m)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(m)))))
+    return indptr, cols, m[rows, cols]
 
 
 def _assert_close(got, want):
@@ -439,15 +500,92 @@ class TestComplementSolve:
         _assert_matches_dense(net, params, x0)
 
     def test_rejects_nonzero_below_chunk_diagonal(self):
+        # the rows are those of M in a = I - M
         a = np.eye(100)
         a[70, 3] = 0.5
-        assert np.allclose(a @ _solve_checked(a, np.ones(100), bounds=[0, 100]), 1.0)
+        rows = _rows(np.eye(100) - a)
+        assert np.allclose(a @ _solve_checked(*rows, np.ones(100), bounds=[0, 100]), 1.0)
         with pytest.raises(SingularSystemError):
-            _solve_checked(a, np.ones(100), bounds=[0, 64, 100])
+            _solve_checked(*rows, np.ones(100), bounds=[0, 64, 100])
 
     def test_rejects_singular_chunk(self):
         a = np.eye(100) + np.triu(np.full((100, 100), 0.01), 1)
         a[90, 90] = 0.0
         a[90, 91:] = 0.0
         with pytest.raises(SingularSystemError):
-            _solve_checked(a, np.ones((100, 2)), bounds=[0, 64, 100])
+            _solve_checked(*_rows(np.eye(100) - a), np.ones((100, 2)), bounds=[0, 64, 100])
+
+    def test_known_columns_enter_the_right_hand_side(self):
+        # x_N = M x + r with x given past N: the oracle is one dense solve
+        rng = np.random.default_rng(3)
+        m = np.triu(rng.uniform(-0.1, 0.1, (150, 180)) * (rng.random((150, 180)) < 0.2))
+        m = np.vstack((m, np.zeros((30, 180))))
+        x = np.concatenate((rng.uniform(-1, 1, (150, 3)), rng.uniform(-5, 5, (30, 3))))
+        want = np.linalg.solve(np.eye(150) - m[:150, :150], x[:150] + m[:150, 150:] @ x[150:])
+        got = _solve_checked(*_rows(m[:150]), x.copy(), bounds=[0, 64, 128, 150])[:150]
+        _assert_close(got, want)
+
+
+def _refuse_dense(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense P built")
+
+    monkeypatch.setattr(ModelMatrices, "dense", refuse)
+
+
+class TestNoDenseP:
+    """The production routes read P's rows only; `simulate` alone densifies."""
+
+    @pytest.fixture(params=["reference11", "showcase17", "synth200"])
+    def case(self, request, ref11, zoo17):
+        if request.param == "synth200":
+            s = synth_network(200, 0)
+            return s.net, s.params, s.x0
+        spec = ref11 if request.param == "reference11" else zoo17
+        return spec.net, spec.params, spec.x0
+
+    def test_analysis_report_and_whatif(self, case, monkeypatch):
+        from signed_influence import flip_edge_signs, perturb_initial
+
+        net, params, x0 = case
+        _refuse_dense(monkeypatch)
+        res = run_analysis(net, params, x0, gain_method="solve")
+        build_report(res, 1e-10, 100)
+        spectra = compute_spectra(res.matrices, res.classification)
+        for method in (SteadyStateMethod.DIRECT_SOLVE, SteadyStateMethod.EIGENPROJECTION):
+            steady_state(res.matrices, res.classification, spectra, x0, method=method)
+        perturb_initial(net, params, x0, 0, 1.0)
+        flip_edge_signs(net, params, x0, (net.edges[0][:2], net.edges[-1][:2]))
+        with pytest.raises(AssertionError, match="dense P built"):
+            simulate(res.matrices, x0, max_iters=1)
+
+
+def test_chain_of_a_hundred_thousand_in_linear_memory():
+    # classify, the rows and z on a signed chain: no n x n array anywhere
+    n = 100_000
+    rng = np.random.default_rng(0)
+    signs = np.where(rng.random(n - 1) < 0.5, -1.0, 1.0)
+    net = build_network(n, [(i, i + 1, float(s)) for i, s in enumerate(signs)])
+    gamma = np.full(n, 0.3)
+    beta = np.zeros(n)
+    beta[0] = 0.2
+    params = AgentParams(gamma=tuple(gamma), beta=tuple(beta))
+    x0 = rng.uniform(-1.0, 1.0, n)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        cls = classify(net, params)
+        m = build_matrices(net, params)
+        z = steady_state(m, cls, compute_spectra(m, cls), x0).z
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    assert peak < 100e6, peak
+    # the fixed point by the test's own row product: z_i = P_i,: z + beta_i x0_i
+    nxt = gamma * z + beta * x0
+    nxt[:-1] += (1.0 - gamma[:-1] - beta[:-1]) * signs * z[1:]
+    nxt[-1] += (1.0 - gamma[-1] - beta[-1]) * z[-1]  # the leader listens to itself
+    assert np.max(np.abs(nxt - z)) <= 1e-12
+    assert z[-1] == x0[-1]
+    print(f"n = {n}: {elapsed:.2f} s, peak {peak / 1e6:.1f} MB")

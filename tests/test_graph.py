@@ -82,7 +82,7 @@ class TestBuildNetwork:
         net = build_network(3, [(0, 1, 2.0), (1, 2, -3.0)])
         # with gamma = beta = 0, P is the sign-preserving normalised adjacency
         m = build_matrices(net, AgentParams(gamma=(0.0,) * 3, beta=(0.0,) * 3))
-        assert m.P.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
+        assert m.dense().tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
         assert net.graph_sinks() == {2}
         assert net.weakly_connected
 

@@ -40,6 +40,7 @@ from signed_influence.sfg import (
     _adjacency,
     _circuits,
     _count_loop_sets,
+    _fold_matrix,
     _loop_conflicts,
 )
 
@@ -90,7 +91,7 @@ class TestFullSfg:
     def test_branch_gains_are_matrix_entries(self, ref11):
         _, m, full, _, _ = _stack(ref11.net, ref11.params)
         gains = {(src, dst): g for src, dst, g in full.branches}
-        assert gains[("agent", 1), ("agent", 0)] == pytest.approx(m.P[0, 1])
+        assert gains[("agent", 1), ("agent", 0)] == pytest.approx(m.dense()[0, 1])
         assert gains[("agent", 7), ("agent", 0)] == pytest.approx(0.13)
 
     def test_one_branch_per_entry_of_p_and_beta(self):
@@ -101,8 +102,8 @@ class TestFullSfg:
         for k, rn in enumerate(nets):
             cls, m, full, _, _ = _stack(rn.net, rn.params)
             leaders = {i for i in cls.singleton_leaders if i not in cls.stubborn}
-            expected = [("P", int(j), int(i), float(m.P[i, j]))
-                        for i, j in zip(*np.nonzero(m.P)) if i not in leaders]
+            expected = [("P", int(j), int(i), float(m.dense()[i, j]))
+                        for i, j in zip(*np.nonzero(m.dense())) if i not in leaders]
             expected += [("beta", i, i, float(m.beta[i])) for i in m.stubborn_ids]
             got = []
             for (tag, a), (_, i), gain in full.branches:
@@ -133,7 +134,7 @@ class TestReduceSfg:
         _, m, _, _, reduced = _stack(ref11.net, ref11.params)
         gains = {(src, dst): g for src, dst, g in reduced.branches}
         # follower 1 listens to both members of the negative partition
-        assert gains[("source", 2), ("agent", 1)] == pytest.approx(m.P[1, 9] + m.P[1, 10])
+        assert gains[("source", 2), ("agent", 1)] == pytest.approx(m.dense()[1, 9] + m.dense()[1, 10])
 
     def test_cooperative_pair_sum_rule(self):
         net = build_network(
@@ -142,7 +143,7 @@ class TestReduceSfg:
         params = AgentParams(gamma=(0.2, 0.3, 0.3), beta=(0.0, 0.0, 0.0))
         _, m, _, _, reduced = _stack(net, params)
         gains = {(src, dst): g for src, dst, g in reduced.branches}
-        assert gains[("source", 0), ("agent", 0)] == pytest.approx(m.P[0, 1] + m.P[0, 2])
+        assert gains[("source", 0), ("agent", 0)] == pytest.approx(m.dense()[0, 1] + m.dense()[0, 2])
 
     def test_unbalanced_members_deleted(self, zoo17):
         cls, _, _, _, reduced = _stack(zoo17.net, zoo17.params)
@@ -352,7 +353,8 @@ class TestSolveGain:
         cls, m, _, spectra, _ = _stack(ref11.net, ref11.params)
         solves = count_calls("_solve_checked")
         solve_gain(m, cls, spectra)
-        assert [(a.shape, b.shape) for a, b in solves] == [((7, 7), (7, 5))]
+        # 7 rows solved, x holding them and the 4 given agents
+        assert [(len(indptr) - 1, x.shape) for indptr, _, _, x in solves] == [(7, (11, 5))]
 
     def test_matches_mason_on_random_networks(self):
         for seed in range(40):
@@ -400,6 +402,29 @@ class TestIndividualInfluence:
             res = run_analysis(net, rn.params, rn.x0, gain_method="solve")
             sums = res.influence.theta.sum(axis=1)
             assert np.allclose(sums, 1.0, atol=1e-9), seed
+
+    def test_equals_the_product_of_g_and_w(self, zoo17):
+        # the scatter into Θ against the dense G·W it replaces
+        cases = [(zoo17.net, zoo17.params)] + [
+            (rn.net, rn.params) for rn in map(random_network, range(200))]
+        cases.append((synth_network(200, 0).net, synth_network(200, 0).params))
+        for k, (net, params) in enumerate(cases):
+            cls, m, _, spectra, _ = _stack(net, params)
+            ci = solve_gain(m, cls, spectra)
+            g = _fold_matrix(ci.sources, m.n)
+            g[list(ci.agents)] = ci.c
+            w = np.zeros((len(ci.sources), m.n))
+            for r, spec in enumerate(ci.sources):
+                if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL):
+                    w[r, spec.agent] = 1.0
+                else:
+                    sw = spectra[spec.sink].w
+                    w[r, list(spectra[spec.sink].members)] = -sw if spec.side == -1 else sw
+            want = g @ w
+            theta = individual_influence(ci, cls, spectra).theta
+            # one term per entry is exact; a balanced sink's two may round once apart
+            assert np.max(np.abs(theta - want), initial=0.0) <= 4e-16 * max(
+                1.0, np.max(np.abs(want), initial=0.0)), k
 
     def test_gauge_invariance_of_partition_labels(self, ref11):
         cls, m, _, spectra, _ = _stack(ref11.net, ref11.params)
