@@ -64,14 +64,10 @@ def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
     return CentralityResult(scores=scores, ranking=tuple(order), most_influential=order[0])
 
 
-def _setup(net: SignedNetwork, params: AgentParams, matrices: ModelMatrices | None = None):
-    """Matrices, classification and sink spectra: everything a steady state reads but x(0).
-
-    ``matrices``, when given, are the network's, and are not built again.
-    """
+def _setup(net: SignedNetwork, params: AgentParams):
+    """Matrices, classification and sink spectra: everything a steady state reads but x(0)."""
     cls = classify(net, params)
-    if matrices is None:
-        matrices = build_matrices(net, params)
+    matrices = build_matrices(net, params)
     return matrices, cls, compute_spectra(matrices, cls)
 
 
@@ -152,7 +148,10 @@ def flip_edge_signs(
     x0 = np.asarray(x0, dtype=float)
     base = _setup(net, params)
     z_base = _steady(base, x0)
-    z_flip = _steady(_setup(net_flipped, params, _flipped(base[0], flip)), x0)
+    # the flipped network's taxonomy may differ, its rows only in the flipped signs
+    cls = classify(net_flipped, params)
+    matrices = _flipped(base[0], flip)
+    z_flip = _steady((matrices, cls, compute_spectra(matrices, cls)), x0)
     deltas = z_flip - z_base
     unchanged = tuple(i for i in range(net.n) if abs(deltas[i]) <= atol)
     return SignFlipResult(

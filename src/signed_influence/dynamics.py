@@ -7,12 +7,19 @@ The update rule is
 with Q the sign-preserving row normalisation of the adjacency matrix,
 Gamma = diag(gamma) the self-belief and B = diag(beta) the stubbornness.
 
+P is kept as CSR rows (`ModelMatrices`: indptr, cols, vals), one entry per
+edge plus p_ii, built from the edge list with numpy; no n x n array is
+made on the way to z, c, Θ or ρ.  `simulate`, the iteration oracle, alone
+multiplies by a dense copy.
+
 z, z_o and the gains c all solve x = P x + r, with x given on the sinks
 without a stubborn member (v (w . x(0)) or the source fold when balanced,
 else 0).  `_complete` solves for the other agents K in one solve on I - P_KK,
 run chunk by chunk over the condensation: laid out in the classification's
 listener-first block order, I - P_KK is block upper triangular, so the solve
-is a back-substitution from the sinks, one small dense solve per chunk.
+is a back-substitution from the sinks.  Each chunk gathers its small dense
+block from its rows, and its coupling to the known and the later agents
+into slabs over the columns it uses, one product each.
 """
 
 from __future__ import annotations
@@ -199,7 +206,8 @@ def _dense_row_sums(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int
         dense = np.zeros((n, n))
         dense[rows, cols] = vals
         return dense.sum(axis=1)
-    leaves, todo = [], [(0, n, 1)]  # (start, length, heap node) of each run summed directly
+    # (start, length, heap node) of each run of 64 to 128 columns summed directly
+    leaves, todo = [], [(0, n, 1)]
     while todo:
         lo, length, node = todo.pop()
         if length <= 128:
@@ -211,7 +219,7 @@ def _dense_row_sums(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int
     leaf = np.searchsorted(start, cols, side="right") - 1
     p = cols - start[leaf]
     key = rows * len(leaves) + leaf
-    run = p < np.where(length >= 8, length - length % 8, 0)[leaf]
+    run = p < (length - length % 8)[leaf]  # the last n % 8 of the last run are its tail
 
     # the eight running sums, each in turn, then their tree
     lane = key[run] * 8 + p[run] % 8

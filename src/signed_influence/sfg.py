@@ -6,12 +6,13 @@ graph carries one node per final opinion plus one per stubborn initial
 opinion; the reduced graph collapses stubborn-free sinks into collective
 sources so every influential agent (group) is represented by a source.
 Both graphs are read off one set of node equations u = P'u + C_in v, built
-from P's rows by `_node_equations` for a given source list and set of
-deleted agents.
+by `_node_equations` from the CSR rows of the non-source agents alone, for
+a given source list and set of deleted agents.
 
 The production route builds neither: `solve_gain` makes the steady
 state's complement solve (`dynamics._complete`) with the fold rows given,
-and `individual_influence` assembles Θ = G·W from the gains.  Mason's
+and `individual_influence` assembles Θ = G·W from the gains by scattering
+G's columns into Θ with their W factors, with no W and no product.  Mason's
 formula is the paper's method, the first try of the `auto` gain route and
 the oracle the solve is checked against; the node equations and the
 `SfgGraph` are built only for it and for DOT export.  `mason_influence`
