@@ -394,5 +394,5 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         sigma=sigma,
         balanced_sinks=balanced_sinks,
         influence_free_sinks=influence_free,
-        blocks=tuple(tuple(sorted(c)) if len(c) > 1 else tuple(c) for c in comps),
+        blocks=tuple(tuple(sorted(c)) for c in comps),
     )
