@@ -74,6 +74,7 @@ class ModelMatrices:
         return p
 
     def diagonal(self) -> np.ndarray:
+        """p_ii for every agent i."""
         on = self.rows == self.cols
         d = np.zeros(self.n)
         d[self.cols[on]] = self.vals[on]
@@ -163,13 +164,13 @@ def build_matrices(net: SignedNetwork, params: AgentParams) -> ModelMatrices:
         top = np.zeros(n)
         np.maximum.at(top, rows, np.abs(w))
         scaled = big[rows]
-        w = w.copy()
         w[scaled] /= top[rows[scaled]]
         absrow[big] = _dense_row_sums(rows[scaled], cols[scaled], np.abs(w[scaled]), n)[big]
     gamma = np.array(params.gamma, dtype=float)
     beta = np.array(params.beta, dtype=float)
     coef = 1.0 - gamma - beta
-    vals = np.concatenate((coef[rows] * (w / absrow[rows]), np.where(absrow > 0.0, gamma, coef + gamma)))
+    diag = np.where(absrow > 0.0, gamma, coef + gamma)  # q_ii = 1 on a row without edges
+    vals = np.concatenate((coef[rows] * (w / absrow[rows]), diag))
     rows = np.concatenate((rows, np.arange(n)))
     cols = np.concatenate((cols, np.arange(n)))
     order = np.argsort(rows * n + cols)  # by row, then column
