@@ -454,6 +454,15 @@ class TestExportSfgCommand:
         assert 'label="S_3 (+)"' in text
         assert 'label="x6(0)"' in text
 
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("path", [REF11_PATH, ZOO17_PATH], ids=["reference11", "showcase17"])
+    def test_reproduces_golden_dot(self, tmp_path, path, reduced):
+        # tests/golden holds the DOT as committed; drift in the graph or its labels shows here
+        dot = tmp_path / "g.dot"
+        assert main(["export-sfg", path, "--dot", str(dot)] + ["--reduced"] * reduced) == 0
+        golden = GOLDEN / f"{pathlib.Path(path).stem}-sfg{'-reduced' * reduced}.dot"
+        assert dot.read_bytes() == golden.read_bytes()
+
     def test_full_has_thirteen_nodes(self, capsys):
         assert main(["export-sfg", REF11_PATH]) == 0
         out = capsys.readouterr().out
