@@ -14,12 +14,14 @@ multiplies by a dense copy.
 
 z, z_o and the gains c all solve x = P x + r, with x given on the sinks
 without a stubborn member (v (w . x(0)) or the source fold when balanced,
-else 0).  `_complete` solves for the other agents K in one solve on I - P_KK,
-run chunk by chunk over the condensation: laid out in the classification's
-listener-first block order, I - P_KK is block upper triangular, so the solve
-is a back-substitution from the sinks.  Each chunk gathers its small dense
-block from its rows, and its coupling to the known and the later agents
-into slabs over the columns it uses, one product each.
+else 0) and r nonzero at stubborn agents only, never in those sinks, so one
+array carries both.  `_complete` solves for the other agents K in one
+solve on I - P_KK, run chunk by chunk over the condensation: laid out in
+the classification's listener-first block order, I - P_KK is block upper
+triangular, so the solve is a back-substitution from the sinks.  Each
+chunk gathers its small dense block from its rows, and its coupling to the
+known and the later agents into slabs over the columns it uses, one
+product each.
 """
 
 from __future__ import annotations
@@ -47,19 +49,18 @@ _CHUNK = 64
 
 @dataclass(frozen=True)
 class ModelMatrices:
-    """P as CSR rows, and the stubbornness input matrix, in the original agent indexing.
+    """P as CSR rows, and the stubbornness beta, in the original agent indexing.
 
     Row i of P keeps its nonzeros, columns ascending, at entries
     indptr[i]:indptr[i + 1] of ``cols`` and ``vals``: one per edge i listens
-    on, plus p_ii where it is nonzero.
+    on, plus p_ii where it is nonzero.  The stubborn input B x(0) is beta
+    times x(0): each stubborn initial opinion enters its own agent only.
     """
 
     n: int
     indptr: np.ndarray  # n + 1 row starts
     cols: np.ndarray
     vals: np.ndarray
-    Btilde: np.ndarray  # n x s, column h carries beta at the h-th stubborn agent
-    stubborn_ids: tuple[int, ...]
     beta: np.ndarray
 
     @cached_property
@@ -95,9 +96,6 @@ class ModelMatrices:
         """The index into ``cols`` and ``vals`` of p_ij, which must be stored."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return int(lo + self.cols[lo:hi].searchsorted(j))
-
-    def sink_block(self, classification: AgentClassification, sink: int) -> np.ndarray:
-        return self.block(classification.sinks[sink])
 
 
 def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,17 +173,11 @@ def build_matrices(net: SignedNetwork, params: AgentParams) -> ModelMatrices:
     cols = np.concatenate((cols, np.arange(n)))
     order = np.argsort(rows * n + cols)  # by row, then column
     order = order[vals[order] != 0.0]  # only nonzeros are stored
-
-    stubborn_ids = params.stubborn_agents()
-    btilde = np.zeros((n, len(stubborn_ids)))
-    btilde[list(stubborn_ids), range(len(stubborn_ids))] = beta[list(stubborn_ids)]
     return ModelMatrices(
         n=n,
         indptr=np.searchsorted(rows[order], np.arange(n + 1)),
         cols=cols[order],
         vals=vals[order],
-        Btilde=btilde,
-        stubborn_ids=stubborn_ids,
         beta=beta,
     )
 
@@ -343,7 +335,7 @@ def sink_spectrum(
     if classification.sink_has_stubborn(sink):
         raise StubbornSinkRejectedError(f"sink {sink} contains stubborn agents")
     members = classification.sinks[sink]
-    block = matrices.sink_block(classification, sink)
+    block = matrices.block(members)
     kind = classification.sink_kind[sink]
     if kind == SinkKind.UNBALANCED:
         raise DegenerateEigenspaceError(f"sink {sink} is unbalanced; no unit eigenvalue")
@@ -447,10 +439,15 @@ def _solve_checked(
     return x
 
 
-def _unit_limits(matrices, classification, spectra, x0):
-    """lim P^k x(0) on the sinks: v (w . x(0)) on each stubborn-free balanced sink."""
+def _check_spectra(classification: AgentClassification, spectra: dict[int, SinkSpectrum]) -> None:
+    """Raise MissingSpectrumError for the first stubborn-free balanced sink without a pair."""
     if missing := classification.influence_free_sinks - spectra.keys():
         raise MissingSpectrumError(min(missing))
+
+
+def _unit_limits(matrices, classification, spectra, x0):
+    """lim P^k x(0) on the sinks: v (w . x(0)) on each stubborn-free balanced sink."""
+    _check_spectra(classification, spectra)
     z_o = np.zeros(matrices.n)
     for sink in classification.influence_free_sinks:
         spec = spectra[sink]
@@ -493,10 +490,13 @@ def _chunk_bounds(sizes: list[int]) -> list[int]:
     return bounds
 
 
-def _complete(matrices, classification, x, rhs):
-    """Complete x (n, or n x k) on K given its rows on the stubborn-free sinks.
+def _complete(matrices, classification, x):
+    """Solve x = P x + R on K in place, x (n, or n x k) holding R_K and the given rows.
 
-    One solve of (I - P_KK) X_K = P_K,: X + R_K for all columns at once.
+    On entry K's rows of x hold R and the others, the stubborn-free sinks,
+    their given values; R is beta x(0) or beta at a stubborn agent, and no
+    stubborn agent is in a stubborn-free sink.  One solve of
+    (I - P_KK) X_K = P_K,given X_given + R_K for all columns at once.
     P_KK is convergent (every sink in K has a stubborn member, every
     follower reaches a sink), so each column's solution is unique.  K is a
     union of whole SCCs; laid out in the listener-first block order I - P_KK
@@ -509,15 +509,14 @@ def _complete(matrices, classification, x, rhs):
         k = np.fromiter(chain.from_iterable(blocks), dtype=np.intp)
         free = np.ones(matrices.n, dtype=bool)
         free[k] = False
-        given = free.nonzero()[0]
+        order = np.concatenate((k, free.nonzero()[0]))
         place = np.empty(matrices.n, dtype=np.intp)
-        place[np.concatenate((k, given))] = np.arange(matrices.n)
+        place[order] = np.arange(matrices.n)
         idx, counts = _entries(matrices.indptr, k)
         indptr = np.concatenate(([0], counts.cumsum()))
-        work = np.concatenate((rhs[k], x[given]))
         bounds = _chunk_bounds([len(block) for block in blocks])
         x[k] = _solve_checked(
-            indptr, place[matrices.cols[idx]], matrices.vals[idx], work, bounds=bounds
+            indptr, place[matrices.cols[idx]], matrices.vals[idx], x[order], bounds=bounds
         )[: len(k)]
     return x
 
@@ -539,27 +538,27 @@ def steady_state(
     MissingSpectrumError.
 
     z and z_o are v (w . x(0)) on the stubborn-free balanced sinks and 0 on
-    the other stubborn-free sinks; `_complete` solves for every other agent.
-    direct-solve: one complement solve with z and z_o as two right-hand
-    sides.  eigenprojection: z_o and z_s by two complement solves, one per
-    half of the right-hand side.  iteration: run the update rule to
-    convergence, with z_o from the unit eigenpairs.
+    the other stubborn-free sinks; `_complete` solves for every other agent,
+    z with R = beta x(0) and z_o with R = 0.  direct-solve: one complement
+    solve with z and z_o as two columns.  eigenprojection: z_o and z_s by
+    two complement solves, z_s with the sinks' values 0.  iteration: run
+    the update rule to convergence, with z_o from the unit eigenpairs.
     """
     x0 = np.asarray(x0, dtype=float)
-    n = matrices.n
-    drive = matrices.beta * x0
     limits = _unit_limits(matrices, classification, spectra, x0)
+    stubborn = matrices.beta > 0.0
+    drive = np.where(stubborn, matrices.beta * x0, 0.0)  # R = beta x(0); 0 on the sinks
 
     if method == SteadyStateMethod.DIRECT_SOLVE:
-        zz = np.column_stack([limits, limits])
-        zz = _complete(matrices, classification, zz, np.column_stack([drive, np.zeros(n)]))
+        zz = np.column_stack([np.where(stubborn, drive, limits), limits])
+        zz = _complete(matrices, classification, zz)
         return SteadyState(z=zz[:, 0], z_o=zz[:, 1], z_s=zz[:, 0] - zz[:, 1], method=method)
 
-    z_o = _complete(matrices, classification, limits, np.zeros(n))
+    z_o = _complete(matrices, classification, limits)
     if method == SteadyStateMethod.ITERATION:
         z = simulate(matrices, x0, tol=tol, max_iters=max_iters).xs[-1]
         return SteadyState(z=z, z_o=z_o, z_s=z - z_o, method=method)
 
     # eigenprojection: z_s from the stubborn input alone, on its own solve
-    z_s = _complete(matrices, classification, np.zeros(n), drive)
+    z_s = _complete(matrices, classification, drive)
     return SteadyState(z=z_o + z_s, z_o=z_o, z_s=z_s, method=method)

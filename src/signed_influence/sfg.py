@@ -33,16 +33,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .dynamics import ModelMatrices, SinkSpectrum, _complete, _entries, _solved_agents
-from .errors import (
-    ComplexityCapExceededError,
-    MissingSpectrumError,
-    SingularSystemError,
+from .dynamics import (
+    ModelMatrices,
+    SinkSpectrum,
+    _check_spectra,
+    _complete,
+    _entries,
+    _solved_agents,
 )
+from .errors import ComplexityCapExceededError, SingularSystemError
 from .graph import AgentClassification, SinkKind, strong_components
 
 NodeKey = tuple[str, int]  # ("agent", i) | ("source", r)
@@ -71,11 +74,12 @@ class SourceSpec:
     side: int | None = None  # +1 or -1 for balanced partitions
     members: tuple[int, ...] = ()  # agents aggregated into this source
 
-    def label(self) -> str:
+    def label(self, name: Callable[[int], str] = str) -> str:
+        """The source's name, with ``name(i)`` for agent i."""
         if self.kind == SourceKind.SINGLETON_LEADER:
-            return f"leader {self.agent}"
+            return f"leader {name(self.agent)}"
         if self.kind == SourceKind.STUBBORN_INITIAL:
-            return f"x{self.agent}(0)"
+            return f"x{name(self.agent)}(0)"
         if self.kind == SourceKind.COOPERATIVE_SINK:
             return f"S_{self.sink + 1}"
         sign = "+" if self.side == 1 else "-"
@@ -109,39 +113,34 @@ class InfluenceMatrix:
     theta: np.ndarray
 
 
-def source_catalog(
-    classification: AgentClassification, stubborn_ids: tuple[int, ...]
-) -> tuple[SourceSpec, ...]:
+def source_catalog(classification: AgentClassification) -> tuple[SourceSpec, ...]:
     """Deterministic source ordering: singleton leaders, cooperative sinks,
-    balanced partition pairs (+ side first), then stubborn initial opinions."""
+    balanced partition pairs (+ side first), then stubborn initial opinions.
+
+    One pass over the stubborn-free balanced sinks, by kind in `SinkKind`'s
+    order and then by index; the stubborn agents come last, by id.
+    """
     cls = classification
+    order = list(SinkKind)  # singleton leaders, cooperative, then balanced sinks
     sources: list[SourceSpec] = []
-    for sink in range(len(cls.sinks)):
-        if sink not in cls.influence_free_sinks:
-            continue
-        if cls.sink_kind[sink] == SinkKind.SINGLETON_LEADER:
-            (agent,) = cls.sinks[sink]
+    for sink in sorted(cls.influence_free_sinks, key=lambda s: (order.index(cls.sink_kind[s]), s)):
+        members, kind = cls.sinks[sink], cls.sink_kind[sink]
+        if kind == SinkKind.SINGLETON_LEADER:
             sources.append(
-                SourceSpec(SourceKind.SINGLETON_LEADER, agent=agent, sink=sink, members=(agent,))
+                SourceSpec(SourceKind.SINGLETON_LEADER, agent=members[0], sink=sink, members=members)
             )
-    for sink in range(len(cls.sinks)):
-        if sink not in cls.influence_free_sinks:
-            continue
-        if cls.sink_kind[sink] == SinkKind.COOPERATIVE:
-            sources.append(
-                SourceSpec(SourceKind.COOPERATIVE_SINK, sink=sink, members=cls.sinks[sink])
-            )
-    for sink in range(len(cls.sinks)):
-        if sink not in cls.influence_free_sinks:
-            continue
-        if cls.sink_kind[sink] == SinkKind.BALANCED:
-            for side in (1, -1):
-                members = tuple(m for m in cls.sinks[sink] if cls.sigma[m] == side)
-                sources.append(
-                    SourceSpec(SourceKind.BALANCED_PARTITION, sink=sink, side=side, members=members)
-                )
-    for agent in stubborn_ids:
-        sources.append(SourceSpec(SourceKind.STUBBORN_INITIAL, agent=agent, members=(agent,)))
+        elif kind == SinkKind.COOPERATIVE:
+            sources.append(SourceSpec(SourceKind.COOPERATIVE_SINK, sink=sink, members=members))
+        else:
+            sources += [
+                SourceSpec(SourceKind.BALANCED_PARTITION, sink=sink, side=side,
+                           members=tuple(m for m in members if cls.sigma[m] == side))
+                for side in (1, -1)
+            ]
+    sources += [
+        SourceSpec(SourceKind.STUBBORN_INITIAL, agent=agent, members=(agent,))
+        for agent in sorted(cls.stubborn)
+    ]
     return tuple(sources)
 
 
@@ -154,6 +153,12 @@ def _fold_matrix(sources: tuple[SourceSpec, ...], n: int) -> np.ndarray:
     return fold
 
 
+def _stubborn_inputs(sources: tuple[SourceSpec, ...]) -> tuple[list[int], list[int]]:
+    """The agent and the column of each stubborn-initial source; beta_i enters there."""
+    pairs = [(s.agent, r) for r, s in enumerate(sources) if s.kind == SourceKind.STUBBORN_INITIAL]
+    return [a for a, _ in pairs], [r for _, r in pairs]
+
+
 @dataclass(frozen=True)
 class _NodeEquations:
     """Node equations u = P'u + C_in v of a signal-flow graph."""
@@ -161,7 +166,7 @@ class _NodeEquations:
     agents: tuple[int, ...]  # non-source agents N
     sources: tuple[SourceSpec, ...]
     pprime: np.ndarray  # P[N, N]
-    cin: np.ndarray  # P[N, :] F, stubborn-initial columns from Btilde[N]
+    cin: np.ndarray  # P[N, :] F, and beta_i at agent i in its stubborn-initial column
 
 
 def _node_equations(
@@ -181,19 +186,16 @@ def _node_equations(
     keep = source_of < 0
     keep[list(deleted)] = False
     agents = np.flatnonzero(keep)
-    place = np.full(matrices.n, -1)
-    place[agents] = np.arange(len(agents))
     idx, counts = _entries(matrices.indptr, agents)
     row = np.repeat(np.arange(len(agents)), counts)
     cols, vals = matrices.cols[idx], matrices.vals[idx]
-    inner, into = place[cols] >= 0, source_of[cols] >= 0
-    pprime = np.zeros((len(agents), len(agents)))
-    pprime[row[inner], place[cols[inner]]] = vals[inner]
+    into = source_of[cols] >= 0
     cin = np.zeros((len(agents), len(sources)))
     # in column order within each row, as the product P[N, :] F sums them
     np.add.at(cin, (row[into], source_of[cols[into]]), vals[into])
-    cin[:, len(sources) - len(matrices.stubborn_ids):] = matrices.Btilde[agents]
-    return _NodeEquations(tuple(agents.tolist()), sources, pprime, cin)
+    stubborn, columns = _stubborn_inputs(sources)
+    cin[agents.searchsorted(stubborn), columns] = matrices.beta[stubborn]
+    return _NodeEquations(tuple(agents.tolist()), sources, matrices.block(agents), cin)
 
 
 def _reduction(
@@ -209,15 +211,14 @@ def _reduction(
     any stubborn leader remain ordinary non-source nodes.
     """
     cls = classification
-    if missing := cls.influence_free_sinks - spectra.keys():
-        raise MissingSpectrumError(min(missing))
+    _check_spectra(cls, spectra)
     deleted = frozenset(
         m
         for sink, members in enumerate(cls.sinks)
         if cls.sink_kind[sink] == SinkKind.UNBALANCED and not cls.sink_has_stubborn(sink)
         for m in members
     )
-    return _node_equations(matrices, source_catalog(cls, matrices.stubborn_ids), deleted)
+    return _node_equations(matrices, source_catalog(cls), deleted)
 
 
 def _graph(eqs: _NodeEquations) -> SfgGraph:
@@ -240,9 +241,7 @@ def build_full_sfg(matrices: ModelMatrices, classification: AgentClassification)
     so it has no branch); every other agent node is a non-source.
     """
     kinds = (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL)
-    sources = tuple(
-        s for s in source_catalog(classification, matrices.stubborn_ids) if s.kind in kinds
-    )
+    sources = tuple(s for s in source_catalog(classification) if s.kind in kinds)
     return _graph(_node_equations(matrices, sources, frozenset()))
 
 
@@ -428,16 +427,16 @@ def solve_gain(
 ) -> CollectiveInfluence:
     """All gains at once by one complement solve of X = P X + R.
 
-    X is given as the fold matrix on the stubborn-free sinks, R is Btilde in
-    the stubborn-initial columns, and c is X on the non-source agents.
+    X is given as the fold matrix on the stubborn-free sinks, R is beta_i at
+    stubborn agent i in its stubborn-initial column, and c is X on the
+    non-source agents.  One n x S array holds both.
     """
-    if missing := classification.influence_free_sinks - spectra.keys():
-        raise MissingSpectrumError(min(missing))
-    sources = source_catalog(classification, matrices.stubborn_ids)
+    _check_spectra(classification, spectra)
+    sources = source_catalog(classification)
     x = _fold_matrix(sources, matrices.n)
-    rhs = np.zeros_like(x)
-    rhs[:, len(sources) - len(matrices.stubborn_ids):] = matrices.Btilde
-    x = _complete(matrices, classification, x, rhs)
+    stubborn, columns = _stubborn_inputs(sources)
+    x[stubborn, columns] = matrices.beta[stubborn]
+    x = _complete(matrices, classification, x)
     agents = tuple(_solved_agents(classification))
     return CollectiveInfluence(agents=agents, sources=sources, c=x[list(agents)])
 

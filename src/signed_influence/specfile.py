@@ -382,15 +382,7 @@ def export_dot(g: SfgGraph, path: str | None = None, labels=None) -> str:
         if tag == "source":
             spec = g.sources[idx]
             shape = _SOURCE_SHAPE[spec.kind]
-            label = spec.label()
-            if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL):
-                shown = agent_label(spec.agent)
-                label = (
-                    f"leader {shown}"
-                    if spec.kind == SourceKind.SINGLETON_LEADER
-                    else f"x{shown}(0)"
-                )
-            lines.append(f'  {_dot_id(node)} [shape={shape}, label="{label}"];')
+            lines.append(f'  {_dot_id(node)} [shape={shape}, label="{spec.label(agent_label)}"];')
         else:
             lines.append(f'  {_dot_id(node)} [shape=circle, label="{agent_label(idx)}"];')
     for src, dst, gain in g.branches:

@@ -5,8 +5,10 @@ import sys
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
 
 from signed_influence.specfile import load_spec
+from synth import synth_network
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 REF11 = FIXTURES / "reference11.yaml"
@@ -21,6 +23,12 @@ def ref11():
 @pytest.fixture(scope="session")
 def zoo17():
     return load_spec(str(ZOO17))
+
+
+@pytest.fixture(scope="session")
+def synth10k():
+    """The synth network of 10⁴ agents, seed 0, made once: it takes over a second."""
+    return synth_network(10_000, 0)
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
 """Command-line surface: commands, formats, exit codes, round-trips."""
 
+import contextlib
+import copy
 import csv
 import dataclasses
 import functools
+import io
 import os
 import pathlib
 import re
@@ -13,6 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import signed_influence
 from conftest import ZOO17, REF11
@@ -146,6 +151,59 @@ class TestInvalidArguments:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
+
+
+_REF11_DOC = yaml.safe_load(pathlib.Path(REF11_PATH).read_text())
+_JUNK = st.sampled_from([
+    None, True, False, 0, -1, 2**70, -(2**70), 0.5, -0.0,
+    float("nan"), float("inf"), float("-inf"), "1", "", [], {}, [0, 1],
+])
+_COMMANDS = (
+    ["classify"], ["simulate"], ["influence"], ["centrality"],
+    ["whatif", "--perturb", "1", "0.5"], ["export-sfg"],
+)
+
+
+@st.composite
+def _mutated_ref11(draw):
+    """reference11's spec with one to three fields dropped, replaced, cut short
+    or given a bad entry; a bad edge is junk, short, long, a self edge, out of
+    range or a duplicate."""
+    doc = copy.deepcopy(_REF11_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(sorted(_REF11_DOC)))
+        value = doc.get(field)
+        how = draw(st.sampled_from(("drop", "replace", "shorten", "entry")))
+        if how == "drop":
+            doc.pop(field, None)
+        elif how == "replace" or not isinstance(value, list) or not value:
+            doc[field] = draw(_JUNK)
+        elif how == "shorten":
+            doc[field] = value[: draw(st.integers(0, len(value) - 1))]
+        else:
+            k = draw(st.integers(0, len(value) - 1))
+            bad = _JUNK
+            if field == "edges":
+                ints = st.integers(-1, 12)
+                bad = st.one_of(_JUNK, st.just(list(value[k - 1])), st.lists(
+                    st.one_of(ints, ints.map(float), _JUNK), min_size=0, max_size=4))
+            value[k] = draw(bad)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=_mutated_ref11())
+def test_mutated_specs_exit_cleanly(tmp_path_factory, doc):
+    # every command either runs or names the fault in one line; none raises
+    path = tmp_path_factory.mktemp("fuzz") / "spec.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    for command in _COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(path)] + command[1:])
+        assert code in (0, 2, 3, 4), (command, code)
+        if code:
+            assert err.getvalue().count("\n") == 1, (command, err.getvalue())
 
 
 @functools.cache

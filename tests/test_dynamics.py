@@ -144,12 +144,11 @@ class TestBuildMatrices:
             assert np.array_equal(_dense_row_sums(rows, cols, a[rows, cols], n), a.sum(axis=1)), n
 
     def test_stubborn_input_matrix(self, ref11):
-        _, m = _setup(ref11.net, ref11.params)
-        assert m.stubborn_ids == (0, 5)
-        assert m.Btilde.shape == (11, 2)
-        assert m.Btilde[0, 0] == pytest.approx(0.3)
-        assert m.Btilde[5, 1] == pytest.approx(0.2)
-        assert np.count_nonzero(m.Btilde) == 2
+        cls, m = _setup(ref11.net, ref11.params)
+        assert sorted(cls.stubborn) == [0, 5]
+        assert np.flatnonzero(m.beta).tolist() == [0, 5]
+        assert m.beta[0] == pytest.approx(0.3)
+        assert m.beta[5] == pytest.approx(0.2)
 
 
 class TestSpectralRadius:
@@ -281,7 +280,7 @@ class TestSinkSpectrum:
         assert np.allclose(spec.w, [15 / 51, -16 / 51, -20 / 51], atol=1e-12)
         assert float(spec.v @ spec.w) == pytest.approx(1.0)
         # genuinely a left eigenvector of the sink block at eigenvalue 1
-        block = m.sink_block(cls, 2)
+        block = m.block(cls.sinks[2])
         assert np.allclose(spec.w @ block, spec.w, atol=1e-12)
 
     def test_cooperative_sink_has_all_ones_pattern(self, zoo17):
@@ -428,7 +427,8 @@ def _assert_matches_dense(net, params, x0):
     g = _fold_matrix(ci.sources, m.n)
     g[list(ci.agents)] = ci.c
     rhs = np.zeros_like(g)
-    rhs[:, len(ci.sources) - len(m.stubborn_ids):] = m.Btilde
+    stubborn = sorted(cls.stubborn)
+    rhs[stubborn, len(ci.sources) - len(stubborn) + np.arange(len(stubborn))] = m.beta[stubborn]
     _assert_close(ci.c, _dense_complete(m, cls, g, rhs)[list(ci.agents)])
 
 
@@ -558,6 +558,30 @@ class TestNoDenseP:
         flip_edge_signs(net, params, x0, (net.edges[0][:2], net.edges[-1][:2]))
         with pytest.raises(AssertionError, match="dense P built"):
             simulate(res.matrices, x0, max_iters=1)
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_matrices_memory_follows_the_edges(synth10k):
+    # 975 stubborn agents: an n x s input matrix alone would take 74 MiB
+    peak = _traced_peak(build_matrices, synth10k.net, synth10k.params)
+    assert peak <= 15 * 2**20, peak
+
+
+def test_solve_gain_holds_one_n_by_s_array():
+    # S = 210 sources: each n x S array takes 3.2 MiB
+    s = synth_network(2000, 0)
+    cls, m = _setup(s.net, s.params)
+    peak = _traced_peak(solve_gain, m, cls, compute_spectra(m, cls))
+    assert peak <= 10 * 2**20, peak
 
 
 def test_chain_of_a_hundred_thousand_in_linear_memory():

@@ -279,7 +279,7 @@ class TestOnePassClassify:
         assert peak < 20e6, peak
 
 
-def _scc_oracle_networks():
+def _scc_oracle_networks(synth10k):
     for path in (REF11, ZOO17):
         spec = load_spec(str(path))
         yield path.stem, spec.net
@@ -287,13 +287,14 @@ def _scc_oracle_networks():
         yield f"netgen-{seed}", random_network(seed).net
     for k, seed in enumerate(range(1000, 1200)):
         yield f"kinds-{seed}", random_network(seed, kinds=(KINDS[k % 4], KINDS[k // 4 % 4])).net
-    for n in (100, 1000, 10_000):
+    for n in (100, 1000):
         yield f"synth-{n}", synth_network(n, 0).net
+    yield "synth-10000", synth10k.net
 
 
 class TestNetworkxOracle:
-    def test_strong_components_in_networkx_order_reversed(self):
-        for name, net in _scc_oracle_networks():
+    def test_strong_components_in_networkx_order_reversed(self, synth10k):
+        for name, net in _scc_oracle_networks(synth10k):
             arcs = [(i, j) for i, j, _ in net.edges]
             g = nx.DiGraph()
             g.add_nodes_from(range(net.n))

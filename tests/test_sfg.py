@@ -104,14 +104,14 @@ class TestFullSfg:
             leaders = {i for i in cls.singleton_leaders if i not in cls.stubborn}
             expected = [("P", int(j), int(i), float(m.dense()[i, j]))
                         for i, j in zip(*np.nonzero(m.dense())) if i not in leaders]
-            expected += [("beta", i, i, float(m.beta[i])) for i in m.stubborn_ids]
+            expected += [("beta", i, i, float(m.beta[i])) for i in cls.stubborn]
             got = []
             for (tag, a), (_, i), gain in full.branches:
                 spec = full.sources[a] if tag == "source" else None
                 kind = "beta" if spec and spec.kind == SourceKind.STUBBORN_INITIAL else "P"
                 got.append((kind, spec.agent if spec else a, i, gain))
             assert sorted(got) == sorted(expected), k
-            assert len(set(full.nodes)) == len(full.nodes) == m.n + len(m.stubborn_ids), k
+            assert len(set(full.nodes)) == len(full.nodes) == m.n + len(cls.stubborn), k
 
 
 class TestReduceSfg:
