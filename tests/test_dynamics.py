@@ -576,8 +576,9 @@ def test_build_matrices_memory_follows_the_edges(synth10k):
     assert peak <= 15 * 2**20, peak
 
 
-def test_solve_gain_holds_one_n_by_s_array():
-    # S = 210 sources: each n x S array takes 3.2 MiB
+def test_solve_gain_makes_no_separate_right_hand_side():
+    # S = 210 sources, 3.2 MiB per n x S array: the gains and the solve's
+    # working copy stay under the bound, a third such array would not
     s = synth_network(2000, 0)
     cls, m = _setup(s.net, s.params)
     peak = _traced_peak(solve_gain, m, cls, compute_spectra(m, cls))
