@@ -147,23 +147,20 @@ def build_matrices(net: SignedNetwork, params: AgentParams) -> ModelMatrices:
     """P = Gamma + (I - Gamma - B) Q as CSR rows, from the edges, in numpy.
 
     q_ij is w_ij over the row's sum of |w|, and q_ii = 1 on a row without
-    edges.  A row whose |w| sum overflows is divided by its largest |w|
-    first.  The numbers are those of the dense build: each row's |w| sum
-    adds as numpy adds the dense row (`_dense_row_sums`), and every entry
-    is the same product and quotient.
+    edges.  Each row's |w| sum is added left to right, in column order.  A
+    row whose |w| sum overflows is divided by its largest |w| first.
     """
     n = net.n
     flat = np.fromiter(chain.from_iterable(net.edges), float, 3 * len(net.edges))
     rows, cols, w = flat[0::3].astype(np.intp), flat[1::3].astype(np.intp), flat[2::3]
-    with np.errstate(over="ignore"):  # an overflowed row is rescaled below
-        absrow = _dense_row_sums(rows, cols, np.abs(w), n)
+    absrow = np.bincount(rows, np.abs(w), minlength=n)  # an overflowed row is rescaled below
     big = ~np.isfinite(absrow)
     if big.any():
         top = np.zeros(n)
         np.maximum.at(top, rows, np.abs(w))
         scaled = big[rows]
         w[scaled] /= top[rows[scaled]]
-        absrow[big] = _dense_row_sums(rows[scaled], cols[scaled], np.abs(w[scaled]), n)[big]
+        absrow[big] = np.bincount(rows[scaled], np.abs(w[scaled]), minlength=n)[big]
     gamma = np.array(params.gamma, dtype=float)
     beta = np.array(params.beta, dtype=float)
     coef = 1.0 - gamma - beta
@@ -180,75 +177,6 @@ def build_matrices(net: SignedNetwork, params: AgentParams) -> ModelMatrices:
         vals=vals[order],
         beta=beta,
     )
-
-
-def _dense_row_sums(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    """Each row's sum of ``vals``, bit for bit as numpy sums the row laid out densely.
-
-    numpy adds a contiguous row of length n pairwise: fewer than 8 numbers
-    in turn; up to 128 in eight interleaved running sums, combined as
-    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), and then the last n % 8 in
-    turn; more as the sums of two halves, the first a multiple of 8 long.
-    Adding a zero is exact, so the places of the nonzeros alone fix the
-    order, and the entries, sorted by row and column, are folded along that
-    tree.  P is then the same numbers as a dense build makes, and so is
-    everything computed from it.  Up to 128 columns a row is one run, and
-    the rows are laid out densely and summed by numpy itself.
-    """
-    if n <= 128:
-        dense = np.zeros((n, n))
-        dense[rows, cols] = vals
-        return dense.sum(axis=1)
-    # (start, length, heap node) of each run of 64 to 128 columns summed directly
-    leaves, todo = [], [(0, n, 1)]
-    while todo:
-        lo, length, node = todo.pop()
-        if length <= 128:
-            leaves.append((lo, length, node))
-        else:
-            half = length // 2 - length // 2 % 8
-            todo += [(lo + half, length - half, 2 * node + 1), (lo, half, 2 * node)]
-    start, length, heap = (np.array(col) for col in zip(*leaves))
-    leaf = np.searchsorted(start, cols, side="right") - 1
-    p = cols - start[leaf]
-    key = rows * len(leaves) + leaf
-    run = p < (length - length % 8)[leaf]  # the last n % 8 of the last run are its tail
-
-    # the eight running sums, each in turn, then their tree
-    lane = key[run] * 8 + p[run] % 8
-    order = np.argsort(lane, kind="stable")
-    k, v = _fold(lane[order], vals[run][order])
-    for _ in range(3):
-        k, v = _fold(k >> 1, v)
-    # then the rest of the run in turn
-    tail = ~run
-    k, v = np.concatenate((k, key[tail])), np.concatenate((v, vals[tail]))
-    order = np.lexsort((np.concatenate((np.full(len(v) - tail.sum(), -1), p[tail])), k))
-    k, v = _fold(k[order], v[order])
-    # the runs' sums, two halves at a time, from the deepest split up
-    span = 1 << int(heap.max()).bit_length()  # above every heap node
-    k = k // len(leaves) * span + heap[k % len(leaves)]
-    for depth in range(int(heap.max()).bit_length() - 1, 0, -1):
-        node = k % span
-        k, v = _fold(np.where(node >> depth > 0, k - node + (node >> 1), k), v)
-    sums = np.zeros(n)
-    sums[k // span] = v
-    return sums
-
-
-def _fold(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum each run of equal adjacent keys from the left: ((v0 + v1) + v2) + ..."""
-    while len(keys) > 1:
-        same = keys[1:] == keys[:-1]
-        if not same.any():
-            break
-        first = np.flatnonzero(same & ~np.concatenate(([False], same[:-1])))
-        vals = vals.copy()
-        vals[first] += vals[first + 1]
-        keep = np.ones(len(keys), dtype=bool)
-        keep[first + 1] = False
-        keys, vals = keys[keep], vals[keep]
-    return keys, vals
 
 
 def spectral_radius(m: np.ndarray) -> float:
