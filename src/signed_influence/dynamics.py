@@ -8,9 +8,9 @@ with Q the sign-preserving row normalisation of the adjacency matrix,
 Gamma = diag(gamma) the self-belief and B = diag(beta) the stubbornness.
 
 P is kept as CSR rows (`ModelMatrices`: indptr, cols, vals), one entry per
-edge plus p_ii, built from the edge list with numpy; no n x n array is
-made on the way to z, c, Θ or ρ.  `simulate`, the iteration oracle, alone
-multiplies by a dense copy.
+edge plus p_ii, built from the edge list with numpy; every route computes
+on the rows, so no n x n array is made on the way to z, c, Θ or ρ, and
+one step of `simulate`, the iteration oracle, costs O(edges).
 
 z, z_o and the gains c all solve x = P x + r, with x given on the sinks
 without a stubborn member (v (w . x(0)) or the source fold when balanced,
@@ -69,7 +69,10 @@ class ModelMatrices:
         return np.arange(self.n).repeat(self.indptr[1:] - self.indptr[:-1])
 
     def dense(self) -> np.ndarray:
-        """P as a dense n x n array, the same numbers as the rows."""
+        """P as a dense n x n array, the same numbers as the rows.
+
+        The tests' view of P; the library itself computes on the rows only.
+        """
         p = np.zeros((self.n, self.n))
         p[self.rows, self.cols] = self.vals
         return p
@@ -227,14 +230,15 @@ def simulate(
 ) -> TrajectoryLog:
     """Iterate the update rule until the sup-norm residual drops below tol.
 
-    The log keeps x(0) and the last iterate only, so its memory does not
-    grow with the iteration count; ``on_iterate(k, x)``, when given, is
-    handed x(0) and then every iterate x(k) as it is computed.
+    Each step is one product on P's rows, O(edges).  The log keeps x(0)
+    and the last iterate only, so its memory does not grow with the
+    iteration count; ``on_iterate(k, x)``, when given, is handed x(0) and
+    then every iterate x(k) as it is computed.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (matrices.n,):
         raise ValueError(f"x0 must have length {matrices.n}")
-    p = matrices.dense()  # the iteration oracle keeps the dense product's rounding
+    rows, cols, vals = matrices.rows, matrices.cols, matrices.vals
     drive = matrices.beta * x0
     x = x0.copy()
     if on_iterate is not None:
@@ -243,7 +247,7 @@ def simulate(
     iters = 0
     converged = False
     while iters < max_iters:
-        nxt = p @ x + drive
+        nxt = np.bincount(rows, vals * x[cols], minlength=matrices.n) + drive
         residual = float(np.max(np.abs(nxt - x)))
         x = nxt
         iters += 1

@@ -259,6 +259,29 @@ class TestSimulate:
         assert np.array_equal(log.xs[0], seen[0][1]) and np.array_equal(log.xs[0], ref11.x0)
         assert np.array_equal(log.xs[-1], seen[-1][1])
 
+    def test_rows_product_matches_a_dense_iteration(self):
+        # the oracle iterates x <- P x + beta x(0) on the dense P, same stopping rule
+        for seed in range(200):
+            rn = random_network(seed)
+            _, m = _setup(rn.net, rn.params)
+            log = simulate(m, rn.x0)
+            p, x, iters, residual = m.dense(), rn.x0.copy(), 0, np.inf
+            while residual >= 1e-10:
+                nxt = p @ x + m.beta * rn.x0
+                residual, x, iters = np.max(np.abs(nxt - x)), nxt, iters + 1
+            assert log.converged and log.iterations == iters, seed
+            _assert_close(log.xs[-1], x)
+
+    def test_memory_follows_the_edges(self):
+        # a dense P of a 5000-agent chain alone would take 200 MB
+        n = 5000
+        net = build_network(n, [(i, i + 1, 1.0 if i % 2 else -1.0) for i in range(n - 1)])
+        params = AgentParams(gamma=(0.3,) * n, beta=(0.0,) * n)
+        _, m = _setup(net, params)
+        x0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        peak = _traced_peak(simulate, m, x0, 1e-10, 50)
+        assert peak <= 2**20, peak
+
 
 class TestSinkSpectrum:
     def test_antagonistic_pair(self):
@@ -529,7 +552,7 @@ def _refuse_dense(monkeypatch):
 
 
 class TestNoDenseP:
-    """The production routes read P's rows only; `simulate` alone densifies."""
+    """The production routes, `simulate` and `--check` among them, read P's rows only."""
 
     @pytest.fixture(params=["reference11", "showcase17", "synth200"])
     def case(self, request, ref11, zoo17):
@@ -539,20 +562,25 @@ class TestNoDenseP:
         spec = ref11 if request.param == "reference11" else zoo17
         return spec.net, spec.params, spec.x0
 
-    def test_analysis_report_and_whatif(self, case, monkeypatch):
+    def test_analysis_report_and_whatif(self, case, monkeypatch, tmp_path, capsys):
         from signed_influence import flip_edge_signs, perturb_initial
+        from signed_influence.cli import main
+        from synth import spec_text
 
         net, params, x0 = case
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(spec_text(net, params, x0))
         _refuse_dense(monkeypatch)
         res = run_analysis(net, params, x0, gain_method="solve")
         build_report(res, 1e-10, 100)
         spectra = compute_spectra(res.matrices, res.classification)
-        for method in (SteadyStateMethod.DIRECT_SOLVE, SteadyStateMethod.EIGENPROJECTION):
+        for method in SteadyStateMethod:
             steady_state(res.matrices, res.classification, spectra, x0, method=method)
         perturb_initial(net, params, x0, 0, 1.0)
         flip_edge_signs(net, params, x0, (net.edges[0][:2], net.edges[-1][:2]))
-        with pytest.raises(AssertionError, match="dense P built"):
-            simulate(res.matrices, x0, max_iters=1)
+        assert simulate(res.matrices, x0).converged
+        assert main(["influence", str(spec), "--check", "--out", str(tmp_path / "r.yaml")]) == 0
+        assert capsys.readouterr().out.startswith("check: prediction matches simulation")
 
 
 def _traced_peak(fn, *args):
