@@ -76,10 +76,11 @@ def _flipped(matrices: ModelMatrices, edges) -> ModelMatrices:
 
     A flip keeps every |w|, so the |w| row sums, the other entries and the
     pattern are those of the base, and the entries come out the numbers
-    `build_matrices` gives the flipped network.
+    `build_matrices` gives the flipped network.  An edge whose p_ij is not
+    stored is zero in P and stays zero.
     """
     vals = matrices.vals.copy()
-    at = [matrices.entry(i, j) for i, j in edges]
+    at = [k for k in (matrices.entry(i, j) for i, j in edges) if k is not None]
     vals[at] = -vals[at]
     return replace(matrices, vals=vals)
 

@@ -95,10 +95,13 @@ class ModelMatrices:
         out[np.arange(len(members)).repeat(counts)[hit], at[hit]] = self.vals[idx[hit]]
         return out
 
-    def entry(self, i: int, j: int) -> int:
-        """The index into ``cols`` and ``vals`` of p_ij, which must be stored."""
+    def entry(self, i: int, j: int) -> int | None:
+        """The index into ``cols`` and ``vals`` of p_ij, or None when p_ij is
+        not stored: it is zero, as when an edge's weight underflows against
+        its row's sum."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
-        return int(lo + self.cols[lo:hi].searchsorted(j))
+        at = int(lo + self.cols[lo:hi].searchsorted(j))
+        return at if at < hi and self.cols[at] == j else None
 
 
 def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -123,6 +123,18 @@ class TestPerturbInitial:
                 ), (seed, agent)
 
 
+def _underflowing_edge():
+    """A network whose edge (0, 2) has a p_02 that underflows to zero."""
+    net = build_network(4, [(0, 1, 1e300), (0, 2, 1e-300), (1, 3, 1.0), (2, 3, 1.0)])
+    params = AgentParams(gamma=(0.5, 0.5, 0.5, 0.0), beta=(0.0, 0.2, 0.0, 0.0))
+    return net, params, np.array([1.0, 2.0, -3.0, 4.0])
+
+
+def _flip(net, edge):
+    """A fresh build of the network with the edge's sign flipped."""
+    return build_network(net.n, [(i, j, -w if (i, j) == edge else w) for i, j, w in net.edges])
+
+
 class TestFlipEdgeSigns:
     def test_rejects_missing_edge(self, ref11):
         with pytest.raises(NoSuchEdgeError):
@@ -152,6 +164,15 @@ class TestFlipEdgeSigns:
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, (
                     edge, field.name)
+
+    def test_flip_of_an_unstored_entry_matches_a_fresh_build(self):
+        # 1e-300 underflows against its row's 1e300, so p_02 is zero and not stored
+        net, params, x0 = _underflowing_edge()
+        res = flip_edge_signs(net, params, x0, ((0, 2),))
+        fresh = run_analysis(_flip(net, (0, 2)), params, x0, gain_method="solve").steady.z
+        assert np.array_equal(res.z_flipped, fresh)
+        assert np.array_equal(res.z_flipped, res.z_base)
+        assert res.mean_abs_deviation == 0.0
 
     def test_flip_builds_matrices_once(self, ref11, count_calls):
         builds = count_calls("build_matrices")

@@ -502,6 +502,22 @@ class TestWhatifCommand:
     def test_missing_edge_exits_2(self, capsys):
         assert main(["whatif", REF11_PATH, "--flip-edge", "5", "1"]) == 2
 
+    def test_flip_of_an_underflowed_edge_matches_a_fresh_build(self, tmp_path, capsys):
+        # p_02 underflows to zero against row 0's 1e300, so the flip moves nothing
+        edges = [(0, 1, 1e300), (0, 2, 1e-300), (1, 3, 1.0), (2, 3, 1.0)]
+        gamma, beta, x0 = (0.5, 0.5, 0.5, 0.0), (0.0, 0.2, 0.0, 0.0), [1.0, 2.0, -3.0, 4.0]
+        path = _write_spec(tmp_path, n=4, edges=[list(e) for e in edges],
+                           gamma=list(gamma), beta=list(beta), x0=x0)
+        assert main(["whatif", path, "--flip-edge", "0", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        params = signed_influence.AgentParams(gamma=gamma, beta=beta)
+        z = [signed_influence.run_analysis(signed_influence.build_network(4, es), params,
+                                           np.array(x0), gain_method="solve").steady.z
+             for es in (edges, [(i, j, -w if (i, j) == (0, 2) else w) for i, j, w in edges])]
+        want = z[1] - z[0]
+        assert out[1] == f"mean_abs_deviation: {np.abs(want).mean():.12g}"
+        assert [float(v) for v in out[2].split()[1:]] == pytest.approx(want.tolist(), abs=1e-12)
+
 
 class TestExportSfgCommand:
     def test_reduced_has_five_sources(self, tmp_path):
