@@ -15,7 +15,9 @@ parent, are the same outputs when every report is byte-identical or
 from the same specs.  `compare` prints how many reports are byte-identical,
 how many only `diff_reports`-clean and how many dirty (a report missing on
 one side counts as dirty), then how many simulate files differ or are
-missing, lists the dirty ones and exits 1 if there are any.
+missing and the largest |delta| between their numbers.  It lists the dirty
+ones, each simulate file that differs with its largest |delta| and whether
+its row and iteration counts match, and exits 1 if there are any.
 It is not a test module: pytest does not collect it.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +81,31 @@ def write(out: Path, src: Path) -> int:
     return 1 if failed else 0
 
 
+def _numbers(path: Path) -> list[list[float]]:
+    """Each line's numbers, in order; words that are not numbers are skipped."""
+    lines = []
+    for line in path.read_text().splitlines():
+        row = []
+        for word in re.split(r"[,\s]+", line):
+            with contextlib.suppress(ValueError):
+                row.append(float(word))
+        lines.append(row)
+    return lines
+
+
+def _move(a: Path, b: Path) -> tuple[float, bool, bool]:
+    """How far simulate file b moved from a: the largest |delta| between
+    corresponding numbers, and whether the row and iteration counts match.
+
+    The iteration count is the last table row's k in a `.csv` and the
+    number after `iterations:` in a `.out`.
+    """
+    na, nb = _numbers(a), _numbers(b)
+    delta = max((abs(x - y) for ra, rb in zip(na, nb) for x, y in zip(ra, rb)), default=0.0)
+    at = -1 if a.suffix == ".csv" else 0
+    return delta, len(na) == len(nb), na[at][:1] == nb[at][:1]
+
+
 def compare(a_dir: Path, b_dir: Path) -> int:
     sys.path.insert(0, str(REPO / "src"))
     from signed_influence.specfile import diff_reports, load_report
@@ -97,12 +125,20 @@ def compare(a_dir: Path, b_dir: Path) -> int:
     print(f"{len(names)} reports: {identical} byte-identical, "
           f"{clean} diff_reports-clean, {len(dirty)} dirty")
     runs = sorted({p.name for d in (a_dir, b_dir) for p in d.glob("*-simulate.*")})
-    moved = [name for name in runs
-             if not ((a_dir / name).exists() and (b_dir / name).exists())
-             or (a_dir / name).read_bytes() != (b_dir / name).read_bytes()]
+    moved, largest = [], 0.0
+    for name in runs:
+        a, b = a_dir / name, b_dir / name
+        if not (a.exists() and b.exists()):
+            moved.append(f"{name}: only in {a_dir if a.exists() else b_dir}")
+        elif a.read_bytes() != b.read_bytes():
+            delta, rows, iters = _move(a, b)
+            largest = max(largest, delta)
+            moved.append(f"{name}: max |delta| {delta:.3g}, "
+                         f"rows {'same' if rows else 'DIFFER'}, "
+                         f"iterations {'same' if iters else 'DIFFER'}")
     print(f"{len(runs)} simulate files: {len(runs) - len(moved)} byte-identical, "
-          f"{len(moved)} differ or missing")
-    dirty += [f"{name}: differs or missing" for name in moved]
+          f"{len(moved)} differ or missing, max |delta| {largest:.3g}")
+    dirty += moved
     for line in dirty:
         print(f"  {line}")
     return 1 if dirty else 0
