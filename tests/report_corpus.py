@@ -103,7 +103,8 @@ def _move(a: Path, b: Path) -> tuple[float, bool, bool]:
     na, nb = _numbers(a), _numbers(b)
     delta = max((abs(x - y) for ra, rb in zip(na, nb) for x, y in zip(ra, rb)), default=0.0)
     at = -1 if a.suffix == ".csv" else 0
-    return delta, len(na) == len(nb), na[at][:1] == nb[at][:1]
+    iterations = [lines[at][:1] if lines else None for lines in (na, nb)]
+    return delta, len(na) == len(nb), iterations[0] == iterations[1]
 
 
 def compare(a_dir: Path, b_dir: Path) -> int:
