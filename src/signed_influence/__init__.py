@@ -16,13 +16,14 @@ from .centrality import (
     perturb_initial,
 )
 from .dynamics import (
+    Model,
     ModelMatrices,
     SinkSpectrum,
     SteadyState,
     SteadyStateMethod,
     TrajectoryLog,
     build_matrices,
-    compute_spectra,
+    prepare,
     simulate,
     sink_spectrum,
     spectral_radius,
@@ -33,7 +34,6 @@ from .errors import (
     ComplexityCapExceededError,
     DegenerateEigenspaceError,
     DuplicateEdgeError,
-    MissingSpectrumError,
     NetworkValidationError,
     NoSuchEdgeError,
     NotStronglyConnectedError,

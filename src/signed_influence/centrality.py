@@ -6,13 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (
-    ModelMatrices,
-    SteadyStateMethod,
-    build_matrices,
-    compute_spectra,
-    steady_state,
-)
+from .dynamics import Model, ModelMatrices, prepare, steady_state
 from .errors import BadIdError, NoSuchEdgeError, ZeroDeltaError
 from .graph import AgentParams, SignedNetwork, classify
 from .sfg import InfluenceMatrix
@@ -64,13 +58,6 @@ def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
     return CentralityResult(scores=scores, ranking=tuple(order), most_influential=order[0])
 
 
-def _setup(net: SignedNetwork, params: AgentParams):
-    """Matrices, classification and sink spectra: everything a steady state reads but x(0)."""
-    cls = classify(net, params)
-    matrices = build_matrices(net, params)
-    return matrices, cls, compute_spectra(matrices, cls)
-
-
 def _flipped(matrices: ModelMatrices, edges) -> ModelMatrices:
     """The matrices with p_ij negated on the given edges.
 
@@ -83,10 +70,6 @@ def _flipped(matrices: ModelMatrices, edges) -> ModelMatrices:
     at = [k for k in (matrices.entry(i, j) for i, j in edges) if k is not None]
     vals[at] = -vals[at]
     return replace(matrices, vals=vals)
-
-
-def _steady(setup, x0: np.ndarray) -> np.ndarray:
-    return steady_state(*setup, x0, method=SteadyStateMethod.DIRECT_SOLVE).z
 
 
 def perturb_initial(
@@ -103,8 +86,8 @@ def perturb_initial(
 
     The per-unit L1 deviation equals the agent's absolute centrality score,
     which makes this an independent check on the influence matrix: both
-    steady states are recomputed (sharing one classification and one set of
-    matrices), never read off Theta.
+    steady states are recomputed from one prepared model, never read off
+    Theta.
     """
     if delta == 0.0 or not np.isfinite(delta):
         raise ZeroDeltaError("perturbation delta must be nonzero and finite")
@@ -116,9 +99,9 @@ def perturb_initial(
     shift = x0p[agent] - x0[agent]  # delta as rounded against x0[agent]
     if shift == 0.0 or not np.isfinite(shift):
         raise ZeroDeltaError(f"delta {delta:g} shifts x0[{agent}] = {x0[agent]:g} by {shift:g}")
-    setup = _setup(net, params)
-    z_base = _steady(setup, x0)
-    z_pert = _steady(setup, x0p)
+    model = prepare(net, params)
+    z_base = steady_state(model, x0).z
+    z_pert = steady_state(model, x0p).z
     deviation = float(np.abs(z_pert - z_base).sum() / abs(shift))
     return PerturbationResult(
         agent=agent,
@@ -147,12 +130,11 @@ def flip_edge_signs(
     net_flipped = replace(net, edges=flipped_edges)
 
     x0 = np.asarray(x0, dtype=float)
-    base = _setup(net, params)
-    z_base = _steady(base, x0)
+    base = prepare(net, params)
+    z_base = steady_state(base, x0).z
     # the flipped network's taxonomy may differ, its rows only in the flipped signs
-    cls = classify(net_flipped, params)
-    matrices = _flipped(base[0], flip)
-    z_flip = _steady((matrices, cls, compute_spectra(matrices, cls)), x0)
+    flipped = Model(classify(net_flipped, params), _flipped(base.matrices, flip))
+    z_flip = steady_state(flipped, x0).z
     deltas = z_flip - z_base
     unchanged = tuple(i for i in range(net.n) if abs(deltas[i]) <= atol)
     return SignFlipResult(

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .centrality import flip_edge_signs, perturb_initial
-from .dynamics import build_matrices, compute_spectra, simulate
+from .dynamics import prepare, simulate
 from .errors import (
     ComplexityCapExceededError,
     NetworkValidationError,
@@ -48,11 +48,6 @@ def _fmt_set(ids, spec: NetworkSpec) -> str:
     return "{" + ", ".join(spec.label_of(i) for i in sorted(ids)) + "}"
 
 
-def _setup(spec: NetworkSpec):
-    cls = classify(spec.net, spec.params)
-    return cls, build_matrices(spec.net, spec.params)
-
-
 def cmd_classify(args) -> int:
     spec = load_spec(args.file)
     cls = classify(spec.net, spec.params)
@@ -74,7 +69,7 @@ def cmd_classify(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = load_spec(args.file)
-    _, matrices = _setup(spec)
+    matrices = prepare(spec.net, spec.params).matrices
     # --csv streams each iterate to the file as it is computed
     table = trajectory_csv(args.csv, spec.net.n) if args.csv else contextlib.nullcontext()
     with table as row:
@@ -97,7 +92,7 @@ def cmd_influence(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     if args.check:
-        log = simulate(result.matrices, spec.x0, tol=args.tol, max_iters=args.max_iters)
+        log = simulate(result.model.matrices, spec.x0, tol=args.tol, max_iters=args.max_iters)
         predicted = result.influence.theta @ spec.x0
         mismatch = float(np.max(np.abs(predicted - log.xs[-1])))
         # absolute at unit scale, relative to the opinions' scale beyond it
@@ -149,11 +144,8 @@ def cmd_whatif(args) -> int:
 
 def cmd_export_sfg(args) -> int:
     spec = load_spec(args.file)
-    cls, matrices = _setup(spec)
-    if args.reduced:
-        g = reduce_sfg(matrices, cls, compute_spectra(matrices, cls))
-    else:
-        g = build_full_sfg(matrices, cls)
+    model = prepare(spec.net, spec.params)
+    g = reduce_sfg(model) if args.reduced else build_full_sfg(model)
     text = export_dot(g, args.dot, labels=spec.labels)
     if args.dot is None:
         sys.stdout.write(text)

@@ -1,4 +1,4 @@
-"""Model matrices, spectral radius, sink spectra, simulation and steady states.
+"""The prepared model, spectral radius, sink spectra, simulation and steady states.
 
 The update rule is
 
@@ -6,6 +6,11 @@ The update rule is
 
 with Q the sign-preserving row normalisation of the adjacency matrix,
 Gamma = diag(gamma) the self-belief and B = diag(beta) the stubbornness.
+
+`prepare(net, params)` makes the `Model` every later layer takes: the
+classification, P's rows and, computed when first read, the unit
+eigenpair of each stubborn-free balanced sink.  z, the gains, Θ and the
+centrality are functions of that model and x(0) alone.
 
 P is kept as CSR rows (`ModelMatrices`: indptr, cols, vals), one entry per
 edge plus p_ii, built from the edge list with numpy; every route computes
@@ -36,11 +41,11 @@ import numpy as np
 
 from .errors import (
     DegenerateEigenspaceError,
-    MissingSpectrumError,
     SingularSystemError,
     StubbornSinkRejectedError,
 )
-from .graph import AgentClassification, AgentParams, SignedNetwork, SinkKind, strong_components
+from .graph import AgentClassification, AgentParams, SignedNetwork, SinkKind, classify
+from .graph import strong_components
 
 _SOLVE_RESIDUAL_TOL = 1e-8
 # consecutive SCCs are solved together until a chunk holds this many agents
@@ -291,17 +296,30 @@ def sink_spectrum(
     return SinkSpectrum(sink=sink, members=members, w=w, v=sigma.copy())
 
 
-def compute_spectra(
-    matrices: ModelMatrices, classification: AgentClassification
-) -> dict[int, SinkSpectrum]:
-    """Unit eigenpairs of every stubborn-free balanced sink, singleton leaders too.
+@dataclass(frozen=True)
+class Model:
+    """A prepared network: everything z, the gains, Θ and the centrality read but x(0).
 
-    A singleton leader's block is [1], so its pair is w = v = [1].
+    ``spectra`` holds the unit eigenpair of every stubborn-free balanced
+    sink, singleton leaders too (a singleton leader's block is [1], so its
+    pair is w = v = [1]).  It is computed on first read, so a route that
+    reads no spectrum, as `simulate` and the full signal-flow graph, does
+    not pay for one or fail on one.
     """
-    return {
-        sink: sink_spectrum(matrices, classification, sink)
-        for sink in sorted(classification.influence_free_sinks)
-    }
+
+    classification: AgentClassification
+    matrices: ModelMatrices
+
+    @cached_property
+    def spectra(self) -> dict[int, SinkSpectrum]:
+        cls = self.classification
+        return {sink: sink_spectrum(self.matrices, cls, sink)
+                for sink in sorted(cls.influence_free_sinks)}
+
+
+def prepare(net: SignedNetwork, params: AgentParams) -> Model:
+    """Classify the network and build P: the one set-up of every analysis."""
+    return Model(classify(net, params), build_matrices(net, params))
 
 
 def _solve_checked(
@@ -374,18 +392,10 @@ def _solve_checked(
     return x
 
 
-def _check_spectra(classification: AgentClassification, spectra: dict[int, SinkSpectrum]) -> None:
-    """Raise MissingSpectrumError for the first stubborn-free balanced sink without a pair."""
-    if missing := classification.influence_free_sinks - spectra.keys():
-        raise MissingSpectrumError(min(missing))
-
-
-def _unit_limits(matrices, classification, spectra, x0):
+def _unit_limits(model: Model, x0: np.ndarray) -> np.ndarray:
     """lim P^k x(0) on the sinks: v (w . x(0)) on each stubborn-free balanced sink."""
-    _check_spectra(classification, spectra)
-    z_o = np.zeros(matrices.n)
-    for sink in classification.influence_free_sinks:
-        spec = spectra[sink]
+    z_o = np.zeros(model.matrices.n)
+    for spec in model.spectra.values():
         members = list(spec.members)
         z_o[members] = spec.v * float(spec.w @ x0[members])
     return z_o
@@ -425,7 +435,7 @@ def _chunk_bounds(sizes: list[int]) -> list[int]:
     return bounds
 
 
-def _complete(matrices, classification, x):
+def _complete(model: Model, x: np.ndarray) -> np.ndarray:
     """Solve x = P x + R on K in place, x (n, or n x k) holding R_K and the given rows.
 
     On entry K's rows of x hold R and the others, the stubborn-free sinks,
@@ -439,7 +449,8 @@ def _complete(matrices, classification, x):
     chunk over the condensation, from the sinks back, on K's rows of P with
     the given agents numbered after K.
     """
-    blocks = _solved_blocks(classification)
+    matrices = model.matrices
+    blocks = _solved_blocks(model.classification)
     if blocks:
         k = np.fromiter(chain.from_iterable(blocks), dtype=np.intp)
         free = np.ones(matrices.n, dtype=bool)
@@ -457,9 +468,7 @@ def _complete(matrices, classification, x):
 
 
 def steady_state(
-    matrices: ModelMatrices,
-    classification: AgentClassification,
-    spectra: dict[int, SinkSpectrum],
+    model: Model,
     x0: np.ndarray,
     method: SteadyStateMethod = SteadyStateMethod.DIRECT_SOLVE,
     tol: float = 1e-10,
@@ -469,8 +478,7 @@ def steady_state(
 
     Convergence is structural: semi-convergent iff a stubborn-free balanced
     sink exists.  Every route reads those sinks' unit eigenpairs from
-    ``spectra``, computed once by ``compute_spectra``; a missing one raises
-    MissingSpectrumError.
+    ``model.spectra``.
 
     z and z_o are v (w . x(0)) on the stubborn-free balanced sinks and 0 on
     the other stubborn-free sinks; `_complete` solves for every other agent,
@@ -480,20 +488,20 @@ def steady_state(
     the update rule to convergence, with z_o from the unit eigenpairs.
     """
     x0 = np.asarray(x0, dtype=float)
-    limits = _unit_limits(matrices, classification, spectra, x0)
-    stubborn = matrices.beta > 0.0
-    drive = np.where(stubborn, matrices.beta * x0, 0.0)  # R = beta x(0); 0 on the sinks
+    limits = _unit_limits(model, x0)
+    beta = model.matrices.beta
+    stubborn = beta > 0.0
+    drive = np.where(stubborn, beta * x0, 0.0)  # R = beta x(0); 0 on the sinks
 
     if method == SteadyStateMethod.DIRECT_SOLVE:
-        zz = np.column_stack([np.where(stubborn, drive, limits), limits])
-        zz = _complete(matrices, classification, zz)
+        zz = _complete(model, np.column_stack([np.where(stubborn, drive, limits), limits]))
         return SteadyState(z=zz[:, 0], z_o=zz[:, 1], z_s=zz[:, 0] - zz[:, 1], method=method)
 
-    z_o = _complete(matrices, classification, limits)
+    z_o = _complete(model, limits)
     if method == SteadyStateMethod.ITERATION:
-        z = simulate(matrices, x0, tol=tol, max_iters=max_iters).xs[-1]
+        z = simulate(model.matrices, x0, tol=tol, max_iters=max_iters).xs[-1]
         return SteadyState(z=z, z_o=z_o, z_s=z - z_o, method=method)
 
     # eigenprojection: z_s from the stubborn input alone, on its own solve
-    z_s = _complete(matrices, classification, drive)
+    z_s = _complete(model, drive)
     return SteadyState(z=z_o + z_s, z_o=z_o, z_s=z_s, method=method)

@@ -63,12 +63,6 @@ class SingularSystemError(SignedInfluenceError):
     """A linear system that should be regular turned out singular."""
 
 
-class MissingSpectrumError(SignedInfluenceError):
-    def __init__(self, sink):
-        super().__init__(f"no spectrum supplied for sink {sink}")
-        self.sink = sink
-
-
 class ComplexityCapExceededError(SignedInfluenceError):
     """An enumeration would pass its cap: more than ``limit`` of ``what``.
 

@@ -58,10 +58,6 @@ class SignedNetwork:
         listeners = np.fromiter((i for i, _, _ in self.edges), dtype=int, count=len(self.edges))
         return np.bincount(listeners, minlength=self.n)
 
-    def graph_sinks(self) -> frozenset[int]:
-        """Nodes of the digraph itself (not the condensation) with no out-edges."""
-        return frozenset(np.flatnonzero(self.out_degree == 0).tolist())
-
 
 @dataclass(frozen=True)
 class AgentParams:

@@ -7,16 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityResult, absolute_centrality
-from .dynamics import (
-    ModelMatrices,
-    SinkSpectrum,
-    SteadyState,
-    build_matrices,
-    compute_spectra,
-    steady_state,
-)
+from .dynamics import Model, SteadyState, prepare, steady_state
 from .errors import ComplexityCapExceededError, SingularSystemError
-from .graph import AgentClassification, AgentParams, SignedNetwork, classify
+from .graph import AgentParams, SignedNetwork
 from .sfg import (
     CollectiveInfluence,
     InfluenceMatrix,
@@ -29,12 +22,8 @@ from .sfg import (
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    net: SignedNetwork
-    params: AgentParams
+    model: Model
     x0: np.ndarray
-    classification: AgentClassification
-    matrices: ModelMatrices
-    spectra: dict[int, SinkSpectrum]
     collective: CollectiveInfluence
     influence: InfluenceMatrix
     steady: SteadyState
@@ -55,35 +44,27 @@ def run_analysis(
     "auto" for enumeration with algebraic fallback on either.
     """
     x0 = np.asarray(x0, dtype=float)
-    cls = classify(net, params)
-    matrices = build_matrices(net, params)
-    spectra = compute_spectra(matrices, cls)
+    model = prepare(net, params)
 
     if gain_method == "solve":
-        collective, used = solve_gain(matrices, cls, spectra), "solve"
+        collective, used = solve_gain(model), "solve"
     elif gain_method in ("mason", "auto"):
         try:
-            collective, used = mason_influence(reduce_sfg(matrices, cls, spectra)), "mason"
+            collective, used = mason_influence(reduce_sfg(model)), "mason"
         except (ComplexityCapExceededError, SingularSystemError):
             if gain_method == "mason":
                 raise
-            collective, used = solve_gain(matrices, cls, spectra), "solve"
+            collective, used = solve_gain(model), "solve"
     else:
         raise ValueError(f"unknown gain method {gain_method!r}")
 
-    influence = individual_influence(collective, cls, spectra)
-    steady = steady_state(matrices, cls, spectra, x0)
-    centrality = absolute_centrality(influence)
+    influence = individual_influence(collective, model)
     return AnalysisResult(
-        net=net,
-        params=params,
+        model=model,
         x0=x0,
-        classification=cls,
-        matrices=matrices,
-        spectra=spectra,
         collective=collective,
         influence=influence,
-        steady=steady,
-        centrality=centrality,
+        steady=steady_state(model, x0),
+        centrality=absolute_centrality(influence),
         gain_method_used=used,
     )

@@ -7,7 +7,9 @@ opinion; the reduced graph collapses stubborn-free sinks into collective
 sources so every influential agent (group) is represented by a source.
 Both graphs are read off one set of node equations u = P'u + C_in v, built
 by `_node_equations` from the CSR rows of the non-source agents alone, for
-a given source list and set of deleted agents.
+a given source list and set of deleted agents.  Every graph and gain
+route takes the prepared `dynamics.Model`; the reduction, and Θ, read its
+sink spectra, and the full graph and the solve do not.
 
 The production route builds neither: `solve_gain` makes the steady
 state's complement solve (`dynamics._complete`) with the fold rows given,
@@ -37,14 +39,7 @@ from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    ModelMatrices,
-    SinkSpectrum,
-    _check_spectra,
-    _complete,
-    _entries,
-    _solved_agents,
-)
+from .dynamics import Model, ModelMatrices, _complete, _entries, _solved_agents
 from .errors import ComplexityCapExceededError, SingularSystemError
 from .graph import AgentClassification, SinkKind, strong_components
 
@@ -198,27 +193,24 @@ def _node_equations(
     return _NodeEquations(tuple(agents.tolist()), sources, matrices.block(agents), cin)
 
 
-def _reduction(
-    matrices: ModelMatrices,
-    classification: AgentClassification,
-    spectra: dict[int, SinkSpectrum],
-) -> _NodeEquations:
+def _reduction(model: Model) -> _NodeEquations:
     """Collapse stubborn-free sinks into collective sources.
 
     Singleton leaders stay single sources, cooperative stubborn-free sinks
     become one source, balanced ones a pair (one per partition), members of
     stubborn-free unbalanced sinks are deleted, and members of sinks with
-    any stubborn leader remain ordinary non-source nodes.
+    any stubborn leader remain ordinary non-source nodes.  The sinks that
+    fold are those of the model's spectra, so each has its unit eigenpair.
     """
-    cls = classification
-    _check_spectra(cls, spectra)
+    cls = model.classification
+    folded = model.spectra
     deleted = frozenset(
         m
         for sink, members in enumerate(cls.sinks)
-        if cls.sink_kind[sink] == SinkKind.UNBALANCED and not cls.sink_has_stubborn(sink)
+        if sink not in folded and not cls.sink_has_stubborn(sink)
         for m in members
     )
-    return _node_equations(matrices, source_catalog(cls), deleted)
+    return _node_equations(model.matrices, source_catalog(cls), deleted)
 
 
 def _graph(eqs: _NodeEquations) -> SfgGraph:
@@ -234,24 +226,20 @@ def _graph(eqs: _NodeEquations) -> SfgGraph:
     )
 
 
-def build_full_sfg(matrices: ModelMatrices, classification: AgentClassification) -> SfgGraph:
+def build_full_sfg(model: Model) -> SfgGraph:
     """One node per final opinion plus one source per stubborn initial opinion.
 
     Non-stubborn singleton leaders are sources (their row reads y_i = y_i,
     so it has no branch); every other agent node is a non-source.
     """
     kinds = (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL)
-    sources = tuple(s for s in source_catalog(classification) if s.kind in kinds)
-    return _graph(_node_equations(matrices, sources, frozenset()))
+    sources = tuple(s for s in source_catalog(model.classification) if s.kind in kinds)
+    return _graph(_node_equations(model.matrices, sources, frozenset()))
 
 
-def reduce_sfg(
-    matrices: ModelMatrices,
-    classification: AgentClassification,
-    spectra: dict[int, SinkSpectrum],
-) -> SfgGraph:
+def reduce_sfg(model: Model) -> SfgGraph:
     """The reduced signal-flow graph: stubborn-free sinks folded into sources."""
-    return _graph(_reduction(matrices, classification, spectra))
+    return _graph(_reduction(model))
 
 
 def _adjacency(g: SfgGraph) -> tuple[dict[NodeKey, int], list[dict[int, float]]]:
@@ -420,24 +408,19 @@ def _alternating_sum(gains: list[float], conflicts: list[set[int]], allowed: set
         stack.append([pos + 1, blocked | conflicts[idx], 1.0, 0.0])
 
 
-def solve_gain(
-    matrices: ModelMatrices,
-    classification: AgentClassification,
-    spectra: dict[int, SinkSpectrum],
-) -> CollectiveInfluence:
+def solve_gain(model: Model) -> CollectiveInfluence:
     """All gains at once by one complement solve of X = P X + R.
 
     X is given as the fold matrix on the stubborn-free sinks, R is beta_i at
     stubborn agent i in its stubborn-initial column, and c is X on the
     non-source agents.  One n x S array holds both.
     """
-    _check_spectra(classification, spectra)
-    sources = source_catalog(classification)
-    x = _fold_matrix(sources, matrices.n)
+    sources = source_catalog(model.classification)
+    x = _fold_matrix(sources, model.matrices.n)
     stubborn, columns = _stubborn_inputs(sources)
-    x[stubborn, columns] = matrices.beta[stubborn]
-    x = _complete(matrices, classification, x)
-    agents = tuple(_solved_agents(classification))
+    x[stubborn, columns] = model.matrices.beta[stubborn]
+    x = _complete(model, x)
+    agents = tuple(_solved_agents(model.classification))
     return CollectiveInfluence(agents=agents, sources=sources, c=x[list(agents)])
 
 
@@ -523,11 +506,7 @@ def mason_influence(
     return CollectiveInfluence(agents=agents, sources=g.sources, c=c)
 
 
-def individual_influence(
-    c: CollectiveInfluence,
-    classification: AgentClassification,
-    spectra: dict[int, SinkSpectrum],
-) -> InfluenceMatrix:
+def individual_influence(c: CollectiveInfluence, model: Model) -> InfluenceMatrix:
     """Assemble the per-agent influence matrix Θ = G·W from collective gains.
 
     G (n x s) holds the gain rows of non-source agents and the fold rows of
@@ -539,7 +518,7 @@ def individual_influence(
     of Θ of its agents with their factors, and the two sides of a balanced
     sink share their columns, G's two columns times the 2 x |sink| rows of W.
     """
-    n = classification.n
+    n, spectra = model.classification.n, model.spectra
     g = _fold_matrix(c.sources, n)
     g[list(c.agents)] = c.c
     theta = np.zeros((n, n))

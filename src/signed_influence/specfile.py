@@ -174,7 +174,8 @@ def _source_entry(spec) -> dict:
 
 def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
     """Machine-readable analysis report (plain dict, YAML-serializable)."""
-    cls = result.classification
+    model = result.model
+    cls = model.classification
     return {
         "schema": REPORT_SCHEMA,
         "classification": {
@@ -195,7 +196,7 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
         },
         "convergence": {
             "kind": cls.convergence,
-            "spectral_radius_estimate": _num(block_spectral_radius(result.matrices, cls.blocks)),
+            "spectral_radius_estimate": _num(block_spectral_radius(model.matrices, cls.blocks)),
             "unit_eigen_count": cls.unit_eigen_count,
         },
         "steady_state": {

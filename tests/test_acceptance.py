@@ -16,10 +16,10 @@ from signed_influence import (
     SteadyStateMethod,
     build_matrices,
     classify,
-    compute_spectra,
     flip_edge_signs,
     mason_influence,
     perturb_initial,
+    prepare,
     run_analysis,
     simulate,
     sink_spectrum,
@@ -125,11 +125,9 @@ def test_criterion_4_centrality_vector(ref11_result):
 
 
 def test_criterion_5_steady_state_by_three_routes(ref11):
-    cls = classify(ref11.net, ref11.params)
-    m = build_matrices(ref11.net, ref11.params)
-    spectra = compute_spectra(m, cls)
+    model = prepare(ref11.net, ref11.params)
     values = {
-        meth.value: steady_state(m, cls, spectra, ref11.x0, method=meth).z[0]
+        meth.value: steady_state(model, ref11.x0, method=meth).z[0]
         for meth in SteadyStateMethod
     }
     ok = all(abs(z - 5.15) <= 0.05 for z in values.values())
@@ -149,20 +147,13 @@ def test_criterion_6_sign_flip_experiment(ref11):
     )
 
 
-def _reduced(net, params):
-    cls = classify(net, params)
-    m = build_matrices(net, params)
-    spectra = compute_spectra(m, cls)
-    return cls, m, spectra, reduce_sfg(m, cls, spectra)
-
-
 def test_criterion_7_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for seed in range(200):
         rn = random_network(seed)
-        cls, m, spectra, reduced = _reduced(rn.net, rn.params)
-        diff = np.abs(solve_gain(m, cls, spectra).c - mason_influence(reduced).c)
+        model = prepare(rn.net, rn.params)
+        diff = np.abs(solve_gain(model).c - mason_influence(reduce_sfg(model)).c)
         worst = max(worst, float(diff.max()) if diff.size else 0.0)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 60.0
@@ -177,7 +168,7 @@ def test_criterion_8_master_identity():
         rng = np.random.default_rng(seed + 10_000)
         for _ in range(5):
             x0 = rng.uniform(-10, 10, rn.net.n)
-            log = simulate(res.matrices, x0, tol=1e-12)
+            log = simulate(res.model.matrices, x0, tol=1e-12)
             pred = res.influence.theta @ x0
             worst = max(worst, float(np.max(np.abs(pred - log.xs[-1]))))
     _verdict(8, worst <= 1e-6, f"prediction matches simulation limit (max diff {worst:.2e})")

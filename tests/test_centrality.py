@@ -94,11 +94,9 @@ class TestPerturbInitial:
         b = perturb_initial(ref11.net, ref11.params, ref11.x0, 8, 17.0)
         assert a.deviation_per_unit == pytest.approx(b.deviation_per_unit)
 
-    def test_sets_up_once(self, ref11, monkeypatch):
+    def test_sets_up_once(self, ref11, count_calls):
         # base and perturbed runs share one network: classify it once
-        calls = []
-        real = centrality.classify
-        monkeypatch.setattr(centrality, "classify", lambda *a: calls.append(1) or real(*a))
+        calls = count_calls("classify")
         perturb_initial(ref11.net, ref11.params, ref11.x0, 5, 1.0)
         assert len(calls) == 1
 

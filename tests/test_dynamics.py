@@ -22,7 +22,7 @@ from signed_influence import (
     build_network,
     build_report,
     classify,
-    compute_spectra,
+    prepare,
     run_analysis,
     simulate,
     sink_spectrum,
@@ -42,11 +42,6 @@ from signed_influence.sfg import _fold_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from synth import synth_network  # noqa: E402
-
-
-def _setup(net, params):
-    cls = classify(net, params)
-    return cls, build_matrices(net, params)
 
 
 def _row_abs_sums(a, edges):
@@ -88,12 +83,12 @@ class TestBuildMatrices:
     def test_two_node_cycle(self):
         net = build_network(2, [(0, 1, 2.0), (1, 0, 1.0)])
         params = AgentParams(gamma=(0.4, 0.4), beta=(0.0, 0.0))
-        _, m = _setup(net, params)
+        m = build_matrices(net, params)
         assert np.allclose(_q(m, params), [[0, 1], [1, 0]])
         assert np.allclose(m.dense(), [[0.4, 0.6], [0.6, 0.4]])
 
     def test_sign_preserving_normalization(self, ref11):
-        _, m = _setup(ref11.net, ref11.params)
+        m = build_matrices(ref11.net, ref11.params)
         q = _q(m, ref11.params)
         # antagonistic row: weights -5 and 11 normalize by |−5| + |11|
         assert q[9, 8] == pytest.approx(-5 / 16)
@@ -104,14 +99,14 @@ class TestBuildMatrices:
     def test_sink_row_self_normalizes(self):
         net = build_network(2, [(0, 1, 3.0)])
         params = AgentParams(gamma=(0.2, 0.5), beta=(0.1, 0.0))
-        _, m = _setup(net, params)
+        m = build_matrices(net, params)
         assert _q(m, params)[1, 1] == 1.0
         assert m.dense()[1, 1] == 1.0  # gamma + (1 - gamma) * 1
 
     def test_row_abs_sums_equal_one_minus_beta(self):
         for seed in range(25):
             rn = random_network(seed)
-            _, m = _setup(rn.net, rn.params)
+            m = build_matrices(rn.net, rn.params)
             sums = np.abs(m.dense()).sum(axis=1)
             assert np.allclose(sums, 1.0 - m.beta, atol=1e-12)
 
@@ -119,9 +114,9 @@ class TestBuildMatrices:
         # |1e308| + |-1e308| overflows; the row must still normalise to [0, .5, -.5]
         net = build_network(3, [(0, 1, 1e308), (0, 2, -1e308)])
         params = AgentParams(gamma=(0.5, 0.5, 0.5), beta=(0.0, 0.0, 0.0))
-        cls, m = _setup(net, params)
-        assert _q(m, params)[0].tolist() == [0.0, 0.5, -0.5]
-        z = steady_state(m, cls, compute_spectra(m, cls), np.array([0.0, 1.0, 3.0])).z
+        model = prepare(net, params)
+        assert _q(model.matrices, params)[0].tolist() == [0.0, 0.5, -0.5]
+        z = steady_state(model, np.array([0.0, 1.0, 3.0])).z
         assert z[0] == pytest.approx(-1.0)
 
     def test_rows_are_the_dense_build_bit_for_bit(self, ref11, zoo17):
@@ -139,7 +134,7 @@ class TestBuildMatrices:
             assert np.all(m.vals != 0.0) and m.indptr[-1] == len(m.cols) == len(m.vals), k
 
     def test_stubborn_input_matrix(self, ref11):
-        cls, m = _setup(ref11.net, ref11.params)
+        cls, m = classify(ref11.net, ref11.params), build_matrices(ref11.net, ref11.params)
         assert sorted(cls.stubborn) == [0, 5]
         assert np.flatnonzero(m.beta).tolist() == [0, 5]
         assert m.beta[0] == pytest.approx(0.3)
@@ -187,14 +182,14 @@ class TestSpectralRadius:
     def test_update_matrix_of_every_netgen_network(self):
         for seed in range(200):
             rn = random_network(seed)
-            _, m = _setup(rn.net, rn.params)
+            m = build_matrices(rn.net, rn.params)
             expected = np.max(np.abs(np.linalg.eigvals(m.dense())))
             assert spectral_radius(m.dense()) == pytest.approx(expected, abs=1e-12), seed
 
     def test_classification_blocks_give_the_same_radius(self):
         for seed in range(200):
             rn = random_network(seed)
-            cls, m = _setup(rn.net, rn.params)
+            cls, m = classify(rn.net, rn.params), build_matrices(rn.net, rn.params)
             assert block_spectral_radius(m, cls.blocks) == spectral_radius(m.dense()), seed
 
     def test_report_reads_rho_off_the_classification(self, ref11, count_calls):
@@ -207,7 +202,7 @@ class TestSpectralRadius:
 
 class TestConvergenceVerdict:
     def test_reference_network_is_semi_convergent(self, ref11):
-        cls, m = _setup(ref11.net, ref11.params)
+        cls, m = classify(ref11.net, ref11.params), build_matrices(ref11.net, ref11.params)
         assert cls.convergence == "semi-convergent"
         assert cls.unit_eigen_count == 2
         assert spectral_radius(m.dense()) == pytest.approx(1.0, abs=1e-12)
@@ -215,7 +210,7 @@ class TestConvergenceVerdict:
     def test_all_stubborn_sinks_give_convergence(self):
         rn = random_network(3, kinds=("cooperative", "balanced"),
                             stubborn_offsets=((0,), (1,)))
-        cls, m = _setup(rn.net, rn.params)
+        cls, m = classify(rn.net, rn.params), build_matrices(rn.net, rn.params)
         assert cls.convergence == "convergent"
         assert cls.unit_eigen_count == 0
         assert spectral_radius(m.dense()) < 1 - 1e-6
@@ -231,7 +226,7 @@ class TestConvergenceVerdict:
 
 class TestSimulate:
     def test_trajectory_starts_at_x0_and_converges(self, ref11):
-        _, m = _setup(ref11.net, ref11.params)
+        m = build_matrices(ref11.net, ref11.params)
         log = simulate(m, ref11.x0)
         assert np.array_equal(log.xs[0], ref11.x0)
         assert log.converged
@@ -239,19 +234,19 @@ class TestSimulate:
         assert log.xs[-1][0] == pytest.approx(5.1787, abs=1e-3)
 
     def test_zero_initial_state_is_fixed(self, ref11):
-        _, m = _setup(ref11.net, ref11.params)
+        m = build_matrices(ref11.net, ref11.params)
         log = simulate(m, np.zeros(11))
         assert log.converged
         assert np.all(log.xs[-1] == 0.0)
 
     def test_max_iters_zero_records_only_x0(self, ref11):
-        _, m = _setup(ref11.net, ref11.params)
+        m = build_matrices(ref11.net, ref11.params)
         log = simulate(m, ref11.x0, max_iters=0)
         assert log.xs.shape == (1, 11)
         assert not log.converged
 
     def test_log_keeps_x0_and_last_iterate(self, ref11):
-        _, m = _setup(ref11.net, ref11.params)
+        m = build_matrices(ref11.net, ref11.params)
         seen = []
         log = simulate(m, ref11.x0, on_iterate=lambda k, x: seen.append((k, x.copy())))
         assert log.xs.shape == (2, 11)
@@ -263,7 +258,7 @@ class TestSimulate:
         # the oracle iterates x <- P x + beta x(0) on the dense P, same stopping rule
         for seed in range(200):
             rn = random_network(seed)
-            _, m = _setup(rn.net, rn.params)
+            m = build_matrices(rn.net, rn.params)
             log = simulate(m, rn.x0)
             p, x, iters, residual = m.dense(), rn.x0.copy(), 0, np.inf
             while residual >= 1e-10:
@@ -277,7 +272,7 @@ class TestSimulate:
         n = 5000
         net = build_network(n, [(i, i + 1, 1.0 if i % 2 else -1.0) for i in range(n - 1)])
         params = AgentParams(gamma=(0.3,) * n, beta=(0.0,) * n)
-        _, m = _setup(net, params)
+        m = build_matrices(net, params)
         x0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         peak = _traced_peak(simulate, m, x0, 1e-10, 50)
         assert peak <= 2**20, peak
@@ -287,13 +282,13 @@ class TestSinkSpectrum:
     def test_antagonistic_pair(self):
         net = build_network(3, [(0, 1, 1.0), (1, 2, -1.0), (2, 1, -1.0)])
         params = AgentParams(gamma=(0.2, 0.5, 0.5), beta=(0.0, 0.0, 0.0))
-        cls, m = _setup(net, params)
+        cls, m = classify(net, params), build_matrices(net, params)
         spec = sink_spectrum(m, cls, cls.sink_of[1])
         assert np.allclose(spec.w, [0.5, -0.5])
         assert np.allclose(spec.v, [1.0, -1.0])
 
     def test_reference_balanced_sink(self, ref11):
-        cls, m = _setup(ref11.net, ref11.params)
+        cls, m = classify(ref11.net, ref11.params), build_matrices(ref11.net, ref11.params)
         spec = sink_spectrum(m, cls, 2)
         assert np.allclose(spec.w, [15 / 51, -16 / 51, -20 / 51], atol=1e-12)
         assert float(spec.v @ spec.w) == pytest.approx(1.0)
@@ -302,7 +297,7 @@ class TestSinkSpectrum:
         assert np.allclose(spec.w @ block, spec.w, atol=1e-12)
 
     def test_cooperative_sink_has_all_ones_pattern(self, zoo17):
-        cls, m = _setup(zoo17.net, zoo17.params)
+        cls, m = classify(zoo17.net, zoo17.params), build_matrices(zoo17.net, zoo17.params)
         coop = next(s for s in sorted(cls.influence_free_sinks) if len(cls.sinks[s]) > 1)
         spec = sink_spectrum(m, cls, coop)
         assert np.all(spec.v == 1.0)
@@ -316,12 +311,12 @@ class TestSinkSpectrum:
         assert sorted(args[2] for args in calls) == sorted(cls.influence_free_sinks)
 
     def test_rejects_stubborn_sink(self, ref11):
-        cls, m = _setup(ref11.net, ref11.params)
+        cls, m = classify(ref11.net, ref11.params), build_matrices(ref11.net, ref11.params)
         with pytest.raises(StubbornSinkRejectedError):
             sink_spectrum(m, cls, 1)
 
     def test_rejects_unbalanced_sink(self, zoo17):
-        cls, m = _setup(zoo17.net, zoo17.params)
+        cls, m = classify(zoo17.net, zoo17.params), build_matrices(zoo17.net, zoo17.params)
         unb = next(s for s in range(len(cls.sinks)) if s not in cls.balanced_sinks)
         with pytest.raises(DegenerateEigenspaceError):
             sink_spectrum(m, cls, unb)
@@ -330,32 +325,31 @@ class TestSinkSpectrum:
 class TestLeaderLimit:
     # lim P^k x(0) on a stubborn-free sink is steady_state(...).z_o on its members
     def test_singleton(self, ref11):
-        cls, m = _setup(ref11.net, ref11.params)
-        assert cls.sinks[0] == (4,)
-        z_o = steady_state(m, cls, compute_spectra(m, cls), ref11.x0).z_o
+        model = prepare(ref11.net, ref11.params)
+        assert model.classification.sinks[0] == (4,)
+        z_o = steady_state(model, ref11.x0).z_o
         assert z_o[4] == 7.0
 
     def test_balanced_bipartite_consensus(self, ref11):
-        cls, m = _setup(ref11.net, ref11.params)
-        z_o = steady_state(m, cls, compute_spectra(m, cls), ref11.x0).z_o
+        z_o = steady_state(prepare(ref11.net, ref11.params), ref11.x0).z_o
         a = 50.2 / 51
         assert z_o[8] == pytest.approx(a)
         assert z_o[9] == pytest.approx(-a)
         assert z_o[10] == pytest.approx(-a)
 
     def test_unbalanced_limit_is_zero(self, zoo17):
-        cls, m = _setup(zoo17.net, zoo17.params)
+        model = prepare(zoo17.net, zoo17.params)
+        cls = model.classification
         unb = next(s for s in range(len(cls.sinks)) if s not in cls.balanced_sinks)
         assert not cls.sink_has_stubborn(unb)
-        z_o = steady_state(m, cls, compute_spectra(m, cls), zoo17.x0).z_o
+        z_o = steady_state(model, zoo17.x0).z_o
         assert all(z_o[i] == 0.0 for i in cls.sinks[unb])
 
 
 class TestSteadyState:
     @pytest.mark.parametrize("method", list(SteadyStateMethod))
     def test_reference_network_three_routes(self, ref11, method):
-        cls, m = _setup(ref11.net, ref11.params)
-        ss = steady_state(m, cls, compute_spectra(m, cls), ref11.x0, method=method)
+        ss = steady_state(prepare(ref11.net, ref11.params), ref11.x0, method=method)
         assert ss.z[0] == pytest.approx(5.178745, abs=1e-4)
         assert ss.z[4] == pytest.approx(7.0, abs=1e-6)
         assert ss.z[5] == pytest.approx(3.0, abs=1e-6)
@@ -364,21 +358,16 @@ class TestSteadyState:
     def test_routes_agree_on_random_networks(self):
         for seed in range(20):
             rn = random_network(seed)
-            cls, m = _setup(rn.net, rn.params)
-            spectra = compute_spectra(m, cls)
-            zs = [
-                steady_state(m, cls, spectra, rn.x0, method=meth).z
-                for meth in SteadyStateMethod
-            ]
+            model = prepare(rn.net, rn.params)
+            zs = [steady_state(model, rn.x0, method=meth).z for meth in SteadyStateMethod]
             assert np.allclose(zs[0], zs[1], atol=1e-8)
             assert np.allclose(zs[0], zs[2], atol=1e-6)
 
     def test_direct_route_makes_one_complement_solve(self, ref11, count_calls):
         # z and z_o share one solve on the 4 followers and the stubborn sink {5, 6, 7}
-        cls, m = _setup(ref11.net, ref11.params)
-        spectra = compute_spectra(m, cls)
+        model = prepare(ref11.net, ref11.params)
         solves = count_calls("_solve_checked")
-        steady_state(m, cls, spectra, ref11.x0, method=SteadyStateMethod.DIRECT_SOLVE)
+        steady_state(model, ref11.x0, method=SteadyStateMethod.DIRECT_SOLVE)
         # 7 rows solved; x holds them and the 4 given agents, z and z_o side by side
         assert [(len(indptr) - 1, x.shape) for indptr, _, _, x in solves] == [(7, (11, 2))]
 
@@ -391,8 +380,9 @@ class TestSteadyState:
 
     def test_convergent_case_solves_whole_system(self):
         rn = random_network(11, kinds=("cooperative",), stubborn_offsets=((0,),))
-        cls, m = _setup(rn.net, rn.params)
-        ss = steady_state(m, cls, compute_spectra(m, cls), rn.x0)
+        model = prepare(rn.net, rn.params)
+        ss = steady_state(model, rn.x0)
+        m = model.matrices
         expected = np.linalg.solve(np.eye(m.n) - m.dense(), m.beta * rn.x0)
         assert np.allclose(ss.z, expected)
         assert np.all(ss.z_o == 0.0)
@@ -401,13 +391,12 @@ class TestSteadyState:
     @given(seed=st.integers(0, 500), a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_linearity_in_initial_opinions(self, seed, a, b):
         rn = random_network(seed)
-        cls, m = _setup(rn.net, rn.params)
-        spectra = compute_spectra(m, cls)
+        model = prepare(rn.net, rn.params)
         rng = np.random.default_rng(seed + 1)
-        x, y = rng.uniform(-5, 5, m.n), rng.uniform(-5, 5, m.n)
-        zx = steady_state(m, cls, spectra, x).z
-        zy = steady_state(m, cls, spectra, y).z
-        zc = steady_state(m, cls, spectra, a * x + b * y).z
+        x, y = rng.uniform(-5, 5, rn.net.n), rng.uniform(-5, 5, rn.net.n)
+        zx = steady_state(model, x).z
+        zy = steady_state(model, y).z
+        zc = steady_state(model, a * x + b * y).z
         assert np.allclose(zc, a * zx + b * zy, atol=1e-7)
 
 
@@ -436,12 +425,12 @@ def _assert_close(got, want):
 
 def _assert_matches_dense(net, params, x0):
     """z, z_o and the gains c of the chunked solve equal the dense oracle's."""
-    cls, m = _setup(net, params)
-    spectra = compute_spectra(m, cls)
-    ss = steady_state(m, cls, spectra, x0)  # the oracle reads only the given rows
+    model = prepare(net, params)
+    cls, m = model.classification, model.matrices
+    ss = steady_state(model, x0)  # the oracle reads only the given rows
     _assert_close(ss.z, _dense_complete(m, cls, ss.z, m.beta * x0))
     _assert_close(ss.z_o, _dense_complete(m, cls, ss.z_o, np.zeros(m.n)))
-    ci = solve_gain(m, cls, spectra)
+    ci = solve_gain(model)
     g = _fold_matrix(ci.sources, m.n)
     g[list(ci.agents)] = ci.c
     rhs = np.zeros_like(g)
@@ -511,7 +500,7 @@ class TestComplementSolve:
         # the SCCs of 100 and 70 and the stubborn sink are chunks of their own;
         # 30 + 50 close a chunk past _CHUNK, and the 3 before the 70 one more
         net, params, x0 = _chunked_network()
-        cls, _ = _setup(net, params)
+        cls = classify(net, params)
         sizes = [len(block) for block in _solved_blocks(cls)]
         assert sizes == [100, 30, 50, 3, 70, 70]
         assert _chunk_bounds(sizes) == [0, 100, 180, 183, 253, 323]
@@ -573,12 +562,11 @@ class TestNoDenseP:
         _refuse_dense(monkeypatch)
         res = run_analysis(net, params, x0, gain_method="solve")
         build_report(res, 1e-10, 100)
-        spectra = compute_spectra(res.matrices, res.classification)
         for method in SteadyStateMethod:
-            steady_state(res.matrices, res.classification, spectra, x0, method=method)
+            steady_state(res.model, x0, method=method)
         perturb_initial(net, params, x0, 0, 1.0)
         flip_edge_signs(net, params, x0, (net.edges[0][:2], net.edges[-1][:2]))
-        assert simulate(res.matrices, x0).converged
+        assert simulate(res.model.matrices, x0).converged
         assert main(["influence", str(spec), "--check", "--out", str(tmp_path / "r.yaml")]) == 0
         assert capsys.readouterr().out.startswith("check: prediction matches simulation")
 
@@ -603,8 +591,8 @@ def test_solve_gain_makes_no_separate_right_hand_side():
     # S = 210 sources, 3.2 MiB per n x S array: the gains and the solve's
     # working copy stay under the bound, a third such array would not
     s = synth_network(2000, 0)
-    cls, m = _setup(s.net, s.params)
-    peak = _traced_peak(solve_gain, m, cls, compute_spectra(m, cls))
+    model = prepare(s.net, s.params)
+    peak = _traced_peak(solve_gain, model)
     assert peak <= 10 * 2**20, peak
 
 
@@ -622,9 +610,7 @@ def test_chain_of_a_hundred_thousand_in_linear_memory():
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        cls = classify(net, params)
-        m = build_matrices(net, params)
-        z = steady_state(m, cls, compute_spectra(m, cls), x0).z
+        z = steady_state(prepare(net, params), x0).z
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

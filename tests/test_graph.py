@@ -83,7 +83,6 @@ class TestBuildNetwork:
         # with gamma = beta = 0, P is the sign-preserving normalised adjacency
         m = build_matrices(net, AgentParams(gamma=(0.0,) * 3, beta=(0.0,) * 3))
         assert m.dense().tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
-        assert net.graph_sinks() == {2}
         assert net.weakly_connected
 
     def test_disconnected_flag(self):

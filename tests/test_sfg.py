@@ -16,23 +16,19 @@ from netgen import random_network
 from signed_influence import (
     AgentParams,
     ComplexityCapExceededError,
+    Model,
     SfgGraph,
-    SinkSpectrum,
     SourceKind,
     SourceSpec,
-    SteadyStateMethod,
     build_full_sfg,
-    build_matrices,
     build_network,
-    classify,
-    compute_spectra,
     individual_influence,
     load_spec,
     mason_influence,
+    prepare,
     reduce_sfg,
     run_analysis,
     solve_gain,
-    steady_state,
 )
 from signed_influence.sfg import (
     DEFAULT_ENUM_CAP,
@@ -49,15 +45,13 @@ from synth import synth_network  # noqa: E402
 
 
 def _stack(net, params):
-    cls = classify(net, params)
-    m = build_matrices(net, params)
-    spectra = compute_spectra(m, cls)
-    return cls, m, build_full_sfg(m, cls), spectra, reduce_sfg(m, cls, spectra)
+    model = prepare(net, params)
+    return model, build_full_sfg(model), reduce_sfg(model)
 
 
 class TestFullSfg:
     def test_reference_network_node_and_source_count(self, ref11):
-        _, _, full, _, _ = _stack(ref11.net, ref11.params)
+        _, full, _ = _stack(ref11.net, ref11.params)
         assert len(full.nodes) == 13  # 11 final opinions + 2 stubborn initials
         kinds = [s.kind for s in full.sources]
         assert kinds == [
@@ -69,7 +63,7 @@ class TestFullSfg:
         assert {s.agent for s in full.sources[1:]} == {0, 5}
 
     def test_sources_have_no_incoming_branches(self, ref11):
-        _, _, full, _, reduced = _stack(ref11.net, ref11.params)
+        _, full, reduced = _stack(ref11.net, ref11.params)
         for g in (full, reduced):
             for _, dst, _ in g.branches:
                 assert dst[0] != "source"
@@ -77,19 +71,20 @@ class TestFullSfg:
     def test_single_stubborn_isolated_agent(self):
         net = build_network(1, [])
         params = AgentParams(gamma=(0.5,), beta=(0.3,))
-        _, _, full, _, _ = _stack(net, params)
+        _, full, _ = _stack(net, params)
         assert len(full.nodes) == 2
         gains = {(src, dst): g for src, dst, g in full.branches}
         assert gains[("agent", 0), ("agent", 0)] == pytest.approx(0.7)
         assert gains[("source", 0), ("agent", 0)] == pytest.approx(0.3)
 
     def test_no_stubborn_agents_leaves_only_leader_sources(self, zoo17):
-        _, _, full, _, _ = _stack(zoo17.net, zoo17.params)
+        _, full, _ = _stack(zoo17.net, zoo17.params)
         assert all(s.kind == SourceKind.SINGLETON_LEADER for s in full.sources)
         assert len(full.nodes) == 17
 
     def test_branch_gains_are_matrix_entries(self, ref11):
-        _, m, full, _, _ = _stack(ref11.net, ref11.params)
+        model, full, _ = _stack(ref11.net, ref11.params)
+        m = model.matrices
         gains = {(src, dst): g for src, dst, g in full.branches}
         assert gains[("agent", 1), ("agent", 0)] == pytest.approx(m.dense()[0, 1])
         assert gains[("agent", 7), ("agent", 0)] == pytest.approx(0.13)
@@ -100,7 +95,8 @@ class TestFullSfg:
         nets = [load_spec(str(REF11)), load_spec(str(ZOO17))]
         nets += [random_network(seed) for seed in range(200)]
         for k, rn in enumerate(nets):
-            cls, m, full, _, _ = _stack(rn.net, rn.params)
+            model, full, _ = _stack(rn.net, rn.params)
+            cls, m = model.classification, model.matrices
             leaders = {i for i in cls.singleton_leaders if i not in cls.stubborn}
             expected = [("P", int(j), int(i), float(m.dense()[i, j]))
                         for i, j in zip(*np.nonzero(m.dense())) if i not in leaders]
@@ -116,7 +112,7 @@ class TestFullSfg:
 
 class TestReduceSfg:
     def test_reference_network_source_catalog(self, ref11):
-        _, _, _, _, reduced = _stack(ref11.net, ref11.params)
+        _, _, reduced = _stack(ref11.net, ref11.params)
         labels = [(s.kind, s.agent, s.sink, s.side) for s in reduced.sources]
         assert labels == [
             (SourceKind.SINGLETON_LEADER, 4, 0, None),
@@ -131,7 +127,8 @@ class TestReduceSfg:
         assert reduced.nonsource_agents() == (0, 1, 2, 3, 5, 6, 7)
 
     def test_partition_branch_gains_sum_members(self, ref11):
-        _, m, _, _, reduced = _stack(ref11.net, ref11.params)
+        model, _, reduced = _stack(ref11.net, ref11.params)
+        m = model.matrices
         gains = {(src, dst): g for src, dst, g in reduced.branches}
         # follower 1 listens to both members of the negative partition
         assert gains[("source", 2), ("agent", 1)] == pytest.approx(m.dense()[1, 9] + m.dense()[1, 10])
@@ -141,31 +138,20 @@ class TestReduceSfg:
             3, [(0, 1, 2.0), (0, 2, 3.0), (1, 2, 1.0), (2, 1, 1.0)]
         )
         params = AgentParams(gamma=(0.2, 0.3, 0.3), beta=(0.0, 0.0, 0.0))
-        _, m, _, _, reduced = _stack(net, params)
+        model, _, reduced = _stack(net, params)
+        m = model.matrices
         gains = {(src, dst): g for src, dst, g in reduced.branches}
         assert gains[("source", 0), ("agent", 0)] == pytest.approx(m.dense()[0, 1] + m.dense()[0, 2])
 
     def test_unbalanced_members_deleted(self, zoo17):
-        cls, _, _, _, reduced = _stack(zoo17.net, zoo17.params)
+        model, _, reduced = _stack(zoo17.net, zoo17.params)
+        cls = model.classification
         unb = next(s for s in range(len(cls.sinks)) if s not in cls.balanced_sinks)
         for agent in cls.sinks[unb]:
             assert ("agent", agent) not in reduced.nodes
         # and nothing references them
         for src, dst, _ in reduced.branches:
             assert src[0] != "agent" or src[1] not in cls.sinks[unb]
-
-    def test_missing_spectrum_raises(self, ref11):
-        from signed_influence import MissingSpectrumError
-
-        cls = classify(ref11.net, ref11.params)
-        m = build_matrices(ref11.net, ref11.params)
-        with pytest.raises(MissingSpectrumError):
-            reduce_sfg(m, cls, {})
-        with pytest.raises(MissingSpectrumError):
-            solve_gain(m, cls, {})
-        for method in SteadyStateMethod:
-            with pytest.raises(MissingSpectrumError):
-                steady_state(m, cls, {}, ref11.x0, method=method)
 
 
 def _tiny_graph(g, loop):
@@ -194,9 +180,8 @@ def _mason_c_in_process(hash_seed, net_seed):
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     code = (
         "from netgen import random_network; import signed_influence as si; "
-        f"rn = random_network({net_seed}); cls = si.classify(rn.net, rn.params); "
-        "m = si.build_matrices(rn.net, rn.params); sp = si.compute_spectra(m, cls); "
-        "print(si.mason_influence(si.reduce_sfg(m, cls, sp)).c.tobytes().hex())"
+        f"rn = random_network({net_seed}); model = si.prepare(rn.net, rn.params); "
+        "print(si.mason_influence(si.reduce_sfg(model)).c.tobytes().hex())"
     )
     env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(hash_seed))
     return subprocess.run(
@@ -207,13 +192,13 @@ def _mason_c_in_process(hash_seed, net_seed):
 def _loop_oracle_graphs():
     for path in (REF11, ZOO17):
         spec = load_spec(str(path))
-        yield path.stem, _stack(spec.net, spec.params)[4]
+        yield path.stem, _stack(spec.net, spec.params)[2]
     for seed in range(200):
         rn = random_network(seed)
-        yield f"netgen-{seed}", _stack(rn.net, rn.params)[4]
+        yield f"netgen-{seed}", _stack(rn.net, rn.params)[2]
     s = synth_network(100, 0)  # the benchmark's fallback network
-    yield "synth-100", _stack(s.net, s.params)[4]
-    yield "chain-1050", _stack(*_follower_chain(1050, 0.3))[4]
+    yield "synth-100", _stack(s.net, s.params)[2]
+    yield "chain-1050", _stack(*_follower_chain(1050, 0.3))[2]
 
 
 class TestMasonInfluence:
@@ -255,11 +240,11 @@ class TestMasonInfluence:
         assert mason_influence(g).c[0, 1] == 0.0
 
     def test_reference_table_entry(self, ref11):
-        _, _, _, _, reduced = _stack(ref11.net, ref11.params)
+        _, _, reduced = _stack(ref11.net, ref11.params)
         assert mason_influence(reduced).row(0)[0] == pytest.approx(0.02, abs=1e-12)
 
     def test_complexity_cap(self, ref11):
-        _, _, _, _, reduced = _stack(ref11.net, ref11.params)
+        _, _, reduced = _stack(ref11.net, ref11.params)
         with pytest.raises(ComplexityCapExceededError):
             mason_influence(reduced, enum_cap=1)
         with pytest.raises(ComplexityCapExceededError):
@@ -268,7 +253,7 @@ class TestMasonInfluence:
     def test_long_run_of_self_loops_hits_the_cap(self):
         # 1050 non-touching self-loops: one alternating-sum level per loop
         net, params = _follower_chain(1050, 0.3)
-        _, _, _, _, reduced = _stack(net, params)
+        _, _, reduced = _stack(net, params)
         with pytest.raises(ComplexityCapExceededError):
             mason_influence(reduced, subset_cap=5000)
 
@@ -276,7 +261,7 @@ class TestMasonInfluence:
         # k non-touching self-loops make exactly 2^k - 1 sets of them
         k = 10
         net, params = _follower_chain(k, 0.3)
-        _, _, _, _, reduced = _stack(net, params)
+        _, _, reduced = _stack(net, params)
         mason_influence(reduced, subset_cap=2**k - 1)
         with pytest.raises(ComplexityCapExceededError) as err:
             mason_influence(reduced, subset_cap=2**k - 2)
@@ -284,20 +269,20 @@ class TestMasonInfluence:
         assert str(err.value) == "more than 1022 sets of non-touching loops (at least 1023)"
 
     def test_cap_error_names_what_it_capped(self, ref11):
-        _, _, _, _, reduced = _stack(ref11.net, ref11.params)  # 8 loops, 28 pairs
+        _, _, reduced = _stack(ref11.net, ref11.params)  # 8 loops, 28 pairs
         for cap, message in ((7, "more than 7 loops"), (27, "more than 27 loop pairs")):
             with pytest.raises(ComplexityCapExceededError, match=f"^{message}$") as err:
                 mason_influence(reduced, enum_cap=cap)
             assert err.value.limit == cap
         net, params = _follower_chain(5, 0.0)  # no loops, 5 paths from the leader
-        _, _, _, _, reduced = _stack(net, params)
+        _, _, reduced = _stack(net, params)
         with pytest.raises(ComplexityCapExceededError, match="^more than 4 paths from one source$"):
             mason_influence(reduced, enum_cap=4)
 
     def test_loop_set_count_matches_brute_force(self):
         for seed in range(30):
             rn = random_network(seed)
-            _, _, _, _, reduced = _stack(rn.net, rn.params)
+            _, _, reduced = _stack(rn.net, rn.params)
             nxg = nx.DiGraph((src, dst) for src, dst, _ in reduced.branches)
             loops = [frozenset(cyc) for cyc in nx.simple_cycles(nxg)]
             brute = sum(
@@ -314,7 +299,7 @@ class TestMasonInfluence:
     def test_subset_cap_decided_before_any_sum(self, count_calls):
         # synth n = 100: 95 lone follower self-loops, 2^95 - 1 sets of them
         s = synth_network(100, 0)
-        _, _, _, _, reduced = _stack(s.net, s.params)
+        _, _, reduced = _stack(s.net, s.params)
         sums = count_calls("_alternating_sum")
         with pytest.raises(ComplexityCapExceededError) as err:
             mason_influence(reduced)
@@ -333,15 +318,14 @@ class TestMasonInfluence:
 
     def test_deep_path_walk_matches_solve(self):
         net, params = _follower_chain(1200, 0.0)
-        cls, m, _, spectra, reduced = _stack(net, params)
+        model, _, reduced = _stack(net, params)
         enumerated = mason_influence(reduced)
-        assert np.allclose(enumerated.c, solve_gain(m, cls, spectra).c, rtol=0, atol=1e-12)
+        assert np.allclose(enumerated.c, solve_gain(model).c, rtol=0, atol=1e-12)
 
 
 class TestSolveGain:
     def test_reference_table_rows(self, ref11):
-        cls, m, _, spectra, _ = _stack(ref11.net, ref11.params)
-        ci = solve_gain(m, cls, spectra)
+        ci = solve_gain(prepare(ref11.net, ref11.params))
         assert np.allclose(ci.row(0), [0.02, 0.12, 0.04, 0.5, 0.32], atol=1e-12)
         for agent in (1, 2, 3):
             assert np.allclose(ci.row(agent), [0.2, 0.2, 0.4, 0.0, 0.2], atol=1e-12)
@@ -350,17 +334,17 @@ class TestSolveGain:
 
     def test_one_complement_solve(self, ref11, count_calls):
         # the five sources' gains on K = followers + stubborn sink {5, 6, 7}
-        cls, m, _, spectra, _ = _stack(ref11.net, ref11.params)
+        model = prepare(ref11.net, ref11.params)
         solves = count_calls("_solve_checked")
-        solve_gain(m, cls, spectra)
+        solve_gain(model)
         # 7 rows solved, x holding them and the 4 given agents
         assert [(len(indptr) - 1, x.shape) for indptr, _, _, x in solves] == [(7, (11, 5))]
 
     def test_matches_mason_on_random_networks(self):
         for seed in range(40):
             rn = random_network(seed)
-            cls, m, _, spectra, reduced = _stack(rn.net, rn.params)
-            direct = solve_gain(m, cls, spectra)
+            model, _, reduced = _stack(rn.net, rn.params)
+            direct = solve_gain(model)
             enumerated = mason_influence(reduced)
             assert np.allclose(direct.c, enumerated.c, atol=1e-9), seed
 
@@ -384,7 +368,7 @@ class TestIndividualInfluence:
         for seed in range(25):
             rn = random_network(seed)
             res = run_analysis(rn.net, rn.params, rn.x0, gain_method="solve")
-            cls = res.classification
+            cls = res.model.classification
             influential = set(cls.stubborn)
             for sink in cls.influence_free_sinks:
                 influential.update(cls.sinks[sink])
@@ -409,35 +393,34 @@ class TestIndividualInfluence:
             (rn.net, rn.params) for rn in map(random_network, range(200))]
         cases.append((synth_network(200, 0).net, synth_network(200, 0).params))
         for k, (net, params) in enumerate(cases):
-            cls, m, _, spectra, _ = _stack(net, params)
-            ci = solve_gain(m, cls, spectra)
-            g = _fold_matrix(ci.sources, m.n)
+            model = prepare(net, params)
+            ci = solve_gain(model)
+            g = _fold_matrix(ci.sources, net.n)
             g[list(ci.agents)] = ci.c
-            w = np.zeros((len(ci.sources), m.n))
+            w = np.zeros((len(ci.sources), net.n))
             for r, spec in enumerate(ci.sources):
                 if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL):
                     w[r, spec.agent] = 1.0
                 else:
-                    sw = spectra[spec.sink].w
-                    w[r, list(spectra[spec.sink].members)] = -sw if spec.side == -1 else sw
+                    sw = model.spectra[spec.sink].w
+                    w[r, list(model.spectra[spec.sink].members)] = -sw if spec.side == -1 else sw
             want = g @ w
-            theta = individual_influence(ci, cls, spectra).theta
+            theta = individual_influence(ci, model).theta
             # one term per entry is exact; a balanced sink's two may round once apart
             assert np.max(np.abs(theta - want), initial=0.0) <= 4e-16 * max(
                 1.0, np.max(np.abs(want), initial=0.0)), k
 
     def test_gauge_invariance_of_partition_labels(self, ref11):
-        cls, m, _, spectra, _ = _stack(ref11.net, ref11.params)
-        baseline = individual_influence(solve_gain(m, cls, spectra), cls, spectra)
+        model = prepare(ref11.net, ref11.params)
+        baseline = individual_influence(solve_gain(model), model)
 
+        cls = model.classification
         flipped_sigma = dict(cls.sigma)
         for k in cls.sinks[2]:
             flipped_sigma[k] = -flipped_sigma[k]
-        cls2 = dataclasses.replace(cls, sigma=flipped_sigma)
-        spec = spectra[2]
-        spectra2 = dict(spectra)
-        spectra2[2] = SinkSpectrum(
-            sink=2, members=spec.members, w=-spec.w, v=-spec.v
-        )
-        other = individual_influence(solve_gain(m, cls2, spectra2), cls2, spectra2)
+        relabelled = Model(dataclasses.replace(cls, sigma=flipped_sigma), model.matrices)
+        # the other gauge's pair for the balanced sink: w and v both negated
+        spec, spec2 = model.spectra[2], relabelled.spectra[2]
+        assert np.allclose(spec2.w, -spec.w, atol=1e-12) and np.array_equal(spec2.v, -spec.v)
+        other = individual_influence(solve_gain(relabelled), relabelled)
         assert np.allclose(baseline.theta, other.theta, atol=1e-12)
