@@ -44,8 +44,19 @@ from .sfg import SfgGraph, SourceKind
 
 SPEC_SCHEMA = "signed-influence/1"
 REPORT_SCHEMA = "signed-influence/report/1"
-# libyaml's parser when PyYAML was built with it
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser when PyYAML was built with it.  It also reads an
+    exponent without a decimal point, 1e300 or -5E-2, as a float, as YAML
+    1.2 does; YAML 1.1 reads it as a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ def _read_yaml(path: str):
     """Parse a YAML file; every way that can fail is a one-line SpecFileError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return yaml.load(fh, Loader=_LOADER)
+            return yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

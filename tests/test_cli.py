@@ -316,6 +316,22 @@ class TestInfluenceCommand:
         assert np.allclose(c[0], [0.02, 0.12, 0.04, 0.5, 0.32], atol=1e-9)
         assert report["provenance"]["gain_method"] == "mason"  # auto, under cap
 
+    def test_exponent_without_decimal_point_is_a_number(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e300 as a string; the spec reads it as YAML 1.2 does
+        spec = (
+            "schema: signed-influence/1\nn: 3\n"
+            "edges: [[0, 1, {big}], [0, 2, {small}], [1, 2, {neg}], [2, 1, 1]]\n"
+            "gamma: [0.3, 0.2, 0.1]\nbeta: [0.1, 0.0, 0.0]\nx0: [{neg}, {small}, {big}]\n"
+        )
+        reports = []
+        for name, numbers in (("bare", ("1e300", "2E-3", "-5e2")),
+                              ("dotted", ("1.0e+300", "2.0e-3", "-5.0e+2"))):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(spec.format(**dict(zip(("big", "small", "neg"), numbers))))
+            assert main(["influence", str(path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("method", ["auto", "solve"])
     @pytest.mark.parametrize("path", [REF11_PATH, ZOO17_PATH], ids=["reference11", "showcase17"])
     def test_reproduces_golden_report(self, tmp_path, path, method):
