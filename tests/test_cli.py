@@ -572,3 +572,38 @@ class TestExportSfgCommand:
         out = capsys.readouterr().out
         assert sum(1 for line in out.splitlines() if "shape=" in line) == 1
         assert "->" not in out
+
+
+def _analysis(path):
+    spec = signed_influence.load_spec(path)
+    signed_influence.run_analysis(spec.net, spec.params, spec.x0)
+
+
+# each route, and whether it reads the sink spectra
+_SETUP_ROUTES = {
+    "run_analysis": (_analysis, True),
+    "influence": (["influence"], True),
+    "centrality": (["centrality"], True),
+    "whatif-perturb": (["whatif", "--perturb", "0", "1.0"], True),
+    "export-sfg-reduced": (["export-sfg", "--reduced"], True),
+    "simulate": (["simulate"], False),
+    "export-sfg": (["export-sfg"], False),
+}
+
+
+@pytest.mark.parametrize("route", list(_SETUP_ROUTES))
+@pytest.mark.parametrize("path", [REF11_PATH, ZOO17_PATH], ids=["reference11", "showcase17"])
+def test_one_setup_per_route(path, route, count_calls, capsys):
+    # P is built once per run, and the unit eigenpairs are computed once per
+    # stubborn-free balanced sink by the routes that read them, never by the others
+    run, reads_spectra = _SETUP_ROUTES[route]
+    spec = signed_influence.load_spec(path)
+    builds, sinks = count_calls("build_matrices"), count_calls("sink_spectrum")
+    if callable(run):
+        run(path)
+    else:
+        assert main([run[0], path, *run[1:]]) == 0
+    assert len(builds) == 1
+    cls = signed_influence.classify(spec.net, spec.params)
+    want = sorted(cls.influence_free_sinks) if reads_spectra else []
+    assert sorted(args[2] for args in sinks) == want
