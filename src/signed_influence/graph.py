@@ -351,7 +351,8 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
     listens = net.out_degree > 0
     for i in np.flatnonzero(listens & (np.add(params.gamma, params.beta) >= 1.0))[:1].tolist():
         raise ParamConstraintViolatedError(
-            i, f"gamma+beta={params.gamma[i] + params.beta[i]} must be < 1 off sinks"
+            i, f"gamma+beta={params.gamma[i] + params.beta[i]} must be < 1"
+            " at an agent that listens to others",
         )
     for i in group:
         if params.gamma[i] <= 0.0:

@@ -48,14 +48,16 @@ REPORT_SCHEMA = "signed-influence/report/1"
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's parser when PyYAML was built with it.  It also reads an
-    exponent without a decimal point, 1e300 or -5E-2, as a float, as YAML
-    1.2 does; YAML 1.1 reads it as a string."""
+    exponent without a sign or a decimal point, 1e300, -5E-2 or .5e3, and a
+    signed number that starts with a point, -.5 or -.25E-1, as a float, as
+    YAML 1.2 does; YAML 1.1 reads them as strings."""
 
 
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"),
-    list("-+0123456789"),
+    re.compile(r"^[-+]?([0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+"
+               r"|\.[0-9][0-9_]*([eE][-+]?[0-9]+)?)$"),
+    list("-+.0123456789"),
 )
 
 

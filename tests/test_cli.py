@@ -75,6 +75,15 @@ class TestClassifyCommand:
         assert main(["classify", path]) == 2
         assert "gamma+beta" in capsys.readouterr().err
 
+    def test_gamma_beta_rule_names_listening_agents(self, tmp_path, capsys):
+        # agent 1 is in the cooperative sink {1, 2}, and it listens to agent 2
+        path = _write_spec(tmp_path, n=3, edges=[[0, 1, 1.0], [1, 2, 1.0], [2, 1, 1.0]],
+                           gamma=[0.2, 1.0, 0.5], beta=[0.0, 0.0, 0.0], x0=[1.0, 2.0, 3.0])
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert "agent 1: gamma+beta=1.0 must be < 1 at an agent that listens to others" in err
+        assert "off sinks" not in err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["classify", "/nonexistent.yaml"]) == 2
 
@@ -331,6 +340,27 @@ class TestInfluenceCommand:
             assert main(["influence", str(path)]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
+
+    def test_mantissa_starting_with_a_point_is_a_number(self, tmp_path, capsys):
+        # YAML 1.1 reads .5e3, -.25E-1 and -.5 as strings; the spec reads them as YAML 1.2 does
+        spec = (
+            "schema: signed-influence/1\nn: 3\n"
+            "edges: [[0, 1, {big}], [0, 2, {small}], [1, 2, {half}], [2, 1, 1]]\n"
+            "gamma: [0.3, 0.2, 0.1]\nbeta: [0.1, 0.0, 0.0]\nx0: [{half}, {small}, {big}]\n"
+        )
+        reports = []
+        for name, numbers in (("point", (".5e3", "-.25E-1", "-.5")),
+                              ("plain", ("500.0", "-0.025", "-0.5"))):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(spec.format(**dict(zip(("big", "small", "half"), numbers))))
+            assert main(["influence", str(path)]) == 0, capsys.readouterr().err
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_special_floats_still_resolve(self):
+        doc = yaml.load("[.inf, -.inf, +.inf, .nan, .5, ._e3]", Loader=signed_influence.specfile._Loader)
+        assert doc[:3] == [np.inf, -np.inf, np.inf] and np.isnan(doc[3])
+        assert doc[4:] == [0.5, "._e3"]
 
     @pytest.mark.parametrize("method", ["auto", "solve"])
     @pytest.mark.parametrize("path", [REF11_PATH, ZOO17_PATH], ids=["reference11", "showcase17"])
