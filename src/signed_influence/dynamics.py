@@ -14,8 +14,9 @@ centrality are functions of that model and x(0) alone.
 
 P is kept as CSR rows (`ModelMatrices`: indptr, cols, vals), one entry per
 edge plus p_ii, built from the edge list with numpy; every route computes
-on the rows, so no n x n array is made on the way to z, c, Θ or ρ, and
-one step of `simulate`, the iteration oracle, costs O(edges).
+on the rows, so no n x n array is made on the way to z, c, the
+centrality or ρ, and one step of `simulate`, the iteration oracle, costs
+O(edges).
 
 z, z_o and the gains c all solve x = P x + r, with x given on the sinks
 without a stubborn member (v (w . x(0)) or the source fold when balanced,

@@ -13,8 +13,10 @@ sink spectra, and the full graph and the solve do not.
 
 The production route builds neither: `solve_gain` makes the steady
 state's complement solve (`dynamics._complete`) with the fold rows given,
-and `individual_influence` assembles Θ = G·W from the gains by scattering
-G's columns into Θ with their W factors, with no W and no product.  Mason's
+and `individual_influence` keeps Θ = G·W as its factors: G (n x S), the
+source catalog and the sink spectra W is read off.  The centrality is
+computed from them; the n x n Θ is built only when read, by scattering G's
+columns into Θ with their W factors, with no W and no product.  Mason's
 formula is the paper's method, the first try of the `auto` gain route and
 the oracle the solve is checked against; the node equations and the
 `SfgGraph` are built only for it and for DOT export.  `mason_influence`
@@ -35,11 +37,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Sequence
+from functools import cached_property
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import Model, ModelMatrices, _complete, _entries, _solved_agents
+from .dynamics import Model, ModelMatrices, SinkSpectrum, _complete, _entries, _solved_agents
 from .errors import ComplexityCapExceededError, SingularSystemError
 from .graph import AgentClassification, SinkKind, strong_components
 
@@ -105,7 +108,46 @@ class CollectiveInfluence:
 
 @dataclass(frozen=True)
 class InfluenceMatrix:
-    theta: np.ndarray
+    """The influence matrix Θ = G·W, kept as its factors.
+
+    ``g`` (n x S) holds the gain rows of the non-source agents, the fold
+    rows of the agents folded into a collective source and zero rows for
+    the deleted agents.  W (S x n) is read off ``sources`` and ``spectra``:
+    it maps each source back to its agents, with the factor 1 for a
+    singleton leader or a stubborn initial opinion, w_j for a cooperative
+    sink and ±w_j for the two sides of a balanced sink, w being the sink's
+    left eigenvector.  The n x n ``theta`` is built the first time it is read.
+    """
+
+    g: np.ndarray
+    sources: tuple[SourceSpec, ...]  # column order of g
+    spectra: Mapping[int, SinkSpectrum]
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """Θ itself, n x n.
+
+        No W is built: each source's column of G is scattered into the
+        columns of Θ of its agents with their factors, and the two sides of
+        a balanced sink share their columns, G's two columns times the
+        2 x |sink| rows of W.
+        """
+        g, n = self.g, len(self.g)
+        theta = np.zeros((n, n))
+        single = [(r, spec.agent) for r, spec in enumerate(self.sources)
+                  if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL)]
+        if single:
+            rs, agents = zip(*single)
+            theta[:, list(agents)] = g[:, list(rs)]
+        for r, spec in enumerate(self.sources):
+            if spec.kind == SourceKind.COOPERATIVE_SINK:
+                spectrum = self.spectra[spec.sink]
+                theta[:, list(spectrum.members)] = g[:, r, None] * spectrum.w
+            elif spec.kind == SourceKind.BALANCED_PARTITION and spec.side == 1:  # then side -1
+                spectrum = self.spectra[spec.sink]
+                w = np.array([spectrum.w, -spectrum.w])
+                theta[:, list(spectrum.members)] = g[:, r:r + 2] @ w
+        return theta
 
 
 def source_catalog(classification: AgentClassification) -> tuple[SourceSpec, ...]:
@@ -507,32 +549,13 @@ def mason_influence(
 
 
 def individual_influence(c: CollectiveInfluence, model: Model) -> InfluenceMatrix:
-    """Assemble the per-agent influence matrix Θ = G·W from collective gains.
+    """The per-agent influence matrix Θ = G·W of the collective gains, as its factors.
 
-    G (n x s) holds the gain rows of non-source agents and the fold rows of
-    agents folded into a collective source; rows of deleted agents stay 0.
-    W (s x n) maps each source back to its agents: 1 for a singleton leader
-    or a stubborn initial opinion, w_j for a cooperative sink and ±w_j for
-    the two sides of a balanced sink, w being the sink's left eigenvector.
-    No W is built: each source's column of G is scattered into the columns
-    of Θ of its agents with their factors, and the two sides of a balanced
-    sink share their columns, G's two columns times the 2 x |sink| rows of W.
+    G (n x S) is c's gain rows for the non-source agents, the fold rows of
+    the agents folded into a collective source and zero rows for the
+    deleted agents; W is read off c's sources and the model's sink spectra.
+    Nothing n x n is built here: `InfluenceMatrix.theta` is, when read.
     """
-    n, spectra = model.classification.n, model.spectra
-    g = _fold_matrix(c.sources, n)
+    g = _fold_matrix(c.sources, model.classification.n)
     g[list(c.agents)] = c.c
-    theta = np.zeros((n, n))
-    single = [(r, spec.agent) for r, spec in enumerate(c.sources)
-              if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL)]
-    if single:
-        rs, agents = zip(*single)
-        theta[:, list(agents)] = g[:, list(rs)]
-    for r, spec in enumerate(c.sources):
-        if spec.kind == SourceKind.COOPERATIVE_SINK:
-            spectrum = spectra[spec.sink]
-            theta[:, list(spectrum.members)] = g[:, r, None] * spectrum.w
-        elif spec.kind == SourceKind.BALANCED_PARTITION and spec.side == 1:  # then side -1
-            spectrum = spectra[spec.sink]
-            w = np.array([spectrum.w, -spectrum.w])
-            theta[:, list(spectrum.members)] = g[:, r:r + 2] @ w
-    return InfluenceMatrix(theta=theta)
+    return InfluenceMatrix(g=g, sources=c.sources, spectra=model.spectra)

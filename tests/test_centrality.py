@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from signed_influence import (
     AgentParams,
     InfluenceMatrix,
     NoSuchEdgeError,
+    SourceKind,
+    SourceSpec,
     ZeroDeltaError,
     absolute_centrality,
     build_network,
@@ -19,14 +22,32 @@ from signed_influence import (
     perturb_initial,
 )
 from signed_influence import build_matrices, centrality
+from signed_influence.cli import main
 from signed_influence.pipeline import run_analysis
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from synth import synth_network  # noqa: E402
+from synth import spec_text, synth_network  # noqa: E402
 
 
 def _influence(theta):
-    return InfluenceMatrix(theta=np.asarray(theta, dtype=float))
+    """Θ as its factors: G = Θ, every agent a singleton source (W = I)."""
+    g = np.asarray(theta, dtype=float)
+    sources = tuple(SourceSpec(SourceKind.SINGLETON_LEADER, agent=j, sink=j, members=(j,))
+                    for j in range(g.shape[1]))
+    return InfluenceMatrix(g=g, sources=sources, spectra={})
+
+
+def _ranked(scores):
+    return tuple(sorted(range(len(scores)), key=lambda i: (-centrality._num(scores[i]), i)))
+
+
+def _refuse_theta(monkeypatch):
+    """Make any read of InfluenceMatrix.theta fail the test."""
+
+    def refused(self):
+        raise AssertionError("the n x n influence matrix was built")
+
+    monkeypatch.setattr(InfluenceMatrix, "theta", property(refused))
 
 
 class TestAbsoluteCentrality:
@@ -43,7 +64,8 @@ class TestAbsoluteCentrality:
         assert res.most_influential == 0
 
     def test_scores_equal_at_report_precision_tie(self):
-        res = absolute_centrality(_influence([[0.0, 0.75, 0.7500000000000002]] * 2))
+        # a zero third row makes Θ square: agents and sources are one set
+        res = absolute_centrality(_influence([[0.0, 0.75, 0.7500000000000002]] * 2 + [[0.0] * 3]))
         assert res.scores[2] > res.scores[1]
         assert res.ranking == (1, 2, 0)
 
@@ -69,6 +91,50 @@ class TestAbsoluteCentrality:
         b = run_analysis(ref11.net, ref11.params, ref11.x0 * 13.7, gain_method="solve")
         assert np.allclose(a.centrality.scores, b.centrality.scores)
         assert a.centrality.ranking == b.centrality.ranking
+
+
+_FACTORED_CASES = (
+    [("fixture", name, method) for name in ("ref11", "zoo17") for method in ("auto", "solve")]
+    + [("netgen", seed, "auto") for seed in range(0, 200, 10)]
+    + [("synth", n, "solve") for n in (100, 200, 1000)]
+)
+
+
+class TestFactoredCentrality:
+    @pytest.mark.parametrize("kind,which,method", _FACTORED_CASES,
+                             ids=[f"{k}-{w}-{m}" for k, w, m in _FACTORED_CASES])
+    def test_scores_are_thetas_column_norms(self, request, kind, which, method):
+        # the oracle: Θ built whole and its columns' L1 norms summed
+        case = {"fixture": request.getfixturevalue, "netgen": random_network,
+                "synth": lambda n: synth_network(n, 0)}[kind](which)
+        res = run_analysis(case.net, case.params, case.x0, gain_method=method)
+        want = np.abs(res.influence.theta).sum(axis=0)
+        np.testing.assert_allclose(res.centrality.scores, want, rtol=1e-13, atol=0.0)
+        assert res.centrality.ranking == _ranked(want)
+
+    def test_analysis_builds_no_n_by_n_array(self):
+        # Θ at n = 4000 alone would be 122 MiB
+        s = synth_network(4000, 0)
+        tracemalloc.start()
+        try:
+            res = run_analysis(s.net, s.params, s.x0, gain_method="solve")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "theta" not in res.influence.__dict__
+        assert peak <= 64 * 2**20, peak
+
+    @pytest.mark.parametrize("command", ["centrality", "whatif --perturb", "whatif --flip-edge"])
+    def test_commands_build_no_theta(self, tmp_path, monkeypatch, capsys, command):
+        s = synth_network(200, 0)
+        path = tmp_path / "synth.yaml"
+        path.write_text(spec_text(s.net, s.params, s.x0))
+        i, j, _ = s.net.edges[0]
+        args = {"centrality": [], "whatif --perturb": ["0", "1.5"],
+                "whatif --flip-edge": [str(i), str(j)]}[command]
+        name, *flag = command.split()
+        _refuse_theta(monkeypatch)
+        assert main([name, str(path), *flag, *args]) == 0, capsys.readouterr().err
 
 
 class TestPerturbInitial:
