@@ -37,19 +37,6 @@ def _influence(theta):
     return InfluenceMatrix(g=g, sources=sources, spectra={})
 
 
-def _ranked(scores):
-    return tuple(sorted(range(len(scores)), key=lambda i: (-centrality._num(scores[i]), i)))
-
-
-def _refuse_theta(monkeypatch):
-    """Make any read of InfluenceMatrix.theta fail the test."""
-
-    def refused(self):
-        raise AssertionError("the n x n influence matrix was built")
-
-    monkeypatch.setattr(InfluenceMatrix, "theta", property(refused))
-
-
 class TestAbsoluteCentrality:
     def test_scores_are_column_abs_sums(self):
         theta = [[0.5, -0.25], [0.0, 0.75]]
@@ -110,7 +97,8 @@ class TestFactoredCentrality:
         res = run_analysis(case.net, case.params, case.x0, gain_method=method)
         want = np.abs(res.influence.theta).sum(axis=0)
         np.testing.assert_allclose(res.centrality.scores, want, rtol=1e-13, atol=0.0)
-        assert res.centrality.ranking == _ranked(want)
+        ranked = sorted(range(len(want)), key=lambda i: (-centrality._num(want[i]), i))
+        assert res.centrality.ranking == tuple(ranked)
 
     def test_analysis_builds_no_n_by_n_array(self):
         # Θ at n = 4000 alone would be 122 MiB
@@ -133,7 +121,11 @@ class TestFactoredCentrality:
         args = {"centrality": [], "whatif --perturb": ["0", "1.5"],
                 "whatif --flip-edge": [str(i), str(j)]}[command]
         name, *flag = command.split()
-        _refuse_theta(monkeypatch)
+
+        def refused(self):
+            raise AssertionError("the n x n influence matrix was built")
+
+        monkeypatch.setattr(InfluenceMatrix, "theta", property(refused))
         assert main([name, str(path), *flag, *args]) == 0, capsys.readouterr().err
 
 

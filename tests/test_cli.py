@@ -358,7 +358,8 @@ class TestInfluenceCommand:
         assert reports[0] == reports[1]
 
     def test_special_floats_still_resolve(self):
-        doc = yaml.load("[.inf, -.inf, +.inf, .nan, .5, ._e3]", Loader=signed_influence.specfile._Loader)
+        loader = signed_influence.specfile._Loader
+        doc = yaml.load("[.inf, -.inf, +.inf, .nan, .5, ._e3]", Loader=loader)
         assert doc[:3] == [np.inf, -np.inf, np.inf] and np.isnan(doc[3])
         assert doc[4:] == [0.5, "._e3"]
 
