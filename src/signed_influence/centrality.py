@@ -9,7 +9,7 @@ import numpy as np
 from .dynamics import Model, ModelMatrices, prepare, steady_state
 from .errors import BadIdError, NoSuchEdgeError, ZeroDeltaError
 from .graph import AgentParams, SignedNetwork, classify
-from .sfg import InfluenceMatrix, SourceKind
+from .sfg import InfluenceMatrix
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class SignFlipResult:
     unchanged: tuple[int, ...]  # agents whose final opinion is unaffected
 
 
-_SINGLE = (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL)
-
-
 def _num(v: float) -> float:
     """v at the 12 significant digits reports print, with -0.0 as 0.0."""
     return float(f"{float(v):.12g}") + 0.0  # -0.0 + 0.0 is +0.0
@@ -53,29 +50,16 @@ def _num(v: float) -> float:
 def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
     """Θ's column L1 norms: how much each agent shapes all final opinions.
 
-    They are read off Θ = G·W's factors, and Θ is not built.  Agent j's
-    column of Θ is a multiple of one column of G: G_r of its source r for a
-    singleton leader or a stubborn initial opinion (factor 1) and for a
-    cooperative sink member (w_j), or G_r − G_{r+1}, the difference of its
-    balanced sink's pair, for a balanced sink member (w_j).  So its score is
-    that column's L1 norm times |w_j|; an agent with no source scores 0.
+    Θ is not built: agent j's column of Θ is factor_j times one column of
+    H (`InfluenceMatrix`), so its score is that column's L1 norm times
+    |factor_j|; an agent with no column scores 0.
 
     Agents are ranked on their scores at report precision (`_num`), so two
     scores that print alike are a tie, broken by id.
     """
-    g, sources, spectra = influence.g, influence.sources, influence.spectra
-    norms = np.abs(g).sum(axis=0)
-    # a balanced pair's + column takes ‖G_r − G_{r+1}‖₁, which both sides read
-    pairs = [r for r, spec in enumerate(sources) if spec.side == 1]
-    norms[pairs] = np.abs(g[:, pairs] - g[:, [r + 1 for r in pairs]]).sum(axis=0)
-    single = [(r, spec.agent) for r, spec in enumerate(sources) if spec.kind in _SINGLE]
-    sinks = [(r, spectra[spec.sink]) for r, spec in enumerate(sources)
-             if spec.kind == SourceKind.COOPERATIVE_SINK or spec.side == 1]
-    agents = [a for _, a in single] + [m for _, sp in sinks for m in sp.members]
-    column = [r for r, _ in single] + [r for r, sp in sinks for _ in sp.members]
-    factor = np.concatenate([np.ones(len(single))] + [np.abs(sp.w) for _, sp in sinks])
-    scores = np.zeros(len(g))
-    scores[agents] = norms[column] * factor
+    h = influence.h
+    scores = np.zeros(len(h))
+    scores[influence.agents] = np.abs(h).sum(axis=0)[influence.column] * np.abs(influence.factor)
     order = sorted(range(len(scores)), key=lambda i: (-_num(scores[i]), i))
     return CentralityResult(scores=scores, ranking=tuple(order), most_influential=order[0])
 

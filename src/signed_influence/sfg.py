@@ -13,10 +13,11 @@ sink spectra, and the full graph and the solve do not.
 
 The production route builds neither: `solve_gain` makes the steady
 state's complement solve (`dynamics._complete`) with the fold rows given,
-and `individual_influence` keeps Θ = G·W as its factors: G (n x S), the
-source catalog and the sink spectra W is read off.  The centrality is
-computed from them; the n x n Θ is built only when read, by scattering G's
-columns into Θ with their W factors, with no W and no product.  Mason's
+and `individual_influence` keeps Θ as columns of one n x S matrix H:
+agent j's column of Θ is a factor (1, or the sink's w_j) times one column
+of H, and it is the one place that reads the source kinds and the sink
+spectra to say which.  The centrality reads H's column norms; the n x n Θ
+is built only when read, by one gather of H's columns.  Mason's
 formula is the paper's method, the first try of the `auto` gain route and
 the oracle the solve is checked against; the node equations and the
 `SfgGraph` are built only for it and for DOT export.  `mason_influence`
@@ -38,11 +39,11 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .dynamics import Model, ModelMatrices, SinkSpectrum, _complete, _entries, _solved_agents
+from .dynamics import Model, ModelMatrices, _complete, _entries, _solved_agents
 from .errors import ComplexityCapExceededError, SingularSystemError
 from .graph import AgentClassification, SinkKind, strong_components
 
@@ -108,45 +109,30 @@ class CollectiveInfluence:
 
 @dataclass(frozen=True)
 class InfluenceMatrix:
-    """The influence matrix Θ = G·W, kept as its factors.
+    """The influence matrix Θ, kept as columns of one n x S matrix ``h``.
 
-    ``g`` (n x S) holds the gain rows of the non-source agents, the fold
+    Θ[:, agents[k]] = factor[k] · h[:, column[k]], and every other column
+    of Θ is 0.  ``h`` holds G, the gains of the non-source agents, the fold
     rows of the agents folded into a collective source and zero rows for
-    the deleted agents.  W (S x n) is read off ``sources`` and ``spectra``:
-    it maps each source back to its agents, with the factor 1 for a
-    singleton leader or a stubborn initial opinion, w_j for a cooperative
-    sink and ±w_j for the two sides of a balanced sink, w being the sink's
-    left eigenvector.  The n x n ``theta`` is built the first time it is read.
+    the deleted agents, with each balanced pair's + column replaced by
+    G_r − G_{r+1}.  ``factor`` is 1 for a singleton leader or a stubborn
+    initial opinion and w_j for a member j of a cooperative or balanced
+    sink, w being the sink's left eigenvector.  The n x n ``theta`` is
+    built the first time it is read.
     """
 
-    g: np.ndarray
-    sources: tuple[SourceSpec, ...]  # column order of g
-    spectra: Mapping[int, SinkSpectrum]
+    h: np.ndarray
+    agents: np.ndarray  # the agents whose column of Θ is not 0
+    column: np.ndarray  # the column of h that each one's is a multiple of
+    factor: np.ndarray
 
     @cached_property
     def theta(self) -> np.ndarray:
-        """Θ itself, n x n.
-
-        No W is built: each source's column of G is scattered into the
-        columns of Θ of its agents with their factors, and the two sides of
-        a balanced sink share their columns, G's two columns times the
-        2 x |sink| rows of W.
-        """
-        g, n = self.g, len(self.g)
-        theta = np.zeros((n, n))
-        single = [(r, spec.agent) for r, spec in enumerate(self.sources)
-                  if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL)]
-        if single:
-            rs, agents = zip(*single)
-            theta[:, list(agents)] = g[:, list(rs)]
-        for r, spec in enumerate(self.sources):
-            if spec.kind == SourceKind.COOPERATIVE_SINK:
-                spectrum = self.spectra[spec.sink]
-                theta[:, list(spectrum.members)] = g[:, r, None] * spectrum.w
-            elif spec.kind == SourceKind.BALANCED_PARTITION and spec.side == 1:  # then side -1
-                spectrum = self.spectra[spec.sink]
-                w = np.array([spectrum.w, -spectrum.w])
-                theta[:, list(spectrum.members)] = g[:, r:r + 2] @ w
+        """Θ itself, n x n: one gather of h's columns, scaled in place."""
+        theta = np.zeros((len(self.h), len(self.h)))
+        block = self.h[:, self.column]
+        block *= self.factor
+        theta[:, self.agents] = block
         return theta
 
 
@@ -549,13 +535,31 @@ def mason_influence(
 
 
 def individual_influence(c: CollectiveInfluence, model: Model) -> InfluenceMatrix:
-    """The per-agent influence matrix Θ = G·W of the collective gains, as its factors.
+    """The per-agent influence matrix Θ of the collective gains, as columns of H.
 
     G (n x S) is c's gain rows for the non-source agents, the fold rows of
     the agents folded into a collective source and zero rows for the
-    deleted agents; W is read off c's sources and the model's sink spectra.
-    Nothing n x n is built here: `InfluenceMatrix.theta` is, when read.
+    deleted agents.  Θ = G·W, where W maps each source back to its agents
+    with the factor 1, w_j or, for the two sides of a balanced sink, ±w_j;
+    so a balanced sink member's column of Θ is (G_r − G_{r+1})·w_j, and H
+    is G with that difference in the pair's + column.  Nothing n x n is
+    built here: `InfluenceMatrix.theta` is, when read.
     """
-    g = _fold_matrix(c.sources, model.classification.n)
-    g[list(c.agents)] = c.c
-    return InfluenceMatrix(g=g, sources=c.sources, spectra=model.spectra)
+    h = _fold_matrix(c.sources, model.classification.n)
+    h[list(c.agents)] = c.c
+    pairs = [r for r, spec in enumerate(c.sources) if spec.side == 1]
+    h[:, pairs] -= h[:, [r + 1 for r in pairs]]
+    agents, column, factor = [], [], []
+    for r, spec in enumerate(c.sources):
+        if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL):
+            members, w = (spec.agent,), (1.0,)
+        elif spec.side == -1:  # its sink's columns read the + side's
+            continue
+        else:
+            spectrum = model.spectra[spec.sink]
+            members, w = spectrum.members, spectrum.w
+        agents += members
+        column += [r] * len(members)
+        factor += list(w)
+    return InfluenceMatrix(h=h, agents=np.array(agents, dtype=int),
+                           column=np.array(column, dtype=int), factor=np.array(factor))

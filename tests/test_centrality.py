@@ -13,8 +13,6 @@ from signed_influence import (
     AgentParams,
     InfluenceMatrix,
     NoSuchEdgeError,
-    SourceKind,
-    SourceSpec,
     ZeroDeltaError,
     absolute_centrality,
     build_network,
@@ -30,11 +28,10 @@ from synth import spec_text, synth_network  # noqa: E402
 
 
 def _influence(theta):
-    """Θ as its factors: G = Θ, every agent a singleton source (W = I)."""
-    g = np.asarray(theta, dtype=float)
-    sources = tuple(SourceSpec(SourceKind.SINGLETON_LEADER, agent=j, sink=j, members=(j,))
-                    for j in range(g.shape[1]))
-    return InfluenceMatrix(g=g, sources=sources, spectra={})
+    """Θ as columns of H = Θ: agent j's column is H's column j, factor 1."""
+    h = np.asarray(theta, dtype=float)
+    agents = np.arange(h.shape[1])
+    return InfluenceMatrix(h=h, agents=agents, column=agents, factor=np.ones(len(agents)))
 
 
 class TestAbsoluteCentrality:

@@ -388,7 +388,7 @@ class TestIndividualInfluence:
             assert np.allclose(sums, 1.0, atol=1e-9), seed
 
     def test_equals_the_product_of_g_and_w(self, zoo17):
-        # the scatter into Θ against the dense G·W it replaces
+        # Θ gathered from H's columns against the dense G·W, the product it stands for
         cases = [(zoo17.net, zoo17.params)] + [
             (rn.net, rn.params) for rn in map(random_network, range(200))]
         cases.append((synth_network(200, 0).net, synth_network(200, 0).params))
@@ -406,7 +406,8 @@ class TestIndividualInfluence:
                     w[r, list(model.spectra[spec.sink].members)] = -sw if spec.side == -1 else sw
             want = g @ w
             theta = individual_influence(ci, model).theta
-            # one term per entry is exact; a balanced sink's two may round once apart
+            # one term per entry is exact; a balanced sink's (G_r − G_{r+1})·w_j may
+            # round once apart from G_r·w_j − G_{r+1}·w_j
             assert np.max(np.abs(theta - want), initial=0.0) <= 4e-16 * max(
                 1.0, np.max(np.abs(want), initial=0.0)), k
 
