@@ -34,6 +34,7 @@ from .errors import (
     ComplexityCapExceededError,
     DegenerateEigenspaceError,
     DuplicateEdgeError,
+    IterationCapError,
     NetworkValidationError,
     NoSuchEdgeError,
     NotStronglyConnectedError,

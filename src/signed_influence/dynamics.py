@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import (
     DegenerateEigenspaceError,
+    IterationCapError,
     SingularSystemError,
     StubbornSinkRejectedError,
 )
@@ -486,7 +487,8 @@ def steady_state(
     z with R = beta x(0) and z_o with R = 0.  direct-solve: one complement
     solve with z and z_o as two columns.  eigenprojection: z_o and z_s by
     two complement solves, z_s with the sinks' values 0.  iteration: run
-    the update rule to convergence, with z_o from the unit eigenpairs.
+    the update rule to convergence, with z_o from the unit eigenpairs; a
+    run that reaches ``max_iters`` first raises `IterationCapError`.
     """
     x0 = np.asarray(x0, dtype=float)
     limits = _unit_limits(model, x0)
@@ -500,7 +502,10 @@ def steady_state(
 
     z_o = _complete(model, limits)
     if method == SteadyStateMethod.ITERATION:
-        z = simulate(model.matrices, x0, tol=tol, max_iters=max_iters).xs[-1]
+        log = simulate(model.matrices, x0, tol=tol, max_iters=max_iters)
+        if not log.converged:
+            raise IterationCapError(log.iterations, log.residual, tol)
+        z = log.xs[-1]
         return SteadyState(z=z, z_o=z_o, z_s=z - z_o, method=method)
 
     # eigenprojection: z_s from the stubborn input alone, on its own solve

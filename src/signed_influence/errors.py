@@ -63,6 +63,17 @@ class SingularSystemError(SignedInfluenceError):
     """A linear system that should be regular turned out singular."""
 
 
+class IterationCapError(SignedInfluenceError):
+    """The update rule reached its iteration cap before the residual dropped below tol."""
+
+    def __init__(self, iterations, residual, tol):
+        super().__init__(
+            f"no convergence after {iterations} iterations: residual {residual:.3g} >= tol {tol:.3g}"
+        )
+        self.iterations = iterations
+        self.residual = residual
+
+
 class ComplexityCapExceededError(SignedInfluenceError):
     """An enumeration would pass its cap: more than ``limit`` of ``what``.
 

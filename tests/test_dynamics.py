@@ -14,6 +14,7 @@ from netgen import random_network
 from signed_influence import (
     AgentParams,
     DegenerateEigenspaceError,
+    IterationCapError,
     ModelMatrices,
     SingularSystemError,
     SteadyStateMethod,
@@ -354,6 +355,13 @@ class TestSteadyState:
         assert ss.z[4] == pytest.approx(7.0, abs=1e-6)
         assert ss.z[5] == pytest.approx(3.0, abs=1e-6)
         assert np.allclose(ss.z, ss.z_o + ss.z_s, atol=1e-6)
+
+    def test_iteration_route_raises_at_its_cap(self, ref11):
+        # three steps leave z ~5 from the solve; the route must not return it as z
+        model = prepare(ref11.net, ref11.params)
+        with pytest.raises(IterationCapError, match="after 3 iterations: residual ") as exc:
+            steady_state(model, ref11.x0, SteadyStateMethod.ITERATION, max_iters=3)
+        assert exc.value.iterations == 3 and exc.value.residual >= 1e-10
 
     def test_routes_agree_on_random_networks(self):
         for seed in range(20):
