@@ -75,7 +75,7 @@ class NetworkSpec:
         try:
             agent = int(token)
         except ValueError:
-            raise BadIdError(token) from None
+            raise SpecFileError(f"agent {token!r} is neither a label nor an agent id") from None
         if not (0 <= agent < self.net.n):
             raise BadIdError(token)
         return agent
@@ -87,6 +87,10 @@ class NetworkSpec:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SpecFileError(message)
+
+
+def _int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _number(x) -> bool:
@@ -126,7 +130,7 @@ def load_spec(path: str) -> NetworkSpec:
     _require(isinstance(doc, dict), "top level must be a mapping")
     _require(doc.get("schema") == SPEC_SCHEMA, f"schema must be {SPEC_SCHEMA!r}")
     _require(
-        isinstance(doc.get("n"), int) and not isinstance(doc["n"], bool) and doc["n"] >= 1,
+        _int(doc.get("n")) and doc["n"] >= 1,
         "n must be a positive integer",
     )
     n = doc["n"]
@@ -136,7 +140,7 @@ def load_spec(path: str) -> NetworkSpec:
     for e in edges:  # each message is formatted only when its check fails
         if not (isinstance(e, (list, tuple)) and len(e) == 3):
             raise SpecFileError(f"edge {e!r} must be [from, to, weight]")
-        if isinstance(e[0], bool) or isinstance(e[1], bool):
+        if not (_int(e[0]) and _int(e[1])):
             raise SpecFileError(f"edge {e!r}: agent ids must be integers")
         if not _number(e[2]):
             raise SpecFileError(f"edge {e!r}: weight must be a number")

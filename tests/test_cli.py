@@ -87,6 +87,16 @@ class TestClassifyCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["classify", "/nonexistent.yaml"]) == 2
 
+    @pytest.mark.parametrize("edge", ["[0, 1.0, 1.0]", '[0, "1", 1.0]', "[0.0, 1, 1.0]"],
+                             ids=["float-id", "string-id", "float-source-id"])
+    def test_id_that_is_not_an_integer_exits_2(self, tmp_path, capsys, edge):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"schema: signed-influence/1\nn: 2\nedges: [{edge}]\n"
+                        "gamma: [0.3, 0.4]\nbeta: [0.1, 0.0]\nx0: [1.0, 2.0]\n")
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: edge [") and err.endswith(": agent ids must be integers\n")
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -545,6 +555,12 @@ class TestWhatifCommand:
         assert main(["whatif", path, "--perturb", "1", "1.0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", [["--perturb", "x", "2"], ["--flip-edge", "1", "x"]],
+                             ids=["perturb", "flip-edge"])
+    def test_token_neither_label_nor_id_exits_2(self, capsys, flag):
+        assert main(["whatif", REF11_PATH, *flag]) == 2
+        assert capsys.readouterr().err == "error: agent 'x' is neither a label nor an agent id\n"
 
     def test_missing_edge_exits_2(self, capsys):
         assert main(["whatif", REF11_PATH, "--flip-edge", "5", "1"]) == 2
