@@ -17,7 +17,9 @@ how many only `diff_reports`-clean and how many dirty (a report missing on
 one side counts as dirty), then how many simulate files differ or are
 missing and the largest |delta| between their numbers.  It lists the dirty
 ones, each simulate file that differs with its largest |delta| and whether
-its row and iteration counts match, and exits 1 if there are any.
+its row and iteration counts match, and exits 1 if there are any.  A
+directory that is missing or holds no reports is an error of one line
+and exit 1, so two empty directories do not compare clean.
 It is not a test module: pytest does not collect it.
 """
 
@@ -111,6 +113,10 @@ def compare(a_dir: Path, b_dir: Path) -> int:
     sys.path.insert(0, str(REPO / "src"))
     from signed_influence.specfile import diff_reports, load_report
 
+    for d in (a_dir, b_dir):
+        if not any(d.glob("*.yaml")):
+            print(f"error: {d} is missing or holds no reports", file=sys.stderr)
+            return 1
     names = sorted({p.name for p in a_dir.glob("*.yaml")} | {p.name for p in b_dir.glob("*.yaml")})
     identical, clean, dirty = 0, 0, []
     for name in names:

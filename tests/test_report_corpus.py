@@ -1,0 +1,38 @@
+"""`report_corpus.py compare`: when two corpora count as the same outputs."""
+
+import pathlib
+import shutil
+
+import report_corpus
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+REPORTS = ("reference11-solve.yaml", "showcase17-solve.yaml")
+
+
+def _corpus(path: pathlib.Path) -> pathlib.Path:
+    path.mkdir()
+    for name in REPORTS:
+        shutil.copy(GOLDEN / name, path / name)
+    return path
+
+
+def test_identical_corpora_compare_clean(tmp_path, capsys):
+    assert report_corpus.compare(_corpus(tmp_path / "a"), _corpus(tmp_path / "b")) == 0
+    assert "2 reports: 2 byte-identical, 0 diff_reports-clean, 0 dirty" in capsys.readouterr().out
+
+
+def test_one_changed_number_is_dirty_and_named(tmp_path, capsys):
+    b = _corpus(tmp_path / "b")
+    report = b / REPORTS[0]
+    text = report.read_text()
+    assert "z_s: [4.96," in text
+    report.write_text(text.replace("z_s: [4.96,", "z_s: [4.97,", 1))
+    assert report_corpus.compare(_corpus(tmp_path / "a"), b) == 1
+    out = capsys.readouterr().out
+    assert "1 dirty" in out and f"{REPORTS[0]}: 1 differences" in out
+
+
+def test_missing_directory_is_an_error(tmp_path, capsys):
+    assert report_corpus.compare(_corpus(tmp_path / "a"), tmp_path / "missing") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing" in err
