@@ -547,19 +547,18 @@ def individual_influence(c: CollectiveInfluence, model: Model) -> InfluenceMatri
     """
     h = _fold_matrix(c.sources, model.classification.n)
     h[list(c.agents)] = c.c
-    pairs = [r for r, spec in enumerate(c.sources) if spec.side == 1]
-    h[:, pairs] -= h[:, [r + 1 for r in pairs]]
     agents, column, factor = [], [], []
     for r, spec in enumerate(c.sources):
         if spec.kind in (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL):
-            members, w = (spec.agent,), (1.0,)
-        elif spec.side == -1:  # its sink's columns read the + side's
+            members, w = (spec.agent,), [1.0]
+        elif spec.side == -1:  # the pair's + side, source r - 1, carries its sink
+            h[:, r - 1] -= h[:, r]
             continue
         else:
             spectrum = model.spectra[spec.sink]
-            members, w = spectrum.members, spectrum.w
+            members, w = spectrum.members, spectrum.w.tolist()
         agents += members
         column += [r] * len(members)
-        factor += list(w)
+        factor += w
     return InfluenceMatrix(h=h, agents=np.array(agents, dtype=int),
                            column=np.array(column, dtype=int), factor=np.array(factor))
