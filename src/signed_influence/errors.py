@@ -67,9 +67,8 @@ class IterationCapError(SignedInfluenceError):
     """The update rule reached its iteration cap before the residual dropped below tol."""
 
     def __init__(self, iterations, residual, tol):
-        super().__init__(
-            f"no convergence after {iterations} iterations: residual {residual:.3g} >= tol {tol:.3g}"
-        )
+        super().__init__(f"no convergence after {iterations} iterations: "
+                         f"residual {residual:.3g} >= tol {tol:.3g}")
         self.iterations = iterations
         self.residual = residual
 

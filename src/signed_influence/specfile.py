@@ -129,10 +129,7 @@ def load_spec(path: str) -> NetworkSpec:
     doc = _read_yaml(path)
     _require(isinstance(doc, dict), "top level must be a mapping")
     _require(doc.get("schema") == SPEC_SCHEMA, f"schema must be {SPEC_SCHEMA!r}")
-    _require(
-        _int(doc.get("n")) and doc["n"] >= 1,
-        "n must be a positive integer",
-    )
+    _require(_int(doc.get("n")) and doc["n"] >= 1, "n must be a positive integer")
     n = doc["n"]
     edges = doc.get("edges", [])
     _require(isinstance(edges, list), "edges must be a list")
