@@ -5,11 +5,11 @@ direction is the reverse of the information flow in the network.  The full
 graph carries one node per final opinion plus one per stubborn initial
 opinion; the reduced graph collapses stubborn-free sinks into collective
 sources so every influential agent (group) is represented by a source.
-Both graphs are read off one set of node equations u = P'u + C_in v, built
-by `_node_equations` from the CSR rows of the non-source agents alone, for
-a given source list and set of deleted agents.  Every graph and gain
-route takes the prepared `dynamics.Model`; the reduction, and Θ, read its
-sink spectra, and the full graph and the solve do not.
+Both graphs come from `_graph`, which reads the CSR rows of the non-source
+agents alone and emits their branches from one sorted list of terms; the
+reduced graph's non-source agents are K, the agents `solve_gain` solves
+for.  Every graph and gain route takes the prepared `dynamics.Model`;
+only Θ reads its sink spectra, and neither graph nor the solve does.
 
 The production route builds neither: `solve_gain` makes the steady
 state's complement solve (`dynamics._complete`) with the fold rows given,
@@ -17,20 +17,19 @@ and `individual_influence` keeps Θ as columns of one n x S matrix H:
 agent j's column of Θ is a factor (1, or the sink's w_j) times one column
 of H, and it is the one place that reads the source kinds and the sink
 spectra to say which.  The centrality reads H's column norms; the n x n Θ
-is built only when read, by one gather of H's columns.  Mason's
-formula is the paper's method, the first try of the `auto` gain route and
-the oracle the solve is checked against; the node equations and the
-`SfgGraph` are built only for it and for DOT export.  `mason_influence`
-enumerates the loops (Johnson's elementary circuits, on successor lists
-read off the branches), their conflicts and the graph determinant Δ once
-per graph, walks each source's simple paths once and memoises each path's
-cofactor on the loops the path touches.  Before any alternating sum it
-counts the sets of non-touching loops, a product over the components of
-the loop-conflict graph, and a count over the cap raises
-`ComplexityCapExceededError` as a capped loop, pair or path enumeration
-does; Δ or a cofactor that cancels to fewer than 8 significant digits (as
-when γ nears 1 at followers) raises `SingularSystemError`.  `auto` falls
-back to the solve on both.
+is built only when read, by one gather of H's columns.  Mason's formula is
+the paper's method, the first try of the `auto` gain route and the oracle
+the solve is checked against; an `SfgGraph` is built only for it and for
+DOT export.  `mason_influence` enumerates the loops (Johnson's elementary
+circuits, on successor lists read off the branches), their conflicts and
+the graph determinant Δ once per graph, walks each source's simple paths
+once and memoises each path's cofactor on the loops the path touches.
+Before any alternating sum it counts the sets of non-touching loops, a
+product over the components of the loop-conflict graph, and a count over
+the cap raises `ComplexityCapExceededError` as a capped loop, pair or path
+enumeration does; Δ or a cofactor that cancels to fewer than 8
+significant digits (as when γ nears 1 at followers) raises
+`SingularSystemError`.  `auto` falls back to the solve on both.
 """
 
 from __future__ import annotations
@@ -182,76 +181,38 @@ def _stubborn_inputs(sources: tuple[SourceSpec, ...]) -> tuple[list[int], list[i
     return [a for a, _ in pairs], [r for _, r in pairs]
 
 
-@dataclass(frozen=True)
-class _NodeEquations:
-    """Node equations u = P'u + C_in v of a signal-flow graph."""
+def _graph(
+    matrices: ModelMatrices, sources: tuple[SourceSpec, ...], agents: Sequence[int]
+) -> SfgGraph:
+    """The signal-flow graph whose non-source nodes are ``agents``, sorted.
 
-    agents: tuple[int, ...]  # non-source agents N
-    sources: tuple[SourceSpec, ...]
-    pprime: np.ndarray  # P[N, N]
-    cin: np.ndarray  # P[N, :] F, and beta_i at agent i in its stubborn-initial column
-
-
-def _node_equations(
-    matrices: ModelMatrices, sources: tuple[SourceSpec, ...], deleted: frozenset[int]
-) -> _NodeEquations:
-    """The one builder of both graphs' node equations.
-
-    Agents folded into a source (a member of any non-stubborn-initial
-    source) and the deleted agents are not nodes; every other agent is a
-    non-source node, and only those agents' rows of P are read.  The
-    stubborn-initial sources come last in ``sources``.
+    Only their rows of P are read.  Entry p_ij feeds agent j's node, the
+    collective source j is folded into (any source but a stubborn-initial
+    one) or, for a deleted agent, nothing; beta_i feeds agent i's
+    stubborn-initial source.  The terms are sorted once, by row and then
+    agents before sources, and a row's entries into one source add in
+    column order; a term that adds to 0 has no branch.
     """
-    source_of = np.full(matrices.n, -1)  # the collective source an agent is folded into
+    agents = np.asarray(agents, dtype=np.intp)
+    width = len(agents) + len(sources)
+    term = np.full(matrices.n, -1)  # the term column j feeds in its row's equation
+    term[agents] = np.arange(len(agents))
     for r, spec in enumerate(sources):
         if spec.kind != SourceKind.STUBBORN_INITIAL:
-            source_of[list(spec.members)] = r
-    keep = source_of < 0
-    keep[list(deleted)] = False
-    agents = np.flatnonzero(keep)
+            term[list(spec.members)] = len(agents) + r
     idx, counts = _entries(matrices.indptr, agents)
-    row = np.repeat(np.arange(len(agents)), counts)
-    cols, vals = matrices.cols[idx], matrices.vals[idx]
-    into = source_of[cols] >= 0
-    cin = np.zeros((len(agents), len(sources)))
-    # in column order within each row, as the product P[N, :] F sums them
-    np.add.at(cin, (row[into], source_of[cols[into]]), vals[into])
+    to = term[matrices.cols[idx]]
     stubborn, columns = _stubborn_inputs(sources)
-    cin[agents.searchsorted(stubborn), columns] = matrices.beta[stubborn]
-    return _NodeEquations(tuple(agents.tolist()), sources, matrices.block(agents), cin)
-
-
-def _reduction(model: Model) -> _NodeEquations:
-    """Collapse stubborn-free sinks into collective sources.
-
-    Singleton leaders stay single sources, cooperative stubborn-free sinks
-    become one source, balanced ones a pair (one per partition), members of
-    stubborn-free unbalanced sinks are deleted, and members of sinks with
-    any stubborn leader remain ordinary non-source nodes.  The sinks that
-    fold are those of the model's spectra, so each has its unit eigenpair.
-    """
-    cls = model.classification
-    folded = model.spectra
-    deleted = frozenset(
-        m
-        for sink, members in enumerate(cls.sinks)
-        if sink not in folded and not cls.sink_has_stubborn(sink)
-        for m in members
-    )
-    return _node_equations(model.matrices, source_catalog(cls), deleted)
-
-
-def _graph(eqs: _NodeEquations) -> SfgGraph:
-    """One branch per nonzero of P' and C_in, row by row, P' first."""
-    nodes = [("agent", i) for i in eqs.agents] + [("source", r) for r in range(len(eqs.sources))]
-    gains = np.hstack([eqs.pprime, eqs.cin])  # column k is the equation's term in nodes[k]
-    rows, cols = np.nonzero(gains)
-    branches = zip(cols.tolist(), rows.tolist(), gains[rows, cols].tolist())
-    return SfgGraph(
-        nodes=tuple(nodes),
-        sources=eqs.sources,
-        branches=tuple((nodes[col], nodes[row], gain) for col, row, gain in branches),
-    )
+    keys, at = np.unique(np.concatenate([
+        (np.arange(len(agents)).repeat(counts) * width + to)[to >= 0],
+        agents.searchsorted(stubborn) * width + len(agents) + np.array(columns, dtype=int),
+    ]), return_inverse=True)
+    gains = np.bincount(at, np.concatenate([matrices.vals[idx[to >= 0]], matrices.beta[stubborn]]))
+    rows, terms = np.divmod(keys[gains != 0], width)
+    nodes = [("agent", i) for i in agents.tolist()]
+    nodes += [("source", r) for r in range(len(sources))]
+    branches = zip(terms.tolist(), rows.tolist(), gains[gains != 0].tolist())
+    return SfgGraph(tuple(nodes), sources, tuple((nodes[t], nodes[r], g) for t, r, g in branches))
 
 
 def build_full_sfg(model: Model) -> SfgGraph:
@@ -262,12 +223,22 @@ def build_full_sfg(model: Model) -> SfgGraph:
     """
     kinds = (SourceKind.SINGLETON_LEADER, SourceKind.STUBBORN_INITIAL)
     sources = tuple(s for s in source_catalog(model.classification) if s.kind in kinds)
-    return _graph(_node_equations(model.matrices, sources, frozenset()))
+    leaders = {s.agent for s in sources if s.kind == SourceKind.SINGLETON_LEADER}
+    return _graph(model.matrices, sources, [i for i in range(model.matrices.n) if i not in leaders])
 
 
 def reduce_sfg(model: Model) -> SfgGraph:
-    """The reduced signal-flow graph: stubborn-free sinks folded into sources."""
-    return _graph(_reduction(model))
+    """The reduced signal-flow graph: stubborn-free sinks folded into sources.
+
+    Singleton leaders stay single sources, cooperative stubborn-free sinks
+    become one source, balanced ones a pair (one per partition), members of
+    stubborn-free unbalanced sinks are deleted, and members of sinks with
+    any stubborn leader remain ordinary non-source nodes.  So the non-source
+    agents are K, the agents `solve_gain` returns rows for; the graph is
+    read off the structure alone, and no sink spectrum is computed.
+    """
+    cls = model.classification
+    return _graph(model.matrices, source_catalog(cls), _solved_agents(cls))
 
 
 def _adjacency(g: SfgGraph) -> tuple[dict[NodeKey, int], list[dict[int, float]]]:

@@ -620,6 +620,18 @@ class TestExportSfgCommand:
         assert sum(1 for line in out.splitlines() if "shape=" in line) == 1
         assert "->" not in out
 
+    def test_degenerate_sink_still_exports_the_reduced_graph(self, tmp_path, capsys):
+        # the reduced graph reads the structure alone; the gains need the sink's
+        # unit eigenpair, which is not simple at gamma = 1 - 1e-12
+        path = _write_spec(tmp_path, edges=[[0, 1, 1.0], [1, 0, 1.0]],
+                           gamma=[1 - 1e-12] * 2, beta=[0.0, 0.0])
+        assert main(["export-sfg", path, "--reduced"]) == 0
+        out = capsys.readouterr().out
+        assert 'label="S_1"' in out and "->" not in out
+        for command in ("influence", "centrality"):
+            assert main([command, path]) == 3
+            assert capsys.readouterr().err == "error: unit eigenvalue of sink 0 is not simple\n"
+
 
 def _analysis(path):
     spec = signed_influence.load_spec(path)
@@ -632,7 +644,7 @@ _SETUP_ROUTES = {
     "influence": (["influence"], True),
     "centrality": (["centrality"], True),
     "whatif-perturb": (["whatif", "--perturb", "0", "1.0"], True),
-    "export-sfg-reduced": (["export-sfg", "--reduced"], True),
+    "export-sfg-reduced": (["export-sfg", "--reduced"], False),
     "simulate": (["simulate"], False),
     "export-sfg": (["export-sfg"], False),
 }

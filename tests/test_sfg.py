@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -30,6 +31,7 @@ from signed_influence import (
     run_analysis,
     solve_gain,
 )
+from signed_influence.dynamics import _solved_agents
 from signed_influence.sfg import (
     DEFAULT_ENUM_CAP,
     DEFAULT_SUBSET_CAP,
@@ -91,11 +93,13 @@ class TestFullSfg:
 
     def test_one_branch_per_entry_of_p_and_beta(self):
         # one P[i, j] branch j -> i per nonzero, except in the rows of
-        # non-stubborn singleton leaders, and one beta branch per stubborn agent
+        # non-stubborn singleton leaders, and one beta branch per stubborn agent;
+        # the reduced graph's branches, in order, are the nonzeros of
+        # [P[K, K] | P[K, :] F] row by row, beta_i in i's stubborn-initial column
         nets = [load_spec(str(REF11)), load_spec(str(ZOO17))]
         nets += [random_network(seed) for seed in range(200)]
         for k, rn in enumerate(nets):
-            model, full, _ = _stack(rn.net, rn.params)
+            model, full, reduced = _stack(rn.net, rn.params)
             cls, m = model.classification, model.matrices
             leaders = {i for i in cls.singleton_leaders if i not in cls.stubborn}
             expected = [("P", int(j), int(i), float(m.dense()[i, j]))
@@ -108,6 +112,20 @@ class TestFullSfg:
                 got.append((kind, spec.agent if spec else a, i, gain))
             assert sorted(got) == sorted(expected), k
             assert len(set(full.nodes)) == len(full.nodes) == m.n + len(cls.stubborn), k
+
+            agents = _solved_agents(cls)
+            terms = np.hstack([m.dense()[np.ix_(agents, agents)],
+                               m.dense()[agents] @ _fold_matrix(reduced.sources, m.n)])
+            for r, spec in enumerate(reduced.sources):
+                if spec.kind == SourceKind.STUBBORN_INITIAL:
+                    terms[agents.index(spec.agent), len(agents) + r] = m.beta[spec.agent]
+            keys = [("agent", i) for i in agents]
+            keys += [("source", r) for r in range(len(reduced.sources))]
+            rows, cols = np.nonzero(terms)
+            assert [(src, dst) for src, dst, _ in reduced.branches] == [
+                (keys[col], keys[row]) for row, col in zip(rows, cols)], k
+            np.testing.assert_allclose([gain for *_, gain in reduced.branches],
+                                       terms[rows, cols], rtol=1e-14, atol=1e-15, err_msg=str(k))
 
 
 class TestReduceSfg:
@@ -142,6 +160,32 @@ class TestReduceSfg:
         m = model.matrices
         gains = {(src, dst): g for src, dst, g in reduced.branches}
         assert gains[("source", 0), ("agent", 0)] == pytest.approx(m.dense()[0, 1] + m.dense()[0, 2])
+
+    @pytest.mark.parametrize(
+        "case", ["reference11", "showcase17", "netgen", "synth-200", "synth-1000"])
+    def test_nonsource_agents_are_the_solved_agents(self, case):
+        if case == "netgen":
+            nets = [random_network(seed) for seed in range(200)]
+        elif case.startswith("synth"):
+            nets = [synth_network(int(case.split("-")[1]), 0)]
+        else:
+            nets = [load_spec(str({"reference11": REF11, "showcase17": ZOO17}[case]))]
+        for k, rn in enumerate(nets):
+            model = prepare(rn.net, rn.params)
+            assert reduce_sfg(model).nonsource_agents() == solve_gain(model).agents, k
+
+    @pytest.mark.parametrize("build", [reduce_sfg, build_full_sfg])
+    def test_builds_no_dense_block(self, build):
+        # the dense P[K, K] at n = 4000 alone would be over 100 MiB
+        s = synth_network(4000, 0)
+        model = prepare(s.net, s.params)
+        tracemalloc.start()
+        try:
+            build(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, peak
 
     def test_unbalanced_members_deleted(self, zoo17):
         model, _, reduced = _stack(zoo17.net, zoo17.params)
