@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import Model, ModelMatrices, prepare, steady_state
-from .errors import BadIdError, NoSuchEdgeError, ZeroDeltaError
+from .errors import BadIdError, DuplicateEdgeError, NoSuchEdgeError, ZeroDeltaError
 from .graph import AgentParams, SignedNetwork, classify
 from .sfg import InfluenceMatrix
 
@@ -125,12 +125,14 @@ def flip_edge_signs(
     edges: tuple[tuple[int, int], ...],
     atol: float = 1e-9,
 ) -> SignFlipResult:
-    """Negate the weights of the given edges and compare steady states."""
-    existing = {(i, j) for i, j, _ in net.edges}
+    """Negate the weights of the given edges, each named once, and compare steady states."""
+    existing, flip = {(i, j) for i, j, _ in net.edges}, set()
     for i, j in edges:
         if (i, j) not in existing:
             raise NoSuchEdgeError(i, j)
-    flip = set(edges)
+        if (i, j) in flip:
+            raise DuplicateEdgeError(i, j)
+        flip.add((i, j))
     # only signs change: ids, order, support and weak connectivity stay valid
     flipped_edges = tuple((i, j, -w if (i, j) in flip else w) for i, j, w in net.edges)
     net_flipped = replace(net, edges=flipped_edges)

@@ -44,6 +44,7 @@ from .sfg import SfgGraph, SourceKind
 
 SPEC_SCHEMA = "signed-influence/1"
 REPORT_SCHEMA = "signed-influence/report/1"
+_MAX_DEPTH = 64  # specs nest 3 levels deep, reports 5
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -112,9 +113,23 @@ def _finite(x: int | float) -> bool:
 
 
 def _read_yaml(path: str):
-    """Parse a YAML file; every way that can fail is a one-line SpecFileError."""
+    """Parse a YAML file; every way that can fail is a one-line SpecFileError.
+
+    libyaml's composer recurses once per nesting level, so a file nested
+    some 10⁴ levels deep would crash the interpreter: the events are read
+    first, and nesting past _MAX_DEPTH is refused before anything is composed.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
+            depth = 0
+            for event in yaml.parse(fh, Loader=_Loader):
+                if isinstance(event, yaml.CollectionStartEvent):
+                    depth += 1
+                    _require(depth <= _MAX_DEPTH,
+                             f"{path} nests collections more than {_MAX_DEPTH} levels deep")
+                elif isinstance(event, yaml.CollectionEndEvent):
+                    depth -= 1
+            fh.seek(0)
             return yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc

@@ -18,8 +18,9 @@ one side counts as dirty), then how many simulate files differ or are
 missing and the largest |delta| between their numbers.  It lists the dirty
 ones, each simulate file that differs with its largest |delta| and whether
 its row and iteration counts match, and exits 1 if there are any.  A
-directory that is missing or holds no reports is an error of one line
-and exit 1, so two empty directories do not compare clean.
+directory that is missing or holds no reports or no simulate files is an
+error of one line and exit 1, so two empty directories do not compare
+clean.
 It is not a test module: pytest does not collect it.
 """
 
@@ -116,6 +117,9 @@ def compare(a_dir: Path, b_dir: Path) -> int:
     for d in (a_dir, b_dir):
         if not any(d.glob("*.yaml")):
             print(f"error: {d} is missing or holds no reports", file=sys.stderr)
+            return 1
+        if not any(d.glob("*-simulate.*")):
+            print(f"error: {d} holds no simulate files", file=sys.stderr)
             return 1
     names = sorted({p.name for p in a_dir.glob("*.yaml")} | {p.name for p in b_dir.glob("*.yaml")})
     identical, clean, dirty = 0, 0, []

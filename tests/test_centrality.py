@@ -11,7 +11,9 @@ import pytest
 from netgen import random_network
 from signed_influence import (
     AgentParams,
+    DuplicateEdgeError,
     InfluenceMatrix,
+    NetworkValidationError,
     NoSuchEdgeError,
     ZeroDeltaError,
     absolute_centrality,
@@ -192,6 +194,12 @@ class TestFlipEdgeSigns:
     def test_rejects_missing_edge(self, ref11):
         with pytest.raises(NoSuchEdgeError):
             flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((4, 0),))
+
+    def test_rejects_repeated_edge(self, ref11):
+        # flipping an edge twice would restore it; it is an input error instead
+        with pytest.raises(DuplicateEdgeError, match=r"duplicate edge \(0, 5\)") as info:
+            flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5), (1, 9), (0, 5)))
+        assert isinstance(info.value, NetworkValidationError)
 
     def test_one_spectrum_per_sink_and_no_rho(self, ref11, count_calls):
         # one set-up per network, base and flipped: each computes its spectra once

@@ -128,6 +128,27 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["x0: " + "[" * 40_000 + "]" * 40_000 + "\n",
+                                      "- " * 60_000 + "1\n"], ids=["flow", "block"])
+    def test_deeply_nested_spec_exits_2(self, tmp_path, text):
+        # libyaml's composer would recurse once per level and crash the interpreter
+        path = tmp_path / "deep.yaml"
+        path.write_text(text)
+        src = pathlib.Path(signed_influence.__file__).resolve().parent.parent
+        run = subprocess.run([sys.executable, "-m", "signed_influence.cli", "classify", str(path)],
+                             env=dict(os.environ, PYTHONPATH=str(src)),
+                             capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr == f"error: {path} nests collections more than 64 levels deep\n"
+
+    def test_nesting_limit_is_64_levels(self, tmp_path, capsys):
+        # x0 sits one level inside the top mapping
+        for depth, message in ((63, "x0 must be a list of length n"),
+                               (64, "nests collections more than 64 levels deep")):
+            path = _write_spec(tmp_path, x0=functools.reduce(lambda x, _: [x], range(depth), 1.0))
+            assert main(["classify", path]) == 2
+            assert message in capsys.readouterr().err
+
 
 class TestInvalidArguments:
     @pytest.mark.parametrize(
@@ -561,6 +582,14 @@ class TestWhatifCommand:
     def test_token_neither_label_nor_id_exits_2(self, capsys, flag):
         assert main(["whatif", REF11_PATH, *flag]) == 2
         assert capsys.readouterr().err == "error: agent 'x' is neither a label nor an agent id\n"
+
+    def test_repeated_edge_exits_2(self, tmp_path, capsys):
+        labelled = _write_spec(tmp_path, labels=["a", "b"])
+        for path, flags in ((REF11_PATH, ["1", "6", "--flip-edge", "1", "6"]),
+                            (labelled, ["a", "b", "--flip-edge", "0", "1"])):
+            assert main(["whatif", path, "--flip-edge", *flags]) == 2
+            edge = "(0, 5)" if path == REF11_PATH else "(0, 1)"
+            assert capsys.readouterr().err == f"error: duplicate edge {edge}\n"
 
     def test_missing_edge_exits_2(self, capsys):
         assert main(["whatif", REF11_PATH, "--flip-edge", "5", "1"]) == 2

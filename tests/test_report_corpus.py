@@ -3,22 +3,29 @@
 import pathlib
 import shutil
 
+import pytest
+
 import report_corpus
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 REPORTS = ("reference11-solve.yaml", "showcase17-solve.yaml")
+SIMULATE = "reference11-simulate.out"
 
 
-def _corpus(path: pathlib.Path) -> pathlib.Path:
+def _corpus(path: pathlib.Path, simulate: bool = True) -> pathlib.Path:
     path.mkdir()
     for name in REPORTS:
         shutil.copy(GOLDEN / name, path / name)
+    if simulate:
+        (path / SIMULATE).write_text("iterations: 74\n")
     return path
 
 
 def test_identical_corpora_compare_clean(tmp_path, capsys):
     assert report_corpus.compare(_corpus(tmp_path / "a"), _corpus(tmp_path / "b")) == 0
-    assert "2 reports: 2 byte-identical, 0 diff_reports-clean, 0 dirty" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "2 reports: 2 byte-identical, 0 diff_reports-clean, 0 dirty" in out
+    assert "1 simulate files: 1 byte-identical, 0 differ or missing" in out
 
 
 def test_one_changed_number_is_dirty_and_named(tmp_path, capsys):
@@ -36,3 +43,12 @@ def test_missing_directory_is_an_error(tmp_path, capsys):
     assert report_corpus.compare(_corpus(tmp_path / "a"), tmp_path / "missing") == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "missing" in err
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_corpus_without_simulate_files_is_an_error(tmp_path, capsys, side):
+    a = _corpus(tmp_path / "a", simulate=side != "a")
+    b = _corpus(tmp_path / "b", simulate=side != "b")
+    assert report_corpus.compare(a, b) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / side} holds no simulate files\n"
