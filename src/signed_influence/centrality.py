@@ -126,7 +126,8 @@ def flip_edge_signs(
     atol: float = 1e-9,
 ) -> SignFlipResult:
     """Negate the weights of the given edges, each named once, and compare steady states."""
-    existing, flip = {(i, j) for i, j, _ in net.edges}, set()
+    existing = {(i, j) for i, j, _ in net.edges}
+    flip = set()
     for i, j in edges:
         if (i, j) not in existing:
             raise NoSuchEdgeError(i, j)

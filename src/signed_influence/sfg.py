@@ -8,8 +8,8 @@ sources so every influential agent (group) is represented by a source.
 Both graphs come from `_graph`, which reads the CSR rows of the non-source
 agents alone and emits their branches from one sorted list of terms; the
 reduced graph's non-source agents are K, the agents `solve_gain` solves
-for.  Every graph and gain route takes the prepared `dynamics.Model`;
-only Θ reads its sink spectra, and neither graph nor the solve does.
+for.  Every graph and gain route takes the prepared `dynamics.Model`; of
+these, only Θ reads its sink spectra: neither graph nor the solve does.
 
 The production route builds neither: `solve_gain` makes the steady
 state's complement solve (`dynamics._complete`) with the fold rows given,
@@ -17,19 +17,20 @@ and `individual_influence` keeps Θ as columns of one n x S matrix H:
 agent j's column of Θ is a factor (1, or the sink's w_j) times one column
 of H, and it is the one place that reads the source kinds and the sink
 spectra to say which.  The centrality reads H's column norms; the n x n Θ
-is built only when read, by one gather of H's columns.  Mason's formula is
-the paper's method, the first try of the `auto` gain route and the oracle
-the solve is checked against; an `SfgGraph` is built only for it and for
-DOT export.  `mason_influence` enumerates the loops (Johnson's elementary
-circuits, on successor lists read off the branches), their conflicts and
-the graph determinant Δ once per graph, walks each source's simple paths
-once and memoises each path's cofactor on the loops the path touches.
-Before any alternating sum it counts the sets of non-touching loops, a
-product over the components of the loop-conflict graph, and a count over
-the cap raises `ComplexityCapExceededError` as a capped loop, pair or path
-enumeration does; Δ or a cofactor that cancels to fewer than 8
-significant digits (as when γ nears 1 at followers) raises
-`SingularSystemError`.  `auto` falls back to the solve on both.
+is built only when read, by one gather of H's columns.  Mason's
+formula is the paper's method, the first try of the `auto` gain route and
+the oracle the solve is checked against; the `SfgGraph` is built only
+for it and for DOT export.  `mason_influence`
+enumerates the loops (Johnson's elementary circuits, on successor lists
+read off the branches), their conflicts and the graph determinant Δ once
+per graph, walks each source's simple paths once and memoises each path's
+cofactor on the loops the path touches.  Before any alternating sum it
+counts the sets of non-touching loops, a product over the components of
+the loop-conflict graph, and a count over the cap raises
+`ComplexityCapExceededError` as a capped loop, pair or path enumeration
+does; Δ or a cofactor that cancels to fewer than 8 significant digits (as
+when γ nears 1 at followers) raises `SingularSystemError`.  `auto` falls
+back to the solve on both.
 """
 
 from __future__ import annotations
