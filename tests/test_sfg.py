@@ -31,7 +31,6 @@ from signed_influence import (
     run_analysis,
     solve_gain,
 )
-from signed_influence.dynamics import _solved_agents
 from signed_influence.sfg import (
     DEFAULT_ENUM_CAP,
     DEFAULT_SUBSET_CAP,
@@ -113,7 +112,8 @@ class TestFullSfg:
             assert sorted(got) == sorted(expected), k
             assert len(set(full.nodes)) == len(full.nodes) == m.n + len(cls.stubborn), k
 
-            agents = _solved_agents(cls)
+            free = {j for s, ms in enumerate(cls.sinks) if not cls.sink_has_stubborn(s) for j in ms}
+            agents = [i for i in range(m.n) if i not in free]  # K
             terms = np.hstack([m.dense()[np.ix_(agents, agents)],
                                m.dense()[agents] @ _fold_matrix(reduced.sources, m.n)])
             for r, spec in enumerate(reduced.sources):
