@@ -37,7 +37,6 @@ from .errors import (
     IterationCapError,
     NetworkValidationError,
     NoSuchEdgeError,
-    NotStronglyConnectedError,
     NotWeaklyConnectedError,
     ParamConstraintViolatedError,
     SelfLoopError,
@@ -51,11 +50,9 @@ from .errors import (
 from .graph import (
     AgentClassification,
     AgentParams,
-    BalanceResult,
     SignedNetwork,
     SinkKind,
     build_network,
-    check_structural_balance,
     classify,
 )
 from .pipeline import AnalysisResult, run_analysis

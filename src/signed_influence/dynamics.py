@@ -36,7 +36,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -202,21 +202,20 @@ def spectral_radius(m: np.ndarray) -> float:
     rows, cols = np.nonzero(m)
     off = rows != cols
     comps = strong_components(m.shape[0], zip(rows[off].tolist(), cols[off].tolist()))
-    return max((_radius(m[np.ix_(idx, idx)]) for idx in map(sorted, comps)), default=0.0)
+    return max((_radius(m[np.ix_(idx, idx)]) for idx in comps), default=0.0)
 
 
-def block_spectral_radius(matrices: ModelMatrices, blocks: Iterable[Iterable[int]]) -> float:
+def block_spectral_radius(matrices: ModelMatrices, blocks: Sequence[Sequence[int]]) -> float:
     """Exact spectral radius of P: the maximum over its diagonal blocks.
 
-    ``blocks`` partitions the agents into unions of SCCs of P's support, as
-    `AgentClassification.blocks` does.  Permuted to condensation order, P
-    is block triangular over them, so its eigenvalues are those of the
-    diagonal blocks.  A 1x1 block contributes |p_ii|; a larger one the
+    ``blocks`` partitions the agents into sorted unions of SCCs of P's
+    support, as `AgentClassification.blocks` does.  Permuted to
+    condensation order, P is block triangular over them, so its eigenvalues
+    are those of the diagonal blocks.  A 1x1 block contributes |p_ii|; a larger one the
     dense eigenvalues of its block, gathered from the rows.  Diagnostic
     only, read by the report; convergence decisions are structural, never
     spectral.
     """
-    blocks = [sorted(block) for block in blocks]
     singles = [block[0] for block in blocks if len(block) == 1]
     rho = float(np.max(np.abs(matrices.diagonal()[singles]), initial=0.0))
     for idx in blocks:

@@ -39,10 +39,6 @@ class NotWeaklyConnectedError(SignedInfluenceError):
     """The underlying undirected graph is disconnected."""
 
 
-class NotStronglyConnectedError(SignedInfluenceError):
-    """A node set expected to induce a strongly connected subgraph does not."""
-
-
 class ParamConstraintViolatedError(SignedInfluenceError):
     """Agent parameters violate the model constraints."""
 

@@ -29,7 +29,6 @@ from .errors import (
     BadIdError,
     DuplicateEdgeError,
     NetworkValidationError,
-    NotStronglyConnectedError,
     NotWeaklyConnectedError,
     ParamConstraintViolatedError,
     SelfLoopError,
@@ -88,14 +87,6 @@ class SinkKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class BalanceResult:
-    """Outcome of the two-coloring check on a strongly connected node set."""
-
-    balanced: bool
-    sigma: Mapping[int, int] | None  # node -> +1/-1, only when balanced
-
-
-@dataclass(frozen=True)
 class AgentClassification:
     """Follower/leader/stubborn partition and the sink taxonomy.
 
@@ -116,17 +107,10 @@ class AgentClassification:
     group_leaders: frozenset[int]  # agents sharing a sink
     stubborn: frozenset[int]
     sinks: tuple[tuple[int, ...], ...]  # sorted members, sinks ordered by min id
-    sink_of: Mapping[int, int]  # leader -> sink index
     sink_kind: Mapping[int, SinkKind]
     sigma: Mapping[int, int]  # defined exactly on members of balanced sinks
-    balanced_sinks: frozenset[int]  # effectively balanced (S_b)
     influence_free_sinks: frozenset[int]  # balanced and stubborn-free (S_n)
     blocks: tuple[tuple[int, ...], ...]  # sorted SCC members, listeners first
-
-    @property
-    def n(self) -> int:
-        """Number of agents."""
-        return sum(map(len, self.blocks))
 
     def sink_has_stubborn(self, sink: int) -> bool:
         return any(m in self.stubborn for m in self.sinks[sink])
@@ -190,8 +174,10 @@ def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetw
     return SignedNetwork(n=n, edges=tuple(sorted(frozen)), weakly_connected=parts == 1)
 
 
-def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
+def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
     """The SCCs of the digraph on 0..n-1 with the given arcs, listeners first.
+
+    Each SCC is the sorted tuple of its members.
 
     An arc is a pair (i, j); anything after j, such as an edge's weight,
     is ignored, so ``net.edges`` serve as arcs as they are.
@@ -243,7 +229,7 @@ def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[frozenset
                 if low[v] == order[v] and stack[-1] == v:  # the common lone node
                     stack.pop()
                     order[v] = done
-                    comps.append(frozenset((v,)))
+                    comps.append((v,))
                 elif low[v] == order[v]:
                     k = len(stack) - 1
                     while stack[k] != v:
@@ -252,7 +238,7 @@ def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[frozenset
                     del stack[k:]
                     for w in comp:
                         order[w] = done
-                    comps.append(frozenset(comp))
+                    comps.append(tuple(sorted(comp)))
                 continue
             cursor[v] = k
             count += 1
@@ -293,25 +279,6 @@ def _two_colour(members: Sequence[int], internal: Iterable[Edge]) -> dict[int, i
     return sigma
 
 
-def check_structural_balance(net: SignedNetwork, members: Iterable[int]) -> BalanceResult:
-    """Two-color a strongly connected node set over its undirected signed edges.
-
-    Sign consistency requires ``sigma_i * sigma_j == sign(a_ij)`` for every
-    internal edge; if (i, j) and (j, i) disagree in sign the set is
-    unbalanced.  The lowest-id member is anchored at +1 so the returned
-    labelling is canonical.  `classify` runs the same two-colouring on each
-    sink without this function's scan of the whole edge list.
-    """
-    members = sorted(set(members))
-    index = {m: k for k, m in enumerate(members)}
-    internal = [(i, j, w) for i, j, w in net.edges if i in index and j in index]
-    arcs = [(index[i], index[j]) for i, j, _ in internal]
-    if len(members) > 1 and len(strong_components(len(members), arcs)) > 1:
-        raise NotStronglyConnectedError(f"nodes {members} are not strongly connected")
-    sigma = _two_colour(members, internal)
-    return BalanceResult(balanced=sigma is not None, sigma=sigma)
-
-
 def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
     """Full agent and sink classification for a weakly connected network."""
     if not net.weakly_connected:
@@ -334,18 +301,12 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         else:
             has_out[ci] = True
     sink_comps = [c for c, out in enumerate(has_out) if not out]
-    sink_comps.sort(key=lambda c: min(comps[c]))
-    sinks = tuple(tuple(sorted(comps[c])) for c in sink_comps)
+    sink_comps.sort(key=lambda c: comps[c][0])
+    sinks = tuple(comps[c] for c in sink_comps)
 
-    leaders = set()
-    sink_of = {}
-    for idx, members in enumerate(sinks):
-        for m in members:
-            leaders.add(m)
-            sink_of[m] = idx
-    followers = frozenset(range(net.n)) - leaders
-    singleton = frozenset(m for idx, ms in enumerate(sinks) if len(ms) == 1 for m in ms)
-    group = frozenset(leaders) - singleton
+    singleton = frozenset(ms[0] for ms in sinks if len(ms) == 1)
+    group = frozenset(m for ms in sinks if len(ms) > 1 for m in ms)
+    followers = frozenset(range(net.n)).difference(*sinks)
     stubborn = frozenset(params.stubborn_agents())
 
     listens = net.out_degree > 0
@@ -372,12 +333,10 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         else:
             sink_kind[idx] = SinkKind.BALANCED
             sigma.update(colour)
-    balanced_sinks = frozenset(s for s, kind in sink_kind.items() if kind != SinkKind.UNBALANCED)
-
     influence_free = frozenset(
         idx
-        for idx in balanced_sinks
-        if not any(m in stubborn for m in sinks[idx])
+        for idx, kind in sink_kind.items()
+        if kind != SinkKind.UNBALANCED and stubborn.isdisjoint(sinks[idx])
     )
 
     return AgentClassification(
@@ -386,10 +345,8 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         group_leaders=group,
         stubborn=stubborn,
         sinks=sinks,
-        sink_of=sink_of,
         sink_kind=sink_kind,
         sigma=sigma,
-        balanced_sinks=balanced_sinks,
         influence_free_sinks=influence_free,
-        blocks=tuple(tuple(sorted(c)) for c in comps),
+        blocks=tuple(comps),
     )

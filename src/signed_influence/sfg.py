@@ -274,7 +274,7 @@ def _circuits(succ: Sequence[Collection[int]], cap: int) -> list[list[int]]:
         pos = {v: k for k, v in enumerate(nodes)}
         arcs = ((pos[v], pos[w]) for v in nodes for w in succ[v] if w in pos and w != v)
         comps = strong_components(len(pos), arcs)
-        return [[nodes[k] for k in sorted(comp)] for comp in comps if len(comp) > 1]
+        return [[nodes[k] for k in comp] for comp in comps if len(comp) > 1]
 
     for v, ws in enumerate(succ):
         if v in ws:
@@ -517,7 +517,7 @@ def individual_influence(c: CollectiveInfluence, model: Model) -> InfluenceMatri
     is G with that difference in the pair's + column.  Nothing n x n is
     built here: `InfluenceMatrix.theta` is, when read.
     """
-    h = _fold_matrix(c.sources, model.classification.n)
+    h = _fold_matrix(c.sources, model.matrices.n)
     h[list(c.agents)] = c.c
     agents, column, factor = [], [], []
     for r, spec in enumerate(c.sources):

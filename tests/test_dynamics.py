@@ -17,6 +17,7 @@ from signed_influence import (
     IterationCapError,
     ModelMatrices,
     SingularSystemError,
+    SinkKind,
     SteadyStateMethod,
     StubbornSinkRejectedError,
     build_matrices,
@@ -284,7 +285,7 @@ class TestSinkSpectrum:
         net = build_network(3, [(0, 1, 1.0), (1, 2, -1.0), (2, 1, -1.0)])
         params = AgentParams(gamma=(0.2, 0.5, 0.5), beta=(0.0, 0.0, 0.0))
         cls, m = classify(net, params), build_matrices(net, params)
-        spec = sink_spectrum(m, cls, cls.sink_of[1])
+        spec = sink_spectrum(m, cls, cls.sinks.index((1, 2)))
         assert np.allclose(spec.w, [0.5, -0.5])
         assert np.allclose(spec.v, [1.0, -1.0])
 
@@ -318,7 +319,7 @@ class TestSinkSpectrum:
 
     def test_rejects_unbalanced_sink(self, zoo17):
         cls, m = classify(zoo17.net, zoo17.params), build_matrices(zoo17.net, zoo17.params)
-        unb = next(s for s in range(len(cls.sinks)) if s not in cls.balanced_sinks)
+        unb = next(s for s, kind in cls.sink_kind.items() if kind == SinkKind.UNBALANCED)
         with pytest.raises(DegenerateEigenspaceError):
             sink_spectrum(m, cls, unb)
 
@@ -341,7 +342,7 @@ class TestLeaderLimit:
     def test_unbalanced_limit_is_zero(self, zoo17):
         model = prepare(zoo17.net, zoo17.params)
         cls = model.classification
-        unb = next(s for s in range(len(cls.sinks)) if s not in cls.balanced_sinks)
+        unb = next(s for s, kind in cls.sink_kind.items() if kind == SinkKind.UNBALANCED)
         assert not cls.sink_has_stubborn(unb)
         z_o = steady_state(model, zoo17.x0).z_o
         assert all(z_o[i] == 0.0 for i in cls.sinks[unb])

@@ -1,4 +1,9 @@
-"""Network validation, balance checks and classification."""
+"""Network validation, classification and strongly connected components.
+
+`classify` alone decides each sink's balance; its kinds and sigma are
+checked against networkx's bipartiteness test, and `strong_components`
+against networkx's SCCs.
+"""
 
 import sys
 import tracemalloc
@@ -16,7 +21,6 @@ from signed_influence import (
     AgentParams,
     DuplicateEdgeError,
     NetworkValidationError,
-    NotStronglyConnectedError,
     NotWeaklyConnectedError,
     ParamConstraintViolatedError,
     SelfLoopError,
@@ -24,7 +28,6 @@ from signed_influence import (
     ZeroWeightError,
     build_matrices,
     build_network,
-    check_structural_balance,
     classify,
     load_spec,
 )
@@ -90,44 +93,43 @@ class TestBuildNetwork:
         assert not net.weakly_connected
 
 
+def _sink_classification(n, edges):
+    """The classification of a network that is one sink of n agents."""
+    cls = classify(build_network(n, edges), AgentParams(gamma=(0.2,) * n, beta=(0.0,) * n))
+    assert cls.sinks == (tuple(range(n)),)
+    return cls
+
+
 class TestStructuralBalance:
     def test_positive_cycle_is_balanced(self):
-        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-        res = check_structural_balance(net, [0, 1, 2])
-        assert res.balanced
-        assert res.sigma == {0: 1, 1: 1, 2: 1}
+        # cooperative is the balanced kind whose internal ties are all positive
+        cls = _sink_classification(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        assert cls.sink_kind == {0: SinkKind.COOPERATIVE}
+        assert cls.sigma == {}
 
     def test_antagonistic_pair(self):
-        net = build_network(2, [(0, 1, -1.0), (1, 0, -2.0)])
-        res = check_structural_balance(net, [0, 1])
-        assert res.balanced
-        assert res.sigma == {0: 1, 1: -1}
+        cls = _sink_classification(2, [(0, 1, -1.0), (1, 0, -2.0)])
+        assert cls.sink_kind == {0: SinkKind.BALANCED}
+        assert cls.sigma == {0: 1, 1: -1}
 
     def test_odd_negative_cycle_is_unbalanced(self):
-        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, -1.0)])
-        res = check_structural_balance(net, [0, 1, 2])
-        assert not res.balanced
-        assert res.sigma is None
+        cls = _sink_classification(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, -1.0)])
+        assert cls.sink_kind == {0: SinkKind.UNBALANCED}
+        assert cls.sigma == {}
 
     def test_opposite_sign_directed_pair_is_unbalanced(self):
-        net = build_network(2, [(0, 1, 1.0), (1, 0, -1.0)])
-        res = check_structural_balance(net, [0, 1])
-        assert not res.balanced
-
-    def test_requires_strong_connectivity(self):
-        net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
-        with pytest.raises(NotStronglyConnectedError):
-            check_structural_balance(net, [0, 1, 2])
+        cls = _sink_classification(2, [(0, 1, 1.0), (1, 0, -1.0)])
+        assert cls.sink_kind == {0: SinkKind.UNBALANCED}
 
     def test_sigma_reproduces_edge_signs(self):
         for seed in range(30):
             rn = random_network(seed, kinds=("balanced",), allow_stubborn=False)
-            members = [i for i in range(rn.net.n) if i >= rn.follower_count]
-            res = check_structural_balance(rn.net, members)
-            assert res.balanced
+            cls = classify(rn.net, rn.params)
+            assert [cls.sink_kind[s] for s in range(len(cls.sinks))] == [SinkKind.BALANCED]
+            assert set(cls.sigma) == set(cls.sinks[0])
             for i, j, w in rn.net.edges:
-                if i in res.sigma and j in res.sigma:
-                    assert res.sigma[i] * res.sigma[j] == (1 if w > 0 else -1)
+                if i in cls.sigma and j in cls.sigma:
+                    assert cls.sigma[i] * cls.sigma[j] == (1 if w > 0 else -1)
 
 
 class TestAgentParams:
@@ -203,7 +205,6 @@ class TestClassify:
         # follower 0 listens to the cycle {1, 2, 3}, which listens to all three sinks
         cls = classify(ref11.net, ref11.params)
         assert cls.blocks == ((0,), (1, 2, 3), (8, 9, 10), (5, 6, 7), (4,))
-        assert cls.n == 11
 
     def test_blocks_come_before_what_they_listen_to(self):
         for seed in range(20):
@@ -248,23 +249,34 @@ class TestOnePassClassify:
                     assert kind == SinkKind.SINGLETON_LEADER, name
                     continue
                 inside = set(members)
-                signs = [w > 0 for i, j, w in net.edges if i in inside and j in inside]
-                assert (kind == SinkKind.COOPERATIVE) == all(signs), (name, idx)
-                if kind == SinkKind.COOPERATIVE:
+                internal = [(i, j, w) for i, j, w in net.edges if i in inside and j in inside]
+                assert (kind == SinkKind.COOPERATIVE) == all(w > 0 for _, _, w in internal), name
+                # sigma_i * sigma_j = sign(a_ij): a negative edge joins opposite colours,
+                # a positive one is split in two so that its ends share a colour
+                g = nx.Graph()
+                g.add_nodes_from(members)
+                for i, j, w in internal:
+                    mid = ("mid", i, j)
+                    g.add_edges_from([(i, j)] if w < 0 else [(i, mid), (mid, j)])
+                balanced = nx.is_bipartite(g)
+                assert (kind != SinkKind.UNBALANCED) == balanced, (name, idx)
+                if not balanced:
                     continue
-                res = check_structural_balance(net, members)
-                assert (kind == SinkKind.BALANCED) == res.balanced, (name, idx)
-                if res.balanced:
-                    assert {m: cls.sigma[m] for m in members} == res.sigma, (name, idx)
+                colour = nx.bipartite.color(g)
+                want = {m: 1 if colour[m] == colour[members[0]] else -1 for m in members}
+                if kind == SinkKind.COOPERATIVE:
+                    assert set(want.values()) == {1}, (name, idx)
+                else:
+                    assert {m: cls.sigma[m] for m in members} == want, (name, idx)
                     balanced_members |= inside
             assert set(cls.sigma) == balanced_members, name
 
-    def test_makes_no_balance_check_call(self, zoo17, count_calls):
-        checks = count_calls("check_structural_balance")
+    def test_makes_one_strong_components_call(self, zoo17, count_calls):
+        searches = count_calls("strong_components")
         cls = classify(zoo17.net, zoo17.params)
         assert SinkKind.BALANCED in cls.sink_kind.values()
         assert SinkKind.UNBALANCED in cls.sink_kind.values()
-        assert checks == []
+        assert len(searches) == 1
 
     def test_memory_stays_linear(self):
         # a dense n x n array at n = 3000 alone would take 72 MB
@@ -299,13 +311,15 @@ class TestNetworkxOracle:
             g.add_nodes_from(range(net.n))
             g.add_edges_from(arcs)
             want = [frozenset(c) for c in nx.strongly_connected_components(g)][::-1]
-            assert strong_components(net.n, arcs) == want, name
+            got = strong_components(net.n, arcs)
+            assert all(type(c) is tuple and list(c) == sorted(c) for c in got), name
+            assert [frozenset(c) for c in got] == want, name
 
     def test_long_chain_and_cycle_need_no_recursion(self):
         n = 100_000
         chain = strong_components(n, [(i, i + 1) for i in range(n - 1)])
-        assert len(chain) == n and chain[0] == {0} and chain[-1] == {n - 1}
-        assert strong_components(n, [(i, (i + 1) % n) for i in range(n)]) == [frozenset(range(n))]
+        assert len(chain) == n and chain[0] == (0,) and chain[-1] == (n - 1,)
+        assert strong_components(n, [(i, (i + 1) % n) for i in range(n)]) == [tuple(range(n))]
 
     def test_weakly_connected_matches_networkx(self):
         rng = np.random.default_rng(0)

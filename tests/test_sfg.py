@@ -19,6 +19,7 @@ from signed_influence import (
     ComplexityCapExceededError,
     Model,
     SfgGraph,
+    SinkKind,
     SourceKind,
     SourceSpec,
     build_full_sfg,
@@ -190,7 +191,7 @@ class TestReduceSfg:
     def test_unbalanced_members_deleted(self, zoo17):
         model, _, reduced = _stack(zoo17.net, zoo17.params)
         cls = model.classification
-        unb = next(s for s in range(len(cls.sinks)) if s not in cls.balanced_sinks)
+        unb = next(s for s, kind in cls.sink_kind.items() if kind == SinkKind.UNBALANCED)
         for agent in cls.sinks[unb]:
             assert ("agent", agent) not in reduced.nodes
         # and nothing references them
