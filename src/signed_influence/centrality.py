@@ -100,6 +100,8 @@ def perturb_initial(
     if not (0 <= agent < net.n):
         raise BadIdError(agent)
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (net.n,):
+        raise ValueError(f"x0 must have length {net.n}")
     x0p = x0.copy()
     x0p[agent] += delta
     shift = x0p[agent] - x0[agent]  # delta as rounded against x0[agent]

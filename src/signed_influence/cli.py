@@ -18,6 +18,7 @@ from .centrality import flip_edge_signs, perturb_initial
 from .dynamics import prepare, simulate
 from .errors import (
     ComplexityCapExceededError,
+    DuplicateEdgeError,
     NetworkValidationError,
     NoSuchEdgeError,
     NotWeaklyConnectedError,
@@ -133,7 +134,10 @@ def cmd_whatif(args) -> int:
     edges = tuple(
         (spec.resolve_agent(a), spec.resolve_agent(b)) for a, b in args.flip_edge
     )
-    res = flip_edge_signs(spec.net, spec.params, spec.x0, edges)
+    try:
+        res = flip_edge_signs(spec.net, spec.params, spec.x0, edges)
+    except (NoSuchEdgeError, DuplicateEdgeError) as exc:  # name the edge as the user did
+        raise type(exc)(spec.label_of(exc.src), spec.label_of(exc.dst)) from None
     flipped = ", ".join(f"({spec.label_of(a)}, {spec.label_of(b)})" for a, b in res.flipped)
     print(f"flipped: {flipped}")
     print(f"mean_abs_deviation: {res.mean_abs_deviation:.12g}")

@@ -490,6 +490,8 @@ def steady_state(
     run that reaches ``max_iters`` first raises `IterationCapError`.
     """
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (model.matrices.n,):
+        raise ValueError(f"x0 must have length {model.matrices.n}")
     limits = _unit_limits(model, x0)
     beta = model.matrices.beta
     stubborn = beta > 0.0

@@ -20,6 +20,8 @@ from signed_influence import (
     build_network,
     flip_edge_signs,
     perturb_initial,
+    prepare,
+    steady_state,
 )
 from signed_influence import build_matrices, centrality
 from signed_influence.cli import main
@@ -176,6 +178,35 @@ class TestPerturbInitial:
                 assert dev == pytest.approx(
                     res.centrality.scores[agent], abs=1e-8
                 ), (seed, agent)
+
+
+def _stubborn_sink_chain():
+    """0 -> 1 <-> 2 with agent 1 stubborn: no stubborn-free balanced sink."""
+    net = build_network(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+    return net, AgentParams(gamma=(0.2,) * 3, beta=(0.0, 0.3, 0.0))
+
+
+class TestWrongShapedX0:
+    # a wrong-length x0 must not broadcast, with or without a stubborn-free balanced sink
+    @pytest.mark.parametrize("x0", [[5.0], 5.0, "n + 1"])
+    @pytest.mark.parametrize("network", ["stubborn-sink", "ref11"])
+    def test_raises_value_error(self, ref11, network, x0):
+        if network == "ref11":
+            net, params = ref11.net, ref11.params
+        else:
+            net, params = _stubborn_sink_chain()
+        if x0 == "n + 1":
+            x0 = np.ones(net.n + 1)
+        edge = net.edges[0][:2]
+        calls = [
+            lambda: steady_state(prepare(net, params), x0),
+            lambda: run_analysis(net, params, x0),
+            lambda: perturb_initial(net, params, x0, 0, 1.0),
+            lambda: flip_edge_signs(net, params, x0, (edge,)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^x0 must have length {net.n}$"):
+                call()
 
 
 def _underflowing_edge():

@@ -585,14 +585,28 @@ class TestWhatifCommand:
 
     def test_repeated_edge_exits_2(self, tmp_path, capsys):
         labelled = _write_spec(tmp_path, labels=["a", "b"])
-        for path, flags in ((REF11_PATH, ["1", "6", "--flip-edge", "1", "6"]),
-                            (labelled, ["a", "b", "--flip-edge", "0", "1"])):
+        unlabelled = _write_spec(tmp_path, "ids.yaml")
+        for path, flags, edge in ((REF11_PATH, ["1", "6", "--flip-edge", "1", "6"], "(1, 6)"),
+                                  (labelled, ["a", "b", "--flip-edge", "0", "1"], "(a, b)"),
+                                  (unlabelled, ["0", "1", "--flip-edge", "0", "1"], "(0, 1)")):
             assert main(["whatif", path, "--flip-edge", *flags]) == 2
-            edge = "(0, 5)" if path == REF11_PATH else "(0, 1)"
             assert capsys.readouterr().err == f"error: duplicate edge {edge}\n"
 
-    def test_missing_edge_exits_2(self, capsys):
+    def test_missing_edge_exits_2(self, tmp_path, capsys):
         assert main(["whatif", REF11_PATH, "--flip-edge", "5", "1"]) == 2
+        assert capsys.readouterr().err == "error: edge (5, 1) does not exist\n"
+        assert main(["whatif", _write_spec(tmp_path), "--flip-edge", "1", "0"]) == 2
+        assert capsys.readouterr().err == "error: edge (1, 0) does not exist\n"
+
+    def test_labelled_spec_names_edges_by_label(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, n=3, edges=[[0, 1, 1.0], [1, 2, -1.0]], labels=["a", "b", "c"],
+                           gamma=[0.3, 0.4, 0.2], beta=[0.1, 0.0, 0.0], x0=[1.0, -2.0, 3.0])
+        assert main(["whatif", path, "--flip-edge", "a", "b", "--flip-edge", "a", "b"]) == 2
+        assert capsys.readouterr().err == "error: duplicate edge (a, b)\n"
+        assert main(["whatif", path, "--flip-edge", "b", "a"]) == 2
+        assert capsys.readouterr().err == "error: edge (b, a) does not exist\n"
+        assert main(["whatif", path, "--flip-edge", "b", "c"]) == 0
+        assert capsys.readouterr().out.startswith("flipped: (b, c)\n")
 
     def test_flip_of_an_underflowed_edge_matches_a_fresh_build(self, tmp_path, capsys):
         # p_02 underflows to zero against row 0's 1e300, so the flip moves nothing
