@@ -24,8 +24,8 @@ def in_copy(tmp_path, monkeypatch):
 
 
 def test_readme_has_examples():
-    assert len(PYTHON) == 1
-    assert len(CLI) == 7
+    # the parametrised tests below pass vacuously if the blocks are not found
+    assert PYTHON and CLI
 
 
 @pytest.mark.parametrize("block", PYTHON)
