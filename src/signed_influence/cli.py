@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 import numpy as np
@@ -185,6 +186,7 @@ class _Perturb(argparse.Action):  # I stays a label; DELTA must be a number
             parser.error(f"argument {option_string}: DELTA must be a number, got {values[1]!r}")
 
 
+@functools.cache  # built once per process: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="signed-influence",

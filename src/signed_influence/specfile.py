@@ -16,11 +16,19 @@ Reports are YAML as well, schema ``signed-influence/report/1``, with every
 number serialized to 12 significant digits so that a re-ingested report
 diffs clean against a fresh run.
 
-Specs and reports are read with PyYAML (libyaml's parser when present),
-because specs are user-written and may use any YAML. Reports are written
-by this module's own writer: its output is byte-identical to PyYAML's
-libyaml dump, and it raises TypeError on a value outside the report schema
-rather than write other YAML.
+A spec in the plain form that the fixtures and generated specs use is
+read without a YAML parser: a top-level block mapping with its keys at
+column 0, plain scalars in unambiguous decimal or word form, flow lists of
+them (wrapped over indented lines or not), edges as ``- [i, j, w]`` lines
+or a flow list of such lists, and comments on lines of their own.  That
+reader returns the document PyYAML would, with the same types, or declines;
+every other spec and every report is read with PyYAML (libyaml's parser
+when present), because specs are user-written and may use any YAML.  A
+repeated mapping key is an error, and so is a label that YAML reads as a
+bool, null, list or mapping (``yes``, ``no``, ``~``; quoted, they are
+names).  Reports are written by this module's own writer: its output is
+byte-identical to PyYAML's libyaml dump, and it raises TypeError on a
+value outside the report schema rather than write other YAML.
 """
 
 from __future__ import annotations
@@ -51,7 +59,22 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's parser when PyYAML was built with it.  It also reads an
     exponent without a sign or a decimal point, 1e300, -5E-2 or .5e3, and a
     signed number that starts with a point, -.5 or -.25E-1, as a float, as
-    YAML 1.2 does; YAML 1.1 reads them as strings."""
+    YAML 1.2 does; YAML 1.1 reads them as strings.  A mapping that repeats
+    a key is an error, where PyYAML would keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            with contextlib.suppress(TypeError):  # unhashable: the base class says so
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 _Loader.add_implicit_resolver(
@@ -112,15 +135,138 @@ def _finite(x: int | float) -> bool:
         return False
 
 
+# The plain form: the YAML that spec_text and the fixtures write.  _read_plain
+# reads it without PyYAML and returns the document that
+# yaml.load(text, Loader=_Loader) returns, with the same types, or None for
+# any text outside it.  Its scalars have one reading only: no token that
+# YAML 1.1 reads otherwise (010 octal, 1_0, 1:30, +.5, yes, ~) is accepted.
+_PLAIN = re.compile(r"[A-Za-z][A-Za-z0-9_/-]*")
+# YAML 1.1 reads these as bools or null
+_RESERVED = frozenset("yes Yes YES no No NO true True TRUE false False FALSE "
+                      "on On ON off Off OFF null Null NULL".split())
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"  # longer ones decline: int() refuses past 4300 digits
+_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]*(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_INTS = re.compile(rf"(?:{_INT}\n)*{_INT}")
+_FLOATS = re.compile(rf"(?:{_FLOAT}\n)*{_FLOAT}")
+_QUOTED = re.compile(r""""[^"\\,\[\]\n]*"|'[^'\\,\[\]\n]*'""")
+
+
+def _triple(group: str) -> str:  # [a, b, c] on one line; group opens each token's group
+    token = rf"""{group}{_QUOTED.pattern}|[^ \n,\[\]"']+)"""
+    return rf"\[ *{token} *, *{token} *, *{token} *\]"
+
+
+_TRIPLE = re.compile(_triple("("))
+_NOTE = r" *(?:#[^\n]*)?\n"  # a blank line or a comment line
+_NOTES = re.compile(f"(?:{_NOTE})*")
+_SECTION = re.compile(r"^(?=[^ #\n-])", re.M)  # a line that can only start an entry
+_ENTRY = re.compile(
+    r"([a-z_][a-z0-9_]{0,127}):"
+    r"(?: +([^ \n\[][^\n]*)"  # 2: a scalar
+    r"| +(\[[^\n]*(?:\n +[^ #\n][^\n]*)*)"  # 3: a flow list, wrapped over indented lines
+    r"|)\n")  # neither: a block list follows
+_BLOCK = re.compile(rf"(?:{_NOTE})*( *)- {_triple('(?:')}\n(?:\1- {_triple('(?:')}\n|{_NOTE})*")
+_ITEMS = re.compile(rf"^ *- {_TRIPLE.pattern}$", re.M)
+_FLOW = re.compile(r"\[[ \n]*([^\[\]]*?)[ \n]*\]")
+_FLOW_TRIPLES = re.compile(
+    rf"\[[ \n]*(?:{_triple('(?:')}(?:[ \n]*,[ \n]*{_triple('(?:')})*)?[ \n]*\]")
+_COMMA = re.compile(r"[ \n]*,[ \n]*")
+
+
+class _NotPlain(Exception):
+    pass
+
+
+def _token_value(token: str):
+    if _INTS.fullmatch(token):
+        return int(token)
+    if _FLOATS.fullmatch(token):
+        return float(token)
+    if _QUOTED.fullmatch(token):
+        return token[1:-1]
+    if _PLAIN.fullmatch(token) and token not in _RESERVED:
+        return token
+    raise _NotPlain
+
+
+def _token_values(tokens) -> list:
+    """The tokens' values; a list of all ints or all floats converts in bulk."""
+    text = "\n".join(tokens)
+    if _INTS.fullmatch(text):
+        return list(map(int, tokens))
+    if _FLOATS.fullmatch(text):
+        return list(map(float, tokens))
+    return [_token_value(t) for t in tokens]
+
+
+def _rows(triples: list) -> list:
+    if not triples:
+        return []
+    return list(map(list, zip(*map(_token_values, zip(*triples)))))
+
+
+def _flow_list(text: str) -> list:
+    if "[" in text[1:]:  # a list of [a, b, c] lists
+        if not _FLOW_TRIPLES.fullmatch(text):
+            raise _NotPlain
+        return _rows(_TRIPLE.findall(text))
+    m = _FLOW.fullmatch(text)
+    if m is None:
+        raise _NotPlain
+    return _token_values(_COMMA.split(m[1])) if m[1] else []
+
+
+def _read_plain(text: str) -> dict | None:
+    """A top-level block mapping with keys at column 0 whose values are plain
+    scalars, flow lists of them, or lists of [a, b, c] lists (flow, or block
+    lines at one indentation); comments only on lines of their own."""
+    if not text.endswith("\n"):
+        text += "\n"
+    # tabs, CR, a BOM, other non-ASCII and trailing spaces all decline
+    if not (text.isascii() and text.replace("\n", " ").isprintable()) or " \n" in text:
+        return None
+    head, *sections = _SECTION.split(text)
+    if not sections or not _NOTES.fullmatch(head):
+        return None
+    doc = {}
+    try:
+        for section in sections:
+            m = _ENTRY.match(section)
+            if m is None or m[1] in doc or m[1] in _RESERVED:
+                return None
+            rest = section[m.end():]
+            if m[2] is not None:
+                value = _token_value(m[2])
+            elif m[3] is not None:
+                value = _flow_list(m[3])
+            elif _BLOCK.fullmatch(rest):  # an empty value declines here
+                doc[m[1]] = _rows(_ITEMS.findall(rest))
+                continue
+            else:
+                return None
+            if not _NOTES.fullmatch(rest):
+                return None
+            doc[m[1]] = value
+    except _NotPlain:
+        return None
+    return doc
+
+
 def _read_yaml(path: str):
     """Parse a YAML file; every way that can fail is a one-line SpecFileError.
 
-    libyaml's composer recurses once per nesting level, so a file nested
-    some 10⁴ levels deep would crash the interpreter: the events are read
-    first, and nesting past _MAX_DEPTH is refused before anything is composed.
+    The file is read once; text in the plain form needs no parser.  For any
+    other text, libyaml's composer recurses once per nesting level, so a file
+    nested some 10⁴ levels deep would crash the interpreter: the events are
+    read first, and nesting past _MAX_DEPTH is refused before anything is
+    composed.  (The plain form nests 3 levels.)
     """
     try:
         with open(path, encoding="utf-8") as fh:
+            doc = _read_plain(fh.read())
+            if doc is not None:
+                return doc
+            fh.seek(0)
             depth = 0
             for event in yaml.parse(fh, Loader=_Loader):
                 if isinstance(event, yaml.CollectionStartEvent):
@@ -168,6 +314,9 @@ def load_spec(path: str) -> NetworkSpec:
             isinstance(labels, list) and len(labels) == n,
             "labels must be a list of length n",
         )
+        for k, x in enumerate(labels):  # yes, no, on, ~ ... are YAML 1.1 bools and null
+            _require(x is not None and not isinstance(x, (bool, list, dict)),
+                     f"labels[{k}] is read as {x!r}, not a name: quote it")
         labels = tuple(str(x) for x in labels)
         _require(len(set(labels)) == n, "labels must be unique")
 
@@ -258,10 +407,6 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
 # scalars in flow style, all else in block style. It knows only the values
 # a report holds; any other value is a TypeError, never other YAML.
 _WIDTH = 80  # libyaml breaks a flow collection once the column passes this
-_PLAIN = re.compile(r"[A-Za-z][A-Za-z0-9_/-]*")
-# YAML 1.1 reads these as bools or null, so PyYAML would quote them
-_RESERVED = frozenset("yes Yes YES no No NO true True TRUE false False FALSE "
-                      "on On ON off Off OFF null Null NULL".split())
 _FLOAT_WORDS = {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}
 
 

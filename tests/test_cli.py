@@ -150,6 +150,49 @@ class TestClassifyCommand:
             assert message in capsys.readouterr().err
 
 
+_SMALL_SPEC = ("schema: signed-influence/1\nn: 3\nedges: [[0, 1, 1.0], [1, 2, 1.0]]\n"
+               "gamma: [0.3, 0.4, 0.2]\nbeta: [0.1, 0.0, 0.0]\nx0: [1.0, 2.0, 3.0]\n")
+
+
+class TestSpecRules:
+    @pytest.mark.parametrize("entry", ["yes", "no", "On", "~", "null", "[b]", "{b: 1}"])
+    def test_label_that_yaml_reads_as_no_name_exits_2(self, tmp_path, capsys, entry):
+        text = _SMALL_SPEC + f"labels: [a, {entry}, c]\n"
+        path = tmp_path / "labels.yaml"
+        path.write_text(text)
+        assert signed_influence.specfile._read_plain(text) is None  # the YAML route reads it
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: labels[1] is read as ")
+        assert err.endswith(", not a name: quote it\n") and err.count("\n") == 1
+
+    def test_quoted_bool_words_are_labels(self, tmp_path, capsys):
+        path = tmp_path / "labels.yaml"
+        path.write_text(_SMALL_SPEC + 'labels: ["yes", "no", maybe]\n')
+        assert main(["classify", str(path)]) == 0
+        assert "V_F  (followers)          = {yes, no}" in capsys.readouterr().out
+        assert main(["whatif", str(path), "--perturb", "no", "1.0"]) == 0
+        assert capsys.readouterr().out.startswith("agent: no  delta: 1\n")
+
+    def test_bad_byte_is_placed_from_the_start_of_the_file(self, tmp_path, capsys):
+        # the file is read whole, so the offset counts from byte 0, past any read chunk
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"# " + b"x" * 20_000 + b"\n\xff\n")
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not UTF-8 text: invalid start byte at byte 20003\n")
+
+    @pytest.mark.parametrize("key, value", [("n", "2"), ("x0", "[5.0, 6.0, 7.0]")])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, key, value):
+        # PyYAML alone would keep the last value
+        path = tmp_path / "repeated.yaml"
+        path.write_text(_SMALL_SPEC + f"{key}: {value}\n")
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid YAML: ") and err.count("\n") == 1
+        assert f"found duplicate key '{key}'" in err
+
+
 class TestInvalidArguments:
     @pytest.mark.parametrize(
         "argv",
@@ -566,6 +609,12 @@ class TestWhatifCommand:
             )
             == 2
         )
+
+    def test_calls_in_one_process_share_no_state(self, capsys):
+        # the parser is built once per process; --flip-edge's list must not carry over
+        assert main(["whatif", REF11_PATH, "--flip-edge", "1", "6"]) == 0
+        assert main(["whatif", REF11_PATH, "--perturb", "6", "1.0"]) == 0
+        assert cli._build_parser() is cli._build_parser()
 
     def test_zero_delta_exits_2(self, capsys):
         assert main(["whatif", REF11_PATH, "--perturb", "1", "0.0"]) == 2
