@@ -149,14 +149,9 @@ _FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]*(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 _INTS = re.compile(rf"(?:{_INT}\n)*{_INT}")
 _FLOATS = re.compile(rf"(?:{_FLOAT}\n)*{_FLOAT}")
 _QUOTED = re.compile(r""""[^"\\,\[\]\n]*"|'[^'\\,\[\]\n]*'""")
-
-
-def _triple(group: str) -> str:  # [a, b, c] on one line; group opens each token's group
-    token = rf"""{group}{_QUOTED.pattern}|[^ \n,\[\]"']+)"""
-    return rf"\[ *{token} *, *{token} *, *{token} *\]"
-
-
-_TRIPLE = re.compile(_triple("("))
+_TOKEN = rf"""(?:{_QUOTED.pattern}|[^ \n,\[\]"']+)"""  # a scalar's text, typed afterwards
+_LIST3 = rf"\[ *{_TOKEN} *, *{_TOKEN} *, *{_TOKEN} *\]"  # [a, b, c] on one line
+_TRIPLE = re.compile(rf"\[ *({_TOKEN}) *, *({_TOKEN}) *, *({_TOKEN}) *\]")
 _NOTE = r" *(?:#[^\n]*)?\n"  # a blank line or a comment line
 _NOTES = re.compile(f"(?:{_NOTE})*")
 _SECTION = re.compile(r"^(?=[^ #\n-])", re.M)  # a line that can only start an entry
@@ -165,11 +160,10 @@ _ENTRY = re.compile(
     r"(?: +([^ \n\[][^\n]*)"  # 2: a scalar
     r"| +(\[[^\n]*(?:\n +[^ #\n][^\n]*)*)"  # 3: a flow list, wrapped over indented lines
     r"|)\n")  # neither: a block list follows
-_BLOCK = re.compile(rf"(?:{_NOTE})*( *)- {_triple('(?:')}\n(?:\1- {_triple('(?:')}\n|{_NOTE})*")
+_BLOCK = re.compile(rf"(?:{_NOTE})*( *)- {_LIST3}\n(?:\1- {_LIST3}\n|{_NOTE})*")
 _ITEMS = re.compile(rf"^ *- {_TRIPLE.pattern}$", re.M)
 _FLOW = re.compile(r"\[[ \n]*([^\[\]]*?)[ \n]*\]")
-_FLOW_TRIPLES = re.compile(
-    rf"\[[ \n]*(?:{_triple('(?:')}(?:[ \n]*,[ \n]*{_triple('(?:')})*)?[ \n]*\]")
+_FLOW_TRIPLES = re.compile(rf"\[[ \n]*{_LIST3}(?:[ \n]*,[ \n]*{_LIST3})*[ \n]*\]")
 _COMMA = re.compile(r"[ \n]*,[ \n]*")
 
 
@@ -199,9 +193,7 @@ def _token_values(tokens) -> list:
     return [_token_value(t) for t in tokens]
 
 
-def _rows(triples: list) -> list:
-    if not triples:
-        return []
+def _rows(triples: list) -> list:  # typed column by column
     return list(map(list, zip(*map(_token_values, zip(*triples)))))
 
 
