@@ -1,5 +1,7 @@
-"""`report_corpus.py compare`: when two corpora count as the same outputs."""
+"""`report_corpus.py`: the committed corpus digests, and when two corpora
+count as the same outputs."""
 
+import hashlib
 import pathlib
 import shutil
 
@@ -10,6 +12,10 @@ import report_corpus
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 REPORTS = ("reference11-solve.yaml", "showcase17-solve.yaml")
 SIMULATE = "reference11-simulate.out"
+# one `sha256sum` line per report and simulate file that `write` makes; a
+# change that moves an output on purpose rewrites it, from the corpus DIR:
+#   (cd DIR && sha256sum *.yaml *-simulate.*) > tests/golden/corpus.sha256
+MANIFEST = GOLDEN / "corpus.sha256"
 
 
 def _corpus(path: pathlib.Path, simulate: bool = True) -> pathlib.Path:
@@ -52,3 +58,13 @@ def test_corpus_without_simulate_files_is_an_error(tmp_path, capsys, side):
     assert report_corpus.compare(a, b) == 1
     err = capsys.readouterr().err
     assert err == f"error: {tmp_path / side} holds no simulate files\n"
+
+
+def test_corpus_matches_the_committed_digests(tmp_path):
+    assert report_corpus.write(tmp_path, report_corpus.REPO / "src") == 0
+    want = dict(line.split("  ")[::-1] for line in MANIFEST.read_text().splitlines())
+    files = [*tmp_path.glob("*.yaml"), *tmp_path.glob("*-simulate.*")]
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    assert len(want) == 808
+    assert sorted(name for name in want.keys() | got.keys()
+                  if want.get(name) != got.get(name)) == []
