@@ -47,6 +47,17 @@ def _num(v: float) -> float:
     return float(f"{float(v):.12g}") + 0.0  # -0.0 + 0.0 is +0.0
 
 
+def _nums(rows: list[list[float]]) -> list[list[float]]:
+    """`_num` of every entry, computed once per distinct value.
+
+    The entries are Python floats (an array's `tolist()`): -0.0 and 0.0
+    share a key, which is safe because `_num` maps both to 0.0, and a NaN
+    is found by identity, so each NaN is its own key.
+    """
+    memo = {x: _num(x) for x in set().union(*rows)}
+    return [list(map(memo.__getitem__, row)) for row in rows]
+
+
 def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
     """Θ's column L1 norms: how much each agent shapes all final opinions.
 
@@ -60,7 +71,8 @@ def absolute_centrality(influence: InfluenceMatrix) -> CentralityResult:
     h = influence.h
     scores = np.zeros(len(h))
     scores[influence.agents] = np.abs(h).sum(axis=0)[influence.column] * np.abs(influence.factor)
-    order = sorted(range(len(scores)), key=lambda i: (-_num(scores[i]), i))
+    rounded = [-x for x in _nums([scores.tolist()])[0]]
+    order = sorted(range(len(scores)), key=rounded.__getitem__)  # stable: ties by id
     return CentralityResult(scores=scores, ranking=tuple(order), most_influential=order[0])
 
 

@@ -43,7 +43,7 @@ from typing import Callable, Iterator
 import numpy as np
 import yaml
 
-from .centrality import _num
+from .centrality import _num, _nums
 from .dynamics import block_spectral_radius
 from .errors import BadIdError, SpecFileError
 from .graph import AgentParams, SignedNetwork, build_network
@@ -323,14 +323,6 @@ def load_spec(path: str) -> NetworkSpec:
     )
 
 
-def _vec(v) -> list[float]:
-    return [_num(x) for x in np.asarray(v).ravel().tolist()]
-
-
-def _mat(m) -> list[list[float]]:
-    return [[_num(x) for x in row] for row in np.asarray(m).tolist()]
-
-
 def _source_entry(spec) -> dict:
     entry = {"kind": spec.kind.value, "members": list(spec.members)}
     if spec.agent is not None:
@@ -346,6 +338,12 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
     """Machine-readable analysis report (plain dict, YAML-serializable)."""
     model = result.model
     cls = model.classification
+    steady = result.steady
+    c = np.asarray(result.collective.c).tolist()
+    # each distinct number is rounded once: Θ is mostly zeros and repeats its values
+    z, z_o, z_s, scores, *rows = _nums(
+        [np.ravel(v).tolist() for v in (steady.z, steady.z_o, steady.z_s, result.centrality.scores)]
+        + c + result.influence.theta.tolist())
     return {
         "schema": REPORT_SCHEMA,
         "classification": {
@@ -370,19 +368,19 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
             "unit_eigen_count": cls.unit_eigen_count,
         },
         "steady_state": {
-            "z": _vec(result.steady.z),
-            "z_o": _vec(result.steady.z_o),
-            "z_s": _vec(result.steady.z_s),
-            "method": result.steady.method.value,
+            "z": z,
+            "z_o": z_o,
+            "z_s": z_s,
+            "method": steady.method.value,
         },
         "collective_influence": {
             "agents": list(result.collective.agents),
             "sources": [_source_entry(s) for s in result.collective.sources],
-            "c": _mat(result.collective.c),
+            "c": rows[:len(c)],
         },
-        "individual_influence": {"theta": _mat(result.influence.theta)},
+        "individual_influence": {"theta": rows[len(c):]},
         "centrality": {
-            "scores": _vec(result.centrality.scores),
+            "scores": scores,
             "ranking": list(result.centrality.ranking),
             "most_influential": result.centrality.most_influential,
         },
@@ -398,6 +396,13 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
 # sort_keys=False and default_flow_style=None: mappings and sequences of
 # scalars in flow style, all else in block style. It knows only the values
 # a report holds; any other value is a TypeError, never other YAML.
+#
+# A row of exact floats, such as a row of Θ, is written from repr(list), one
+# C call for the whole row, when that text holds one "." per item: a float's
+# repr holds at most one ".", and one that holds it is already the text
+# _float writes.  A row with 1e16, 5e-324, inf or nan among its items has
+# too few dots and is written item by item.  Either way the items are joined
+# by ", ", which no item holds, so _wrap finds the line breaks in that text.
 _WIDTH = 80  # libyaml breaks a flow collection once the column passes this
 _FLOAT_WORDS = {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}
 
@@ -428,6 +433,26 @@ def _once(value, seen: set) -> None:  # PyYAML would write a shared one as an an
     seen.add(id(value))
 
 
+def _wrap(items: str, indent: int, col: int) -> str:
+    """items, a flow collection's ", "-joined texts starting at column col,
+    broken as libyaml breaks them: the next item starts a new line at indent
+    once the column after an item's comma passes _WIDTH, and the first item
+    does when col already has."""
+    if not items:
+        return ""
+    lines, start = [], 0
+    if col > _WIDTH:
+        lines.append("")
+        col = indent
+    # a line ends at the first item whose comma passes _WIDTH, the first ", "
+    # from column _WIDTH on; past it (a deep indent) each item is a line
+    while (end := items.find(", ", start + max(_WIDTH - col, 0))) >= 0:
+        lines.append(items[start:end + 1])
+        start, col = end + 2, indent
+    lines.append(items[start:])
+    return ("\n" + " " * indent).join(lines)
+
+
 def _flow(value, indent: int, col: int, seen: set) -> str | None:
     """value in flow style, opened at column col and wrapped as libyaml wraps
     it (continuation lines at indent), or None for a block collection."""
@@ -436,26 +461,20 @@ def _flow(value, indent: int, col: int, seen: set) -> str | None:
         return _SCALAR[kind](value)
     if kind is not list and kind is not dict:
         raise TypeError(f"a report cannot hold {kind.__name__} {value!r}")
-    try:
-        if kind is list:
-            texts, brackets = [_SCALAR[type(x)](x) for x in value], "[]"
-        else:
-            texts, brackets = [f"{_key(k)}: {_SCALAR[type(v)](v)}" for k, v in value.items()], "{}"
-    except KeyError:  # it holds a collection (or a value _block refuses)
-        return None
+    if kind is list and set(map(type, value)) == {float} and (
+            (text := repr(value)).count(".") == len(value)):
+        items = text[1:-1]  # every item's repr is _float's text
+    else:
+        try:
+            if kind is list:
+                items = ", ".join([_SCALAR[type(x)](x) for x in value])
+            else:
+                items = ", ".join([f"{_key(k)}: {_SCALAR[type(v)](v)}" for k, v in value.items()])
+        except KeyError:  # it holds a collection (or a value _block refuses)
+            return None
     _once(value, seen)
-    parts, start, col = [brackets[0]], 0, col + 1
-    for i, text in enumerate(texts):
-        if col > _WIDTH:  # a new line before this item
-            if i:
-                parts.append(", ".join(texts[start:i]) + ",")
-            parts.append("\n" + " " * indent)
-            start, col = i, indent
-        elif i:
-            col += 1
-        col += len(text) + 1
-    parts += [", ".join(texts[start:]), brackets[1]]
-    return "".join(parts)
+    brackets = "[]" if kind is list else "{}"
+    return brackets[0] + _wrap(items, indent, col + 1) + brackets[1]
 
 
 def _block(value, indent: int, lead: str, out: list, seen: set) -> None:
@@ -506,7 +525,12 @@ def load_report(path: str) -> dict:
 
 
 def diff_reports(a: dict, b: dict, _path: str = "") -> list[str]:
-    """Paths at which two reports disagree; empty means identical."""
+    """Paths at which two reports disagree; empty means identical.
+
+    Two leaves agree when the YAML would show them alike: they have the same
+    type, and the same value, or for floats the same repr.  So 1, 1.0 and
+    true differ, -0.0 differs from 0.0, and NaN agrees with NaN.
+    """
     diffs = []
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
@@ -520,7 +544,7 @@ def diff_reports(a: dict, b: dict, _path: str = "") -> list[str]:
         else:
             for k, (x, y) in enumerate(zip(a, b)):
                 diffs.extend(diff_reports(x, y, f"{_path}[{k}]"))
-    elif a != b:
+    elif type(a) is not type(b) or (repr(a) != repr(b) if type(a) is float else a != b):
         diffs.append(f"{_path}: {a!r} != {b!r}")
     return diffs
 

@@ -81,6 +81,32 @@ class TestAbsoluteCentrality:
         assert a.centrality.ranking == b.centrality.ranking
 
 
+def _ranked_per_entry(scores) -> tuple[int, ...]:
+    """The ranking by the key it was first written with, one `_num` per score."""
+    return tuple(sorted(range(len(scores)), key=lambda i: (-centrality._num(scores[i]), i)))
+
+
+class TestRankingRoundsOncePerValue:
+    def test_netgen_rankings_match_the_per_entry_key(self):
+        differ = []
+        for seed in range(200):
+            rn = random_network(seed)
+            res = run_analysis(rn.net, rn.params, rn.x0, gain_method="auto").centrality
+            if res.ranking != _ranked_per_entry(res.scores):
+                differ.append(seed)
+        assert differ == []
+
+    @pytest.mark.parametrize("scores,ranking", [
+        ([2.0, 0.5, 2.0 + 4e-14, 0.0], (0, 2, 1, 3)),
+        ([2.0 + 4e-14, 0.5, 2.0, 0.0], (0, 2, 1, 3)),
+        ([0.0, 3.00000000000001, 0.0, 3.0, 1e-300], (1, 3, 4, 0, 2)),
+    ])
+    def test_scores_equal_to_twelve_digits_tie_by_id(self, scores, ranking):
+        res = absolute_centrality(_influence(np.diag(scores)))
+        assert len(set(res.scores.tolist())) == len(set(scores))  # the scores differ
+        assert res.ranking == ranking == _ranked_per_entry(res.scores)
+
+
 _FACTORED_CASES = (
     [("fixture", name, method) for name in ("ref11", "zoo17") for method in ("auto", "solve")]
     + [("netgen", seed, "auto") for seed in range(0, 200, 10)]
@@ -98,8 +124,7 @@ class TestFactoredCentrality:
         res = run_analysis(case.net, case.params, case.x0, gain_method=method)
         want = np.abs(res.influence.theta).sum(axis=0)
         np.testing.assert_allclose(res.centrality.scores, want, rtol=1e-13, atol=0.0)
-        ranked = sorted(range(len(want)), key=lambda i: (-centrality._num(want[i]), i))
-        assert res.centrality.ranking == tuple(ranked)
+        assert res.centrality.ranking == _ranked_per_entry(want)
 
     def test_analysis_builds_no_n_by_n_array(self):
         # Θ at n = 4000 alone would be 122 MiB

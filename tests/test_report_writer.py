@@ -3,6 +3,7 @@
 PyYAML's `CSafeDumper` is the oracle here and nowhere in the library.
 """
 
+import copy
 import math
 import pathlib
 import sys
@@ -74,6 +75,7 @@ SCALARS = st.one_of(st.integers(), st.integers(-(2**80), 2**80), st.booleans(), 
 LEAVES = st.one_of(
     SCALARS,
     st.lists(SCALARS, max_size=24),  # wide rows wrap, empty ones are []
+    st.lists(FLOATS, max_size=60),  # rows of floats alone, as Θ's are
     st.dictionaries(KEYS, SCALARS, max_size=5),  # flow maps, empty ones are {}
 )
 VALUES = st.recursive(
@@ -86,6 +88,46 @@ VALUES = st.recursive(
 @settings(max_examples=60, deadline=None)
 @given(report=st.dictionaries(KEYS, VALUES, max_size=6))
 def test_report_shaped_dicts_match_libyaml(report):
+    assert dump_report(report) == libyaml(report)
+
+
+ROW = [0.123456789012 * (-1) ** k * (k + 1) for k in range(200)]
+LONG_KEY = "k" * 100  # the row opens past column 80
+
+
+def _with(item, at: int) -> list:
+    row = list(ROW)
+    row[at] = item
+    return row
+
+
+def _nested(row: list, depth: int) -> dict:
+    for _ in range(depth):
+        row = {"a": row}
+    return row
+
+
+FLOAT_ROWS = {
+    **{f"{item!r}-at-{at}": _with(item, at)
+       for item in (1e16, 5e-324, math.inf, math.nan) for at in (0, 100, 199)},
+    "long-key-one-item": {LONG_KEY: [0.5]},
+    "long-key-many-items": {LONG_KEY: ROW[:30]},
+    "long-key-dot-less": {LONG_KEY: [1e16, 0.5, -math.inf]},
+    "negative-zeros": [-0.0] * 50,
+    "empty": [],
+    "long-key-empty": {LONG_KEY: []},
+    "float-and-int": [0.5, 1, 0.25] * 20,
+    "theta-rows": {"theta": [ROW[:40], [0.0] * 40, _with(-0.0, 3)[:40]]},
+    "indent-past-80": _nested(ROW[:10], 45),
+    "indent-past-80-dot-less": _nested([math.inf, 0.5, 1e16, 2.5], 45),
+}
+
+
+@pytest.mark.parametrize("row", FLOAT_ROWS.values(), ids=FLOAT_ROWS)
+def test_float_rows_match_libyaml(row):
+    # each place gets its own copy: the writer refuses a shared one
+    report = {"row": row, "nested": {"in_map": copy.deepcopy(row)},
+              "in_list": [copy.deepcopy(row), ROW[:3]]}
     assert dump_report(report) == libyaml(report)
 
 
