@@ -11,6 +11,9 @@ from .errors import BadIdError, DuplicateEdgeError, NoSuchEdgeError, ZeroDeltaEr
 from .graph import AgentParams, SignedNetwork, classify
 from .sfg import InfluenceMatrix
 
+# an agent whose final opinion moves by no more than this under a flip is unchanged
+_UNCHANGED_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CentralityResult:
@@ -137,7 +140,6 @@ def flip_edge_signs(
     params: AgentParams,
     x0: np.ndarray,
     edges: tuple[tuple[int, int], ...],
-    atol: float = 1e-9,
 ) -> SignFlipResult:
     """Negate the weights of the given edges, each named once, and compare steady states."""
     existing = {(i, j) for i, j, _ in net.edges}
@@ -159,7 +161,7 @@ def flip_edge_signs(
     flipped = Model(classify(net_flipped, params), _flipped(base.matrices, flip))
     z_flip = steady_state(flipped, x0).z
     deltas = z_flip - z_base
-    unchanged = tuple(i for i in range(net.n) if abs(deltas[i]) <= atol)
+    unchanged = tuple(i for i in range(net.n) if abs(deltas[i]) <= _UNCHANGED_ATOL)
     return SignFlipResult(
         flipped=tuple(sorted(flip)),
         z_base=z_base,

@@ -324,18 +324,21 @@ def prepare(net: SignedNetwork, params: AgentParams) -> Model:
 
 
 def _solve_checked(
-    indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray, *, bounds: list[int]
+    indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray, order: np.ndarray,
+    *, bounds: list[int],
 ) -> np.ndarray:
-    """Solve x_N = M_N,: x + r_N in place, N = bounds[-1], M given as CSR rows of N.
+    """Solve x_N = M_N,: x + r_N in place, N the agents in ``order``, M as CSR rows.
 
-    x (one row per column of M, and any number of columns) holds r on its
-    first N rows and the known values on the rest.  I - M_NN must be block
-    upper triangular over the chunks ``bounds``: chunk c spans rows and
-    columns bounds[c]:bounds[c + 1], and an entry left of its row's chunk
-    raises.  x is found from the last chunk back.  Each chunk gathers its
-    small dense block from its rows' entries inside it, and its rows'
-    entries to known and to later columns into two slabs over the columns
-    they use, each taken in one product:
+    Only the rows of ``order`` are read.  x (one row per column of M, and
+    any number of columns) holds r on N's rows and the known values on the
+    rest.  Laid out in ``order``, I - M_NN must be block upper triangular
+    over the chunks ``bounds``: chunk c is order[bounds[c]:bounds[c + 1]],
+    and an entry left of its row's chunk raises.  x is found from the last
+    chunk back, at each chunk's own rows.  Each chunk gathers its small
+    dense block from its rows' entries inside it, and its rows' entries to
+    known and to later columns into two slabs over the columns they use,
+    numbered by layout position with the known ones after N by id, each
+    taken in one product:
 
         b_c = r_c + M_c,known x_known,  x_c = solve(I - M_cc, b_c + M_c,later x_later).
 
@@ -343,9 +346,14 @@ def _solve_checked(
     the whole system; every row's must stay within the tolerance relative
     to max|b|.
     """
-    n_solved, width = bounds[-1], len(x)
+    n_solved, width = bounds[-1], len(x) + bounds[-1]
     edges = np.array(bounds)
-    row = np.arange(n_solved).repeat(indptr[1 : n_solved + 1] - indptr[:n_solved])
+    place = np.arange(n_solved, width)  # the known agents after N, by id
+    place[order] = np.arange(n_solved)
+    idx, counts = _entries(indptr, order)
+    agent_cols, vals = cols[idx], vals[idx]
+    cols = place[agent_cols]
+    row = np.arange(n_solved).repeat(counts)
     chunk = edges.searchsorted(row, side="right") - 1
     if (cols < edges[chunk]).any():
         raise SingularSystemError("matrix is not block upper triangular over its chunks")
@@ -353,13 +361,13 @@ def _solve_checked(
     # column: each part is a run, and so are the distinct columns of each
     part = 3 * chunk + (cols >= edges[chunk + 1]) + (cols >= n_solved)
     key = part * width + cols
-    order = key.argsort(kind="stable")
-    key, part, cols, vals = key[order], part[order], cols[order], vals[order]
-    rows = row[order] - edges[chunk[order]]
+    perm = key.argsort(kind="stable")
+    key, part, cols, vals = key[perm], part[perm], cols[perm], vals[perm]
+    rows = row[perm] - edges[chunk[perm]]
     new = np.empty(len(key), dtype=bool)
     new[:1] = True
     new[1:] = key[1:] != key[:-1]
-    used, slot = cols[new], new.cumsum() - 1
+    used, slot = agent_cols[perm][new], new.cumsum() - 1
     runs = part.searchsorted(np.arange(3 * len(bounds) - 2))
     used_runs = part[new].searchsorted(np.arange(3 * len(bounds) - 2))
     slot -= used_runs[part]
@@ -377,14 +385,14 @@ def _solve_checked(
     try:
         for c in range(len(bounds) - 2, -1, -1):
             lo, hi = bounds[c], bounds[c + 1]
-            b = x[lo:hi] + product(3 * c + 2, hi - lo)
+            b = x[order[lo:hi]] + product(3 * c + 2, hi - lo)
             rhs = b + product(3 * c + 1, hi - lo)
             e = slice(runs[3 * c], runs[3 * c + 1])
             a = np.zeros((hi - lo, hi - lo))
             a[rows[e], cols[e] - lo] = -vals[e]
             a[np.diag_indices(hi - lo)] += 1.0
-            x[lo:hi] = np.linalg.solve(a, rhs)
-            resid = max(resid, np.max(np.abs(a @ x[lo:hi] - rhs), initial=0.0))
+            x[order[lo:hi]] = solved = np.linalg.solve(a, rhs)
+            resid = max(resid, np.max(np.abs(a @ solved - rhs), initial=0.0))
             scale = max(scale, np.max(np.abs(b), initial=0.0))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
@@ -447,25 +455,14 @@ def _complete(model: Model, x: np.ndarray) -> np.ndarray:
     follower reaches a sink), so each column's solution is unique.  K is a
     union of whole SCCs; laid out in the listener-first block order I - P_KK
     is block upper triangular, and `_solve_checked` runs the solve chunk by
-    chunk over the condensation, from the sinks back, on K's rows of P with
-    the given agents numbered after K.
+    chunk over the condensation, from the sinks back, on P's own rows of K
+    and in place in x.
     """
     matrices = model.matrices
     blocks = _solved_blocks(model.classification)
-    if blocks:
-        k = np.fromiter(chain.from_iterable(blocks), dtype=np.intp)
-        free = np.ones(matrices.n, dtype=bool)
-        free[k] = False
-        order = np.concatenate((k, free.nonzero()[0]))
-        place = np.empty(matrices.n, dtype=np.intp)
-        place[order] = np.arange(matrices.n)
-        idx, counts = _entries(matrices.indptr, k)
-        indptr = np.concatenate(([0], counts.cumsum()))
-        bounds = _chunk_bounds([len(block) for block in blocks])
-        x[k] = _solve_checked(
-            indptr, place[matrices.cols[idx]], matrices.vals[idx], x[order], bounds=bounds
-        )[: len(k)]
-    return x
+    k = np.fromiter(chain.from_iterable(blocks), dtype=np.intp)
+    bounds = _chunk_bounds([len(block) for block in blocks])
+    return _solve_checked(matrices.indptr, matrices.cols, matrices.vals, x, k, bounds=bounds)
 
 
 def steady_state(

@@ -40,6 +40,11 @@ _INT = (int, np.integer)
 _REAL = (float, int, np.floating, np.integer)
 
 
+def _is_real(x) -> bool:
+    """A real number as the library takes one: a float or an int, numpy's too, but no bool."""
+    return isinstance(x, _REAL) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SignedNetwork:
     """A signed weighted digraph without self-loops.
@@ -66,6 +71,10 @@ class AgentParams:
     beta: tuple[float, ...]
 
     def __post_init__(self):
+        for name, values in (("gamma", self.gamma), ("beta", self.beta)):
+            for i, v in enumerate(values):
+                if not _is_real(v):
+                    raise ParamConstraintViolatedError(i, f"{name}={v!r} is not a real number")
         for i, g in enumerate(self.gamma):
             if not (0.0 <= g <= 1.0):
                 raise ParamConstraintViolatedError(i, f"gamma={g} outside [0, 1]")
@@ -151,7 +160,7 @@ def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetw
             raise SelfLoopError(i)
         if (i, j) in seen:
             raise DuplicateEdgeError(i, j)
-        if not isinstance(w, _REAL) or isinstance(w, bool):
+        if not _is_real(w):
             raise NetworkValidationError(f"edge ({i}, {j}): weight {w!r} is not a real number")
         try:
             w = float(w)

@@ -24,9 +24,10 @@ for it and for DOT export.  `mason_influence`
 enumerates the loops (Johnson's elementary circuits, on successor lists
 read off the branches), their conflicts and the graph determinant Δ once
 per graph, walks each source's simple paths once and memoises each path's
-cofactor on the loops the path touches.  Before any alternating sum it
-counts the sets of non-touching loops, a product over the components of
-the loop-conflict graph, and a count over the cap raises
+cofactor on the loops the path touches.  One walker, `_walk`, visits the
+sets of non-touching loops both to count them and to sum Δ and the
+cofactors over them.  Before any sum it counts them, a product over the
+components of the loop-conflict graph, and a count over the cap raises
 `ComplexityCapExceededError` as a capped loop, pair or path enumeration
 does; Δ or a cofactor that cancels to fewer than 8 significant digits (as
 when γ nears 1 at followers) raises `SingularSystemError`.  `auto` falls
@@ -338,60 +339,38 @@ def _loop_conflicts(loops: list[frozenset[int]], cap: int) -> list[set[int]]:
 def _count_loop_sets(conflicts: list[set[int]], cap: int) -> int:
     """The number of nonempty sets of pairwise non-touching loops, capped.
 
-    The sets factor over the connected components of the conflict graph:
-    there are Π_c I_c − 1 of them, I_c counting component c's sets with the
-    empty one.  Each component is walked depth first, only as far as the
-    cap leaves room for (a lone loop, I = 2, in one step), and the product
-    stops as soon as it passes the cap.  The count is the number of sets Δ's
-    alternating sum visits, and every cofactor's sum visits some of them,
-    so no sum can exceed the cap once the count is under it.
+    The sets factor over the connected components of the conflict graph
+    (its strong components, as each conflict goes both ways), taken by
+    least loop: there are Π_c I_c − 1 of them, I_c counting component c's
+    sets with the empty one.  `_walk` counts each component's sets with
+    zero gains, only as far as the cap leaves room for, and the product
+    stops as soon as it passes the cap.  Δ's alternating sum walks the same
+    sets with the same code, and every cofactor's sum some of them, so no
+    sum can exceed the cap once the count is under it.
     """
-    product, seen = 1, set()
-    for start in range(len(conflicts)):
-        if start in seen:
-            continue
-        component, queue = {start}, [start]
-        while queue:
-            for k in conflicts[queue.pop()] - component:
-                component.add(k)
-                queue.append(k)
-        seen |= component
-        product *= 1 + _count_component(conflicts, sorted(component), (cap + 1) // product - 1)
+    arcs = ((k, j) for k, ks in enumerate(conflicts) for j in ks)
+    product, zeros = 1, [0.0] * len(conflicts)
+    for component in sorted(strong_components(len(conflicts), arcs)):
+        product *= 1 + _walk(zeros, conflicts, component, (cap + 1) // product - 1)[1]
         if product - 1 > cap:
             raise ComplexityCapExceededError(cap, "sets of non-touching loops", product - 1)
     return product - 1
 
 
-def _count_component(conflicts: list[set[int]], order: list[int], limit: int) -> int:
-    """Nonempty sets of pairwise non-touching loops among ``order``.
+def _walk(
+    gains: list[float], conflicts: list[set[int]], order: Sequence[int], limit: float
+) -> tuple[float, int]:
+    """Sum over the sets of non-touching loops among ``order`` of
+    (-1)^|set| * product of gains, and the number of nonempty sets visited.
 
-    Walked depth first in increasing loop order, as `_alternating_sum`
-    walks them; stops at limit + 1.
-    """
-    count, stack = 0, [(0, frozenset())]
-    while stack:
-        pos, blocked = stack.pop()
-        for nxt in range(pos, len(order)):
-            if order[nxt] not in blocked:
-                count += 1
-                if count > limit:
-                    return count
-                stack.append((nxt + 1, blocked | conflicts[order[nxt]]))
-    return count
-
-
-def _alternating_sum(gains: list[float], conflicts: list[set[int]], allowed: set[int]) -> float:
-    """Sum over independent loop subsets of (-1)^|subset| * product of gains.
-
-    Depth first over the subsets in increasing loop order, on an explicit
-    stack, so a long run of non-touching loops cannot exhaust the
+    Depth first over the sets in increasing position in ``order``, on an
+    explicit stack, so a long run of non-touching loops cannot exhaust the
     interpreter's recursion limit.  A frame holds the next position to try,
     the loops blocked so far, its partial sum and the gain of the loop whose
-    subsets it is expanding.  The number of subsets is capped before any
-    sum, by `_count_loop_sets`.
+    sets it is expanding.  The walk stops as soon as it visits more than
+    ``limit`` sets, and then the sum is NaN.
     """
-    order = sorted(allowed)
-    stack = [[0, set(), 1.0, 0.0]]
+    stack, visited = [[0, set(), 1.0, 0.0]], 0
     while True:
         frame = stack[-1]
         pos, blocked = frame[0], frame[1]
@@ -400,12 +379,21 @@ def _alternating_sum(gains: list[float], conflicts: list[set[int]], allowed: set
         if pos == len(order):
             stack.pop()
             if not stack:
-                return frame[2]
+                return frame[2], visited
             stack[-1][2] += -stack[-1][3] * frame[2]
             continue
+        visited += 1
+        if visited > limit:
+            return math.nan, visited
         idx = order[pos]
         frame[0], frame[3] = pos + 1, gains[idx]
         stack.append([pos + 1, blocked | conflicts[idx], 1.0, 0.0])
+
+
+def _alternating_sum(gains: list[float], conflicts: list[set[int]], allowed: set[int]) -> float:
+    """Δ, a cofactor or its Σ|terms|: the walk over the sets of ``allowed``, uncapped
+    here because `_count_loop_sets` capped their number before any sum."""
+    return _walk(gains, conflicts, sorted(allowed), math.inf)[0]
 
 
 def solve_gain(model: Model) -> CollectiveInfluence:

@@ -378,13 +378,13 @@ class TestSteadyState:
         solves = count_calls("_solve_checked")
         steady_state(model, ref11.x0, method=SteadyStateMethod.DIRECT_SOLVE)
         # 7 rows solved; x holds them and the 4 given agents, z and z_o side by side
-        assert [(len(indptr) - 1, x.shape) for indptr, _, _, x in solves] == [(7, (11, 2))]
+        assert [(len(order), x.shape) for _, _, _, x, order in solves] == [(7, (11, 2))]
 
     def test_solve_route_makes_two_solves(self, ref11, count_calls):
         # one for the five gain columns, one for z and z_o, both on the same 7 agents
         solves = count_calls("_solve_checked")
         run_analysis(ref11.net, ref11.params, ref11.x0, gain_method="solve")
-        assert sorted((len(indptr) - 1, x.shape) for indptr, _, _, x in solves) == [
+        assert sorted((len(order), x.shape) for _, _, _, x, order in solves) == [
             (7, (11, 2)), (7, (11, 5))]
 
     def test_convergent_case_solves_whole_system(self):
@@ -396,7 +396,7 @@ class TestSteadyState:
         assert np.allclose(ss.z, expected)
         assert np.all(ss.z_o == 0.0)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 500), a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_linearity_in_initial_opinions(self, seed, a, b):
         rn = random_network(seed)
@@ -520,16 +520,18 @@ class TestComplementSolve:
         a = np.eye(100)
         a[70, 3] = 0.5
         rows = _rows(np.eye(100) - a)
-        assert np.allclose(a @ _solve_checked(*rows, np.ones(100), bounds=[0, 100]), 1.0)
+        order = np.arange(100)
+        assert np.allclose(a @ _solve_checked(*rows, np.ones(100), order, bounds=[0, 100]), 1.0)
         with pytest.raises(SingularSystemError):
-            _solve_checked(*rows, np.ones(100), bounds=[0, 64, 100])
+            _solve_checked(*rows, np.ones(100), order, bounds=[0, 64, 100])
 
     def test_rejects_singular_chunk(self):
         a = np.eye(100) + np.triu(np.full((100, 100), 0.01), 1)
         a[90, 90] = 0.0
         a[90, 91:] = 0.0
         with pytest.raises(SingularSystemError):
-            _solve_checked(*_rows(np.eye(100) - a), np.ones((100, 2)), bounds=[0, 64, 100])
+            _solve_checked(
+                *_rows(np.eye(100) - a), np.ones((100, 2)), np.arange(100), bounds=[0, 64, 100])
 
     def test_known_columns_enter_the_right_hand_side(self):
         # x_N = M x + r with x given past N: the oracle is one dense solve
@@ -538,7 +540,8 @@ class TestComplementSolve:
         m = np.vstack((m, np.zeros((30, 180))))
         x = np.concatenate((rng.uniform(-1, 1, (150, 3)), rng.uniform(-5, 5, (30, 3))))
         want = np.linalg.solve(np.eye(150) - m[:150, :150], x[:150] + m[:150, 150:] @ x[150:])
-        got = _solve_checked(*_rows(m[:150]), x.copy(), bounds=[0, 64, 128, 150])[:150]
+        got = _solve_checked(
+            *_rows(m[:150]), x.copy(), np.arange(150), bounds=[0, 64, 128, 150])[:150]
         _assert_close(got, want)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -40,6 +41,7 @@ from signed_influence.sfg import (
     _count_loop_sets,
     _fold_matrix,
     _loop_conflicts,
+    _walk,
 )
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
@@ -352,6 +354,25 @@ class TestMasonInfluence:
         assert err.value.limit == DEFAULT_SUBSET_CAP
         assert str(err.value) == "more than 100000 sets of non-touching loops (at least 131071)"
 
+    def test_cap_counts_the_sets_delta_walks(self, monkeypatch):
+        # the count the cap is decided on is the number of sets Δ's sum visits
+        walks = []
+
+        def recording(*args):
+            walks.append((args, _walk(*args)))
+            return walks[-1][1]
+
+        monkeypatch.setattr("signed_influence.sfg._walk", recording)
+        for name, g in itertools.islice(_loop_oracle_graphs(), 202):  # fixtures, netgen
+            walks.clear()
+            mason_influence(g)
+            (_, conflicts, _, _), (_, visited) = next(w for w in walks if w[0][3] == math.inf)
+            for cap in (visited, visited + 1, 2 * visited):
+                assert _count_loop_sets(conflicts, cap) == visited, name
+            for cap in {0, visited // 2, visited - 1} & set(range(visited)):
+                with pytest.raises(ComplexityCapExceededError):
+                    _count_loop_sets(conflicts, cap)
+
     def test_auto_takes_the_solve_past_the_subset_cap(self):
         s = synth_network(100, 0)
         assert run_analysis(s.net, s.params, s.x0, "auto").gain_method_used == "solve"
@@ -383,7 +404,7 @@ class TestSolveGain:
         solves = count_calls("_solve_checked")
         solve_gain(model)
         # 7 rows solved, x holding them and the 4 given agents
-        assert [(len(indptr) - 1, x.shape) for indptr, _, _, x in solves] == [(7, (11, 5))]
+        assert [(len(order), x.shape) for _, _, _, x, order in solves] == [(7, (11, 5))]
 
     def test_matches_mason_on_random_networks(self):
         for seed in range(40):
