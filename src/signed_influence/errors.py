@@ -30,8 +30,8 @@ class ZeroWeightError(NetworkValidationError):
 
 
 class BadIdError(NetworkValidationError):
-    def __init__(self, node):
-        super().__init__(f"node id {node} out of range")
+    def __init__(self, node, message=None):
+        super().__init__(message or f"node id {node} out of range")
         self.node = node
 
 

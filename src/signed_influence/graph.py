@@ -45,6 +45,11 @@ def _is_real(x) -> bool:
     return isinstance(x, _REAL) and not isinstance(x, bool)
 
 
+def _is_id(x) -> bool:
+    """An agent id as the library takes one: an int, numpy's too, but no bool."""
+    return isinstance(x, _INT) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SignedNetwork:
     """A signed weighted digraph without self-loops.
@@ -65,7 +70,7 @@ class SignedNetwork:
 
 @dataclass(frozen=True)
 class AgentParams:
-    """Per-agent self-belief gamma and stubbornness beta."""
+    """Per-agent self-belief gamma and stubbornness beta, checked here alone, stored as floats."""
 
     gamma: tuple[float, ...]
     beta: tuple[float, ...]
@@ -83,6 +88,8 @@ class AgentParams:
                 raise ParamConstraintViolatedError(i, f"beta={b} outside [0, 1)")
         if len(self.gamma) != len(self.beta):
             raise ParamConstraintViolatedError(0, "gamma and beta lengths differ")
+        object.__setattr__(self, "gamma", tuple(map(float, self.gamma)))
+        object.__setattr__(self, "beta", tuple(map(float, self.beta)))
 
     def stubborn_agents(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.beta) if b > 0.0)
@@ -136,10 +143,10 @@ class AgentClassification:
 
 
 def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetwork:
-    """Validate and freeze a signed network description.
+    """Validate and freeze a signed network: the one check of an edge, spec or not.
 
-    Weak connectivity is decided in the same pass, by union-find over the
-    edges (path halving, union by size).
+    The first edge in input order that fails is named.  Weak connectivity is
+    decided in the same pass, by union-find (path halving, union by size).
     """
     if n < 1:
         raise BadIdError(n)
@@ -148,9 +155,12 @@ def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetw
     parent = list(range(n))
     size = [1] * n
     parts = n
-    for i, j, w in edges:
-        if not (isinstance(i, _INT) and isinstance(j, _INT)) or bool in (type(i), type(j)):
-            raise BadIdError((i, j))
+    for e in edges:
+        if not (isinstance(e, (list, tuple)) and len(e) == 3):
+            raise NetworkValidationError(f"edge {e!r} must be [from, to, weight]")
+        i, j, w = e
+        if not (_is_id(i) and _is_id(j)):
+            raise BadIdError(e, f"edge {e!r}: agent ids must be integers")
         i, j = int(i), int(j)
         if not (0 <= i < n):
             raise BadIdError(i)

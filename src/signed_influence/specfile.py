@@ -46,7 +46,7 @@ import yaml
 from .centrality import _num, _nums
 from .dynamics import block_spectral_radius
 from .errors import BadIdError, SpecFileError
-from .graph import AgentParams, SignedNetwork, build_network
+from .graph import AgentParams, SignedNetwork, _is_id, _is_real, build_network
 from .pipeline import AnalysisResult
 from .sfg import SfgGraph, SourceKind
 
@@ -111,14 +111,6 @@ class NetworkSpec:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SpecFileError(message)
-
-
-def _int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _open_out(path: str, newline: str | None = None):
@@ -282,24 +274,15 @@ def load_spec(path: str) -> NetworkSpec:
     doc = _read_yaml(path)
     _require(isinstance(doc, dict), "top level must be a mapping")
     _require(doc.get("schema") == SPEC_SCHEMA, f"schema must be {SPEC_SCHEMA!r}")
-    _require(_int(doc.get("n")) and doc["n"] >= 1, "n must be a positive integer")
+    _require(_is_id(doc.get("n")) and doc["n"] >= 1, "n must be a positive integer")
     n = doc["n"]
     edges = doc.get("edges", [])
     _require(isinstance(edges, list), "edges must be a list")
-    parsed = []
-    for e in edges:  # each message is formatted only when its check fails
-        if not (isinstance(e, (list, tuple)) and len(e) == 3):
-            raise SpecFileError(f"edge {e!r} must be [from, to, weight]")
-        if not (_int(e[0]) and _int(e[1])):
-            raise SpecFileError(f"edge {e!r}: agent ids must be integers")
-        if not _number(e[2]):
-            raise SpecFileError(f"edge {e!r}: weight must be a number")
-        parsed.append((e[0], e[1], e[2]))
     for field in ("gamma", "beta", "x0"):
         v = doc.get(field)
         _require(isinstance(v, list) and len(v) == n, f"{field} must be a list of length n")
-        _require(all(_number(x) for x in v), f"{field} entries must be numbers")
-        _require(all(_finite(x) for x in v), f"{field} entries must be finite")
+    _require(all(map(_is_real, doc["x0"])), "x0 entries must be numbers")
+    _require(all(map(_finite, doc["x0"])), "x0 entries must be finite")
     labels = doc.get("labels")
     if labels is not None:
         _require(
@@ -313,9 +296,8 @@ def load_spec(path: str) -> NetworkSpec:
         _require(len(set(labels)) == n, "labels must be unique")
 
     try:
-        net = build_network(n, parsed)
-        params = AgentParams(gamma=tuple(float(g) for g in doc["gamma"]),
-                             beta=tuple(float(b) for b in doc["beta"]))
+        net = build_network(n, edges)
+        params = AgentParams(gamma=doc["gamma"], beta=doc["beta"])
     except Exception as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
     return NetworkSpec(

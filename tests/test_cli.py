@@ -87,15 +87,17 @@ class TestClassifyCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["classify", "/nonexistent.yaml"]) == 2
 
-    @pytest.mark.parametrize("edge", ["[0, 1.0, 1.0]", '[0, "1", 1.0]', "[0.0, 1, 1.0]"],
+    @pytest.mark.parametrize("edge, shown", [("[0, 1.0, 1.0]", "[0, 1.0, 1.0]"),
+                                             ('[0, "1", 1.0]', "[0, '1', 1.0]"),
+                                             ("[0.0, 1, 1.0]", "[0.0, 1, 1.0]")],
                              ids=["float-id", "string-id", "float-source-id"])
-    def test_id_that_is_not_an_integer_exits_2(self, tmp_path, capsys, edge):
+    def test_id_that_is_not_an_integer_exits_2(self, tmp_path, capsys, edge, shown):
         path = tmp_path / "bad.yaml"
         path.write_text(f"schema: signed-influence/1\nn: 2\nedges: [{edge}]\n"
                         "gamma: [0.3, 0.4]\nbeta: [0.1, 0.0]\nx0: [1.0, 2.0]\n")
         assert main(["classify", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: edge [") and err.endswith(": agent ids must be integers\n")
+        assert err == f"error: {path}: edge {shown}: agent ids must be integers\n"
 
     @pytest.mark.parametrize(
         "text",
