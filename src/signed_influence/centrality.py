@@ -8,7 +8,7 @@ import numpy as np
 
 from .dynamics import Model, ModelMatrices, prepare, steady_state
 from .errors import BadIdError, DuplicateEdgeError, NoSuchEdgeError, ZeroDeltaError
-from .graph import AgentParams, SignedNetwork, classify
+from .graph import AgentParams, SignedNetwork, _is_id, classify
 from .sfg import InfluenceMatrix
 
 # an agent whose final opinion moves by no more than this under a flip is unchanged
@@ -112,6 +112,8 @@ def perturb_initial(
     """
     if delta == 0.0 or not np.isfinite(delta):
         raise ZeroDeltaError("perturbation delta must be nonzero and finite")
+    if not _is_id(agent):
+        raise BadIdError(agent, f"agent {agent!r} is not an integer id")
     if not (0 <= agent < net.n):
         raise BadIdError(agent)
     x0 = np.asarray(x0, dtype=float)
@@ -144,7 +146,10 @@ def flip_edge_signs(
     """Negate the weights of the given edges, each named once, and compare steady states."""
     existing = {(i, j) for i, j, _ in net.edges}
     flip = set()
-    for i, j in edges:
+    for e in edges:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_id, e))):
+            raise BadIdError(e, f"edge {e!r} must be a pair of integer agent ids")
+        i, j = e
         if (i, j) not in existing:
             raise NoSuchEdgeError(i, j)
         if (i, j) in flip:

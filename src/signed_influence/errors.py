@@ -40,10 +40,10 @@ class NotWeaklyConnectedError(SignedInfluenceError):
 
 
 class ParamConstraintViolatedError(SignedInfluenceError):
-    """Agent parameters violate the model constraints."""
+    """Agent parameters violate the model constraints; node None names no agent."""
 
     def __init__(self, node, message):
-        super().__init__(f"agent {node}: {message}")
+        super().__init__(message if node is None else f"agent {node}: {message}")
         self.node = node
 
 

@@ -87,7 +87,8 @@ class AgentParams:
             if not (0.0 <= b < 1.0):
                 raise ParamConstraintViolatedError(i, f"beta={b} outside [0, 1)")
         if len(self.gamma) != len(self.beta):
-            raise ParamConstraintViolatedError(0, "gamma and beta lengths differ")
+            raise ParamConstraintViolatedError(
+                None, f"gamma has {len(self.gamma)} entries, beta {len(self.beta)}")
         object.__setattr__(self, "gamma", tuple(map(float, self.gamma)))
         object.__setattr__(self, "beta", tuple(map(float, self.beta)))
 
@@ -148,8 +149,8 @@ def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetw
     The first edge in input order that fails is named.  Weak connectivity is
     decided in the same pass, by union-find (path halving, union by size).
     """
-    if n < 1:
-        raise BadIdError(n)
+    if not (_is_id(n) and n >= 1):
+        raise NetworkValidationError(f"n={n!r} must be a positive integer")
     seen = set()
     frozen = []
     parent = list(range(n))
@@ -303,7 +304,8 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
     if not net.weakly_connected:
         raise NotWeaklyConnectedError("network must be weakly connected")
     if len(params.gamma) != net.n:
-        raise ParamConstraintViolatedError(net.n, "parameter length mismatch")
+        raise ParamConstraintViolatedError(
+            None, f"parameters for {len(params.gamma)} agents, network has {net.n}")
 
     comps = strong_components(net.n, net.edges)
     comp_of = [0] * net.n

@@ -29,7 +29,9 @@ from signed_influence import (
     build_matrices,
     build_network,
     classify,
+    flip_edge_signs,
     load_spec,
+    perturb_initial,
 )
 from signed_influence.errors import BadIdError
 from signed_influence.graph import strong_components
@@ -91,6 +93,45 @@ class TestBuildNetwork:
     def test_disconnected_flag(self):
         net = build_network(4, [(0, 1, 1.0), (2, 3, 1.0)])
         assert not net.weakly_connected
+
+
+_NET2 = build_network(2, [(1, 0, 1.0)])  # agent 1 listens to agent 0
+_PARAMS2 = AgentParams(gamma=(0.5, 0.5), beta=(0.0, 0.0))
+_X02 = np.array([1.0, -1.0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_network(True, []), NetworkValidationError, "n=True must be a positive integer"),
+    (lambda: build_network(2.5, []), NetworkValidationError, "n=2.5 must be a positive integer"),
+    (lambda: build_network("3", []), NetworkValidationError, "n='3' must be a positive integer"),
+    (lambda: build_network(0, []), NetworkValidationError, "n=0 must be a positive integer"),
+    (lambda: build_network(2, [(0, 1)]), NetworkValidationError,
+     "edge (0, 1) must be [from, to, weight]"),
+    (lambda: build_network(2, [(0, 1.0, 1.0)]), BadIdError,
+     "edge (0, 1.0, 1.0): agent ids must be integers"),
+    (lambda: flip_edge_signs(_NET2, _PARAMS2, _X02, ((True, 0),)), BadIdError,
+     "edge (True, 0) must be a pair of integer agent ids"),
+    (lambda: flip_edge_signs(_NET2, _PARAMS2, _X02, ((1.0, 0),)), BadIdError,
+     "edge (1.0, 0) must be a pair of integer agent ids"),
+    (lambda: flip_edge_signs(_NET2, _PARAMS2, _X02, ((1, 0, 5),)), BadIdError,
+     "edge (1, 0, 5) must be a pair of integer agent ids"),
+    (lambda: flip_edge_signs(_NET2, _PARAMS2, _X02, ((0,),)), BadIdError,
+     "edge (0,) must be a pair of integer agent ids"),
+    (lambda: perturb_initial(_NET2, _PARAMS2, _X02, True, 0.5), BadIdError,
+     "agent True is not an integer id"),
+    (lambda: perturb_initial(_NET2, _PARAMS2, _X02, 1.0, 0.5), BadIdError,
+     "agent 1.0 is not an integer id"),
+    (lambda: AgentParams(gamma=(0.1, 0.2), beta=(0.0,)), ParamConstraintViolatedError,
+     "gamma has 2 entries, beta 1"),
+    (lambda: classify(_NET2, AgentParams(gamma=(0.1,) * 3, beta=(0.0,) * 3)),
+     ParamConstraintViolatedError, "parameters for 3 agents, network has 2"),
+], ids=["bool-n", "float-n", "string-n", "zero-n", "edge-pair", "float-id",
+        "flip-bool-id", "flip-float-id", "flip-triple", "flip-single", "perturb-bool-agent",
+        "perturb-float-agent", "params-lengths", "classify-lengths"])
+def test_api_inputs_get_one_line_library_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def _sink_classification(n, edges):
