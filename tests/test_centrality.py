@@ -332,3 +332,56 @@ class TestFlipEdgeSigns:
         res = flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((8, 9),))
         assert res.z_flipped[8] == pytest.approx(0.0, abs=1e-9)
         assert res.z_flipped[9] == pytest.approx(0.0, abs=1e-9)
+
+
+def _rel(a, b) -> float:
+    """max |a - b| relative to max |b|."""
+    a, b = np.asarray(a), np.asarray(b)
+    scale = np.abs(b).max()
+    return float(np.abs(a - b).max() / scale) if scale else float(np.abs(a).max())
+
+
+def _scale_row(net, agent, scale):
+    return build_network(net.n, [(i, j, w * scale if i == agent else w) for i, j, w in net.edges])
+
+
+class TestInvariances:
+    """The model's own invariances, over the 200 netgen networks."""
+
+    def test_row_scale_leaves_z_theta_and_centrality(self):
+        checked = 0
+        for seed in range(200):
+            rn = random_network(seed)
+            if not rn.net.edges:
+                continue
+            agent = rn.net.edges[0][0]  # an agent that listens to others
+            base = run_analysis(rn.net, rn.params, rn.x0)
+            for lam in (1e-300, 1e300):
+                res = run_analysis(_scale_row(rn.net, agent, lam), rn.params, rn.x0)
+                assert _rel(res.steady.z, base.steady.z) <= 1e-12, (seed, lam)
+                assert _rel(res.influence.theta, base.influence.theta) <= 1e-12, (seed, lam)
+                assert _rel(res.centrality.scores, base.centrality.scores) <= 1e-12, (seed, lam)
+            checked += 1
+        assert checked >= 150
+
+    def test_row_scale_to_subnormal_weights_keeps_p_bit_identical(self):
+        # integer weights m and m·2⁻¹⁰⁷⁴ are both exact, so each ratio w / Σ|w| is the same
+        rn = random_network(0)
+        agent = rn.net.edges[0][0]
+        row = [(i, j, w) for i, j, w in rn.net.edges if i == agent]
+        whole = {(i, j): np.sign(w) * (k + 1) for k, (i, j, w) in enumerate(row)}
+        ints = build_network(rn.net.n, [(i, j, whole.get((i, j), w)) for i, j, w in rn.net.edges])
+        tiny = _scale_row(ints, agent, 2.0**-1074)
+        assert min(abs(w) for i, _, w in tiny.edges if i == agent) == 2.0**-1074
+        a, b = build_matrices(ints, rn.params), build_matrices(tiny, rn.params)
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.cols, b.cols)
+        assert a.vals.tobytes() == b.vals.tobytes()
+
+    def test_x0_scale_scales_z_and_leaves_theta(self):
+        for seed in range(200):
+            rn = random_network(seed)
+            base = run_analysis(rn.net, rn.params, rn.x0)
+            for lam in (1e-300, 3.0, 1e300):
+                res = run_analysis(rn.net, rn.params, lam * rn.x0)
+                assert _rel(res.steady.z, lam * base.steady.z) <= 1e-12, (seed, lam)
+                assert res.influence.theta.tobytes() == base.influence.theta.tobytes()

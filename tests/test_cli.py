@@ -11,6 +11,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 
 import signed_influence
 from conftest import ZOO17, REF11
-from signed_influence import cli
+from netgen import random_network
+from signed_influence import AgentParams, build_network, cli
 from signed_influence.cli import main
 from signed_influence.specfile import diff_reports
 
@@ -193,6 +195,87 @@ class TestSpecRules:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path} is not valid YAML: ") and err.count("\n") == 1
         assert f"found duplicate key '{key}'" in err
+
+
+def _set(field, k, value):
+    """A fault: doc[field][k] = value, where k = -1 is the last edge and k = 1 agent 1."""
+    def fault(doc):
+        doc[field][k] = value
+    return fault
+
+
+def _set_weight(value):
+    def fault(doc):
+        doc["edges"][-1][2] = value
+    return fault
+
+
+def _append_edge(make):
+    def fault(doc):
+        doc["edges"].append(make(doc))
+    return fault
+
+
+# each fault leaves every earlier edge valid, so it is the first one found
+_SPEC_FAULTS = {
+    "edge-not-a-triple": _append_edge(lambda doc: [0, 1]),
+    "float-id": _append_edge(lambda doc: [0, 1.0, 1.0]),
+    "string-id": _append_edge(lambda doc: ["0", 1, 1.0]),
+    "bool-id": _append_edge(lambda doc: [True, 0, 1.0]),
+    "id-out-of-range": _append_edge(lambda doc: [0, doc["n"], 1.0]),
+    "self-loop": _append_edge(lambda doc: [1, 1, 1.0]),
+    "duplicate": _append_edge(lambda doc: list(doc["edges"][0])),
+    "string-weight": _set_weight("2.5"),
+    "bool-weight": _set_weight(True),
+    "zero-weight": _set_weight(0.0),
+    "inf-weight": _set_weight(float("inf")),
+    "weight-too-large-for-a-float": _set_weight(10**400),
+    "string-gamma": _set("gamma", 1, "0.4"),
+    "bool-gamma": _set("gamma", 1, True),
+    "nan-gamma": _set("gamma", 1, float("nan")),
+    "gamma-above-1": _set("gamma", 1, 1.5),
+    "string-beta": _set("beta", 1, "0.1"),
+    "bool-beta": _set("beta", 1, False),
+    "nan-beta": _set("beta", 1, float("nan")),
+    "beta-1": _set("beta", 1, 1.0),
+}
+
+
+def _library_error(doc) -> str:
+    """What build_network and AgentParams say about the document's values."""
+    try:
+        build_network(doc["n"], doc["edges"])
+        AgentParams(gamma=doc["gamma"], beta=doc["beta"])
+    except signed_influence.SignedInfluenceError as exc:
+        return str(exc)
+    raise AssertionError("the library accepts the fault")
+
+
+class TestSpecErrorsAreLibraryErrors:
+    """A spec's edges, gamma and beta are checked by the library alone."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 4])
+    @pytest.mark.parametrize("fault", list(_SPEC_FAULTS))
+    def test_spec_error_is_the_library_error_with_the_path(self, tmp_path, capsys, seed, fault):
+        rn = random_network(seed)
+        doc = {"schema": "signed-influence/1", "n": rn.net.n,
+               "edges": [list(e) for e in rn.net.edges],
+               "gamma": list(rn.params.gamma), "beta": list(rn.params.beta),
+               "x0": rn.x0.tolist()}
+        _SPEC_FAULTS[fault](doc)
+        path = tmp_path / "fault.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {_library_error(doc)}\n"
+
+    def test_lengths_are_checked_before_anything_is_sized_by_n(self, tmp_path, capsys):
+        path = tmp_path / "huge.yaml"
+        path.write_text("schema: signed-influence/1\nn: 1000000000\nedges: [[0, 1, 1.0]]\n"
+                        "gamma: [0.3, 0.4]\nbeta: [0.1, 0.0]\nx0: [1.0, 2.0]\n")
+        start = time.perf_counter()
+        assert main(["classify", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: gamma must be a list of length n\n"
 
 
 class TestInvalidArguments:
