@@ -12,6 +12,10 @@ A network spec is a small YAML document:
     x0: [1.0, -2.0, 0.5]
     labels: ["a", "b", "c"]   # optional display names
 
+`load_spec` checks what only a spec has: its shape, n, the list lengths
+against n, x(0) and the labels.  `build_network` alone checks the edges and
+`AgentParams` gamma and beta, and their errors get the spec's path.
+
 Reports are YAML as well, schema ``signed-influence/report/1``, with every
 number serialized to 12 significant digits so that a re-ingested report
 diffs clean against a fresh run.
@@ -270,7 +274,7 @@ def _read_yaml(path: str):
 
 
 def load_spec(path: str) -> NetworkSpec:
-    """Load and validate a network spec file."""
+    """Load and validate a network spec file; the module docstring says which rule lives where."""
     doc = _read_yaml(path)
     _require(isinstance(doc, dict), "top level must be a mapping")
     _require(doc.get("schema") == SPEC_SCHEMA, f"schema must be {SPEC_SCHEMA!r}")
@@ -278,7 +282,7 @@ def load_spec(path: str) -> NetworkSpec:
     n = doc["n"]
     edges = doc.get("edges", [])
     _require(isinstance(edges, list), "edges must be a list")
-    for field in ("gamma", "beta", "x0"):
+    for field in ("gamma", "beta", "x0"):  # before anything is sized by n
         v = doc.get(field)
         _require(isinstance(v, list) and len(v) == n, f"{field} must be a list of length n")
     _require(all(map(_is_real, doc["x0"])), "x0 entries must be numbers")
