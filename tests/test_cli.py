@@ -197,10 +197,10 @@ class TestSpecRules:
         assert f"found duplicate key '{key}'" in err
 
 
-def _set(field, k, value):
-    """A fault: doc[field][k] = value, where k = -1 is the last edge and k = 1 agent 1."""
+def _set(field, value):
+    """A fault: agent 1's gamma or beta is value."""
     def fault(doc):
-        doc[field][k] = value
+        doc[field][1] = value
     return fault
 
 
@@ -230,14 +230,14 @@ _SPEC_FAULTS = {
     "zero-weight": _set_weight(0.0),
     "inf-weight": _set_weight(float("inf")),
     "weight-too-large-for-a-float": _set_weight(10**400),
-    "string-gamma": _set("gamma", 1, "0.4"),
-    "bool-gamma": _set("gamma", 1, True),
-    "nan-gamma": _set("gamma", 1, float("nan")),
-    "gamma-above-1": _set("gamma", 1, 1.5),
-    "string-beta": _set("beta", 1, "0.1"),
-    "bool-beta": _set("beta", 1, False),
-    "nan-beta": _set("beta", 1, float("nan")),
-    "beta-1": _set("beta", 1, 1.0),
+    "string-gamma": _set("gamma", "0.4"),
+    "bool-gamma": _set("gamma", True),
+    "nan-gamma": _set("gamma", float("nan")),
+    "gamma-above-1": _set("gamma", 1.5),
+    "string-beta": _set("beta", "0.1"),
+    "bool-beta": _set("beta", False),
+    "nan-beta": _set("beta", float("nan")),
+    "beta-1": _set("beta", 1.0),
 }
 
 
