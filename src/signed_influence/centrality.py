@@ -6,9 +6,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Model, ModelMatrices, prepare, steady_state
-from .errors import BadIdError, DuplicateEdgeError, NoSuchEdgeError, ZeroDeltaError
-from .graph import AgentParams, SignedNetwork, _is_id, classify
+from .dynamics import Model, ModelMatrices, _final_opinions, prepare, sink_spectrum, steady_state
+from .errors import BadIdError, ZeroDeltaError
+from .graph import AgentParams, SignedNetwork, _flip, _is_id, classify
 from .sfg import InfluenceMatrix
 
 # an agent whose final opinion moves by no more than this under a flip is unchanged
@@ -93,6 +93,27 @@ def _flipped(matrices: ModelMatrices, edges) -> ModelMatrices:
     return replace(matrices, vals=vals)
 
 
+def _flipped_model(
+    base: Model, net: SignedNetwork, params: AgentParams, flip: dict[tuple[int, int], int]
+) -> Model:
+    """The flipped network ``net`` prepared from its base's model.
+
+    ``flip`` maps each flipped edge to its position in ``net.edges``.  The
+    taxonomy may differ, the rows only in the flipped signs.  A sink with
+    no flipped edge inside keeps its block, its kind and its sigma, so its
+    unit eigenpair is the base's; a sink with one inside gets its own.
+    """
+    cls = classify(net, params)
+    model = Model(cls, _flipped(base.matrices, flip))
+    at = set(flip.values())
+    touched = {s for s, own in enumerate(net._structure.internal) if not at.isdisjoint(own)}
+    vars(model)["spectra"] = {  # Model.spectra's cache, filled before its first read
+        s: sink_spectrum(model.matrices, cls, s) if s in touched else base.spectra[s]
+        for s in sorted(cls.influence_free_sinks)
+    }
+    return model
+
+
 def perturb_initial(
     net: SignedNetwork,
     params: AgentParams,
@@ -106,9 +127,9 @@ def perturb_initial(
     delta lost to rounding against x0[agent] raises ZeroDeltaError.
 
     The per-unit L1 deviation equals the agent's absolute centrality score,
-    which makes this an independent check on the influence matrix: both
-    steady states are recomputed from one prepared model, never read off
-    Theta.
+    which makes this an independent check on the influence matrix: the
+    network is prepared once and both steady states come from one solve,
+    x0 and the shifted x0 as its two columns, never read off Theta.
     """
     if delta == 0.0 or not np.isfinite(delta):
         raise ZeroDeltaError("perturbation delta must be nonzero and finite")
@@ -124,9 +145,8 @@ def perturb_initial(
     shift = x0p[agent] - x0[agent]  # delta as rounded against x0[agent]
     if shift == 0.0 or not np.isfinite(shift):
         raise ZeroDeltaError(f"delta {delta:g} shifts x0[{agent}] = {x0[agent]:g} by {shift:g}")
-    model = prepare(net, params)
-    z_base = steady_state(model, x0).z
-    z_pert = steady_state(model, x0p).z
+    z = _final_opinions(prepare(net, params), (x0, x0p))
+    z_base, z_pert = z[:, 0], z[:, 1]
     deviation = float(np.abs(z_pert - z_base).sum() / abs(shift))
     return PerturbationResult(
         agent=agent,
@@ -143,30 +163,21 @@ def flip_edge_signs(
     x0: np.ndarray,
     edges: tuple[tuple[int, int], ...],
 ) -> SignFlipResult:
-    """Negate the weights of the given edges, each named once, and compare steady states."""
-    existing = {(i, j) for i, j, _ in net.edges}
-    flip = set()
-    for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_id, e))):
-            raise BadIdError(e, f"edge {e!r} must be a pair of integer agent ids")
-        i, j = e
-        if (i, j) not in existing:
-            raise NoSuchEdgeError(i, j)
-        if (i, j) in flip:
-            raise DuplicateEdgeError(i, j)
-        flip.add((i, j))
-    # only signs change: ids, order, support and weak connectivity stay valid
-    flipped_edges = tuple((i, j, -w if (i, j) in flip else w) for i, j, w in net.edges)
-    net_flipped = replace(net, edges=flipped_edges)
+    """Negate the weights of the given edges, each named once, and compare steady states.
 
+    The base network is prepared once.  The flipped one shares its
+    sign-free structure (`graph._flip`) and its rows up to the flipped
+    signs, and keeps the base's unit eigenpair on every sink that no
+    flipped edge lies inside (`_flipped_model`): only its classification
+    and the spectra of the sinks a flip touched are computed anew.
+    """
+    net_flipped, flip = _flip(net, edges)
     x0 = np.asarray(x0, dtype=float)
     base = prepare(net, params)
     z_base = steady_state(base, x0).z
-    # the flipped network's taxonomy may differ, its rows only in the flipped signs
-    flipped = Model(classify(net_flipped, params), _flipped(base.matrices, flip))
-    z_flip = steady_state(flipped, x0).z
+    z_flip = steady_state(_flipped_model(base, net_flipped, params, flip), x0).z
     deltas = z_flip - z_base
-    unchanged = tuple(i for i in range(net.n) if abs(deltas[i]) <= _UNCHANGED_ATOL)
+    unchanged = tuple(np.flatnonzero(np.abs(deltas) <= _UNCHANGED_ATOL).tolist())
     return SignFlipResult(
         flipped=tuple(sorted(flip)),
         z_base=z_base,

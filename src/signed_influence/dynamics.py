@@ -465,6 +465,19 @@ def _complete(model: Model, x: np.ndarray) -> np.ndarray:
     return _solve_checked(matrices.indptr, matrices.cols, matrices.vals, x, k, bounds=bounds)
 
 
+def _final_opinions(model: Model, x0s: Sequence[np.ndarray]) -> np.ndarray:
+    """z for several x(0), one column each, by one `_complete`.
+
+    Each column holds what `steady_state`'s direct-solve gives as z for its
+    x(0), to the bit: the same column goes into the same solve, and the
+    columns of a solve do not mix.  The x(0) are taken as checked floats.
+    """
+    beta = model.matrices.beta
+    stubborn = beta > 0.0
+    return _complete(model, np.column_stack(
+        [np.where(stubborn, beta * x0, _unit_limits(model, x0)) for x0 in x0s]))
+
+
 def steady_state(
     model: Model,
     x0: np.ndarray,

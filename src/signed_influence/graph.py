@@ -4,10 +4,12 @@ The structural layer everything else builds on: strongly connected
 components, the sinks of the condensation graph, the follower / opinion
 leader split, and the balance taxonomy of each sink.  `classify` finds the
 sinks in one pass over the edge list and decides each sink's kind with one
-two-colouring of its internal edges.  The graph routines are the module's
-own, on plain lists: union-find for weak connectivity while
-`build_network` validates the edges, and an iterative Tarjan over flat
-successor lists for the strongly connected components.
+two-colouring of its internal edges; the pass reads no sign, so a network
+keeps what it finds, and a network with flipped signs (`_flip`) shares
+it.  The graph routines are the module's own, on plain lists: union-find
+for weak connectivity while `build_network` validates the edges, and an
+iterative Tarjan over flat successor lists for the strongly connected
+components.
 
 Agent ids are 0-based everywhere; human-facing 1-based names, when
 wanted, belong in spec-file labels.
@@ -21,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import (
     BadIdError,
     DuplicateEdgeError,
     NetworkValidationError,
+    NoSuchEdgeError,
     NotWeaklyConnectedError,
     ParamConstraintViolatedError,
     SelfLoopError,
@@ -50,12 +53,28 @@ def _is_id(x) -> bool:
     return isinstance(x, _INT) and not isinstance(x, bool)
 
 
+class _Structure(NamedTuple):
+    """What `classify` finds without reading a sign."""
+
+    blocks: tuple[tuple[int, ...], ...]  # sorted SCC members, listeners first
+    sinks: tuple[tuple[int, ...], ...]  # sorted members, sinks ordered by min id
+    internal: tuple[tuple[int, ...], ...]  # per sink, the positions in edges of its own edges
+
+
 @dataclass(frozen=True)
 class SignedNetwork:
     """A signed weighted digraph without self-loops.
 
     An edge ``(i, j, w)`` means agent ``i`` listens to agent ``j`` with
     signed weight ``w`` (the adjacency entry ``A[i, j]``).
+
+    What depends on the edge pattern alone, never on a sign, is computed
+    once per network, when first read: the out-degrees, the SCCs in
+    condensation order, the sinks and the edges inside each sink
+    (`_structure`, which `classify` reads), and each edge's position in
+    ``edges`` (`_position`).  A sign flip keeps the pattern, so `_flip`
+    hands the last two to the flipped network, and classifying that one
+    costs only the two-colouring of its sinks.
     """
 
     n: int
@@ -66,6 +85,38 @@ class SignedNetwork:
     def out_degree(self) -> np.ndarray:
         listeners = np.fromiter((i for i, _, _ in self.edges), dtype=int, count=len(self.edges))
         return np.bincount(listeners, minlength=self.n)
+
+    @cached_property
+    def _structure(self) -> _Structure:
+        """The SCCs from `strong_components`, then one pass over the edges.
+
+        An edge inside an SCC is internal to it, one between SCCs rules out
+        its listener's SCC as a sink; the sinks are the SCCs left.
+        """
+        comps = strong_components(self.n, self.edges)
+        comp_of = [0] * self.n
+        for idx, comp in enumerate(comps):
+            for node in comp:
+                comp_of[node] = idx
+        internal = {}
+        has_out = [False] * len(comps)
+        for k, (i, j, _) in enumerate(self.edges):
+            ci = comp_of[i]
+            if ci == comp_of[j]:
+                internal.setdefault(ci, []).append(k)
+            else:
+                has_out[ci] = True
+        sink_comps = [c for c, out in enumerate(has_out) if not out]
+        sink_comps.sort(key=lambda c: comps[c][0])
+        return _Structure(
+            blocks=tuple(comps),
+            sinks=tuple(comps[c] for c in sink_comps),
+            internal=tuple(tuple(internal.get(c, ())) for c in sink_comps),
+        )
+
+    @cached_property
+    def _position(self) -> dict[tuple[int, int], int]:
+        return {(i, j): k for k, (i, j, _) in enumerate(self.edges)}
 
 
 @dataclass(frozen=True)
@@ -194,6 +245,36 @@ def build_network(n: int, edges: Iterable[tuple[int, int, float]]) -> SignedNetw
     return SignedNetwork(n=n, edges=tuple(sorted(frozen)), weakly_connected=parts == 1)
 
 
+def _flip(
+    net: SignedNetwork, edges: Iterable[tuple[int, int]]
+) -> tuple[SignedNetwork, dict[tuple[int, int], int]]:
+    """The network with the given edges' signs negated, and each one's position in ``edges``.
+
+    Each edge is a pair of agent ids, named once, of an edge of ``net``.
+    Only signs change, so ids, order, pattern and weak connectivity stay
+    valid: the new network is not validated again, and it shares ``net``'s
+    sign-free cache.
+    """
+    position = net._position
+    flip = {}
+    for e in edges:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_id, e))):
+            raise BadIdError(e, f"edge {e!r} must be a pair of integer agent ids")
+        i, j = e
+        if (i, j) not in position:
+            raise NoSuchEdgeError(i, j)
+        if (i, j) in flip:
+            raise DuplicateEdgeError(i, j)
+        flip[i, j] = position[i, j]
+    signed = list(net.edges)
+    for k in flip.values():
+        i, j, w = signed[k]
+        signed[k] = (i, j, -w)
+    flipped = SignedNetwork(n=net.n, edges=tuple(signed), weakly_connected=net.weakly_connected)
+    vars(flipped).update(_structure=net._structure, _position=position)  # the cache, shared
+    return flipped, flip
+
+
 def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
     """The SCCs of the digraph on 0..n-1 with the given arcs, listeners first.
 
@@ -300,53 +381,42 @@ def _two_colour(members: Sequence[int], internal: Iterable[Edge]) -> dict[int, i
 
 
 def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
-    """Full agent and sink classification for a weakly connected network."""
+    """Full agent and sink classification for a weakly connected network.
+
+    The SCCs, the sinks and each sink's internal edges are read from the
+    network's sign-free cache (`SignedNetwork`), found once per network;
+    each sink's kind and sigma, which read the signs, are decided on every
+    call.
+    """
     if not net.weakly_connected:
         raise NotWeaklyConnectedError("network must be weakly connected")
     if len(params.gamma) != net.n:
         raise ParamConstraintViolatedError(
             None, f"parameters for {len(params.gamma)} agents, network has {net.n}")
 
-    comps = strong_components(net.n, net.edges)
-    comp_of = [0] * net.n
-    for idx, comp in enumerate(comps):
-        for node in comp:
-            comp_of[node] = idx
-    # one pass: an edge inside an SCC is internal, one between SCCs rules out a sink
-    internal = {}
-    has_out = [False] * len(comps)
-    for edge in net.edges:
-        ci, cj = comp_of[edge[0]], comp_of[edge[1]]
-        if ci == cj:
-            internal.setdefault(ci, []).append(edge)
-        else:
-            has_out[ci] = True
-    sink_comps = [c for c, out in enumerate(has_out) if not out]
-    sink_comps.sort(key=lambda c: comps[c][0])
-    sinks = tuple(comps[c] for c in sink_comps)
-
+    blocks, sinks, internal = net._structure
     singleton = frozenset(ms[0] for ms in sinks if len(ms) == 1)
     group = frozenset(m for ms in sinks if len(ms) > 1 for m in ms)
     followers = frozenset(range(net.n)).difference(*sinks)
     stubborn = frozenset(params.stubborn_agents())
 
-    listens = net.out_degree > 0
-    for i in np.flatnonzero(listens & (np.add(params.gamma, params.beta) >= 1.0))[:1].tolist():
-        raise ParamConstraintViolatedError(
-            i, f"gamma+beta={params.gamma[i] + params.beta[i]} must be < 1"
-            " at an agent that listens to others",
-        )
+    for i in np.flatnonzero(np.add(params.gamma, params.beta) >= 1.0).tolist():
+        if net.out_degree[i] > 0:  # the degrees are counted only when some sum reaches 1
+            raise ParamConstraintViolatedError(
+                i, f"gamma+beta={params.gamma[i] + params.beta[i]} must be < 1"
+                " at an agent that listens to others",
+            )
     for i in group:
         if params.gamma[i] <= 0.0:
             raise ParamConstraintViolatedError(i, "group opinion leaders need gamma > 0")
 
     sink_kind = {}
     sigma = {}
-    for idx, (members, c) in enumerate(zip(sinks, sink_comps)):
+    for idx, members in enumerate(sinks):
         if len(members) == 1:
             sink_kind[idx] = SinkKind.SINGLETON_LEADER
             continue
-        colour = _two_colour(members, internal.get(c, ()))
+        colour = _two_colour(members, map(net.edges.__getitem__, internal[idx]))
         if colour is None:
             sink_kind[idx] = SinkKind.UNBALANCED
         elif all(s == 1 for s in colour.values()):  # strongly connected: every tie positive
@@ -369,5 +439,5 @@ def classify(net: SignedNetwork, params: AgentParams) -> AgentClassification:
         sink_kind=sink_kind,
         sigma=sigma,
         influence_free_sinks=influence_free,
-        blocks=tuple(comps),
+        blocks=blocks,
     )

@@ -41,6 +41,7 @@ import contextlib
 import csv
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -80,7 +81,17 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                 seen.add(key)
         return super().construct_mapping(node, deep=deep)
 
+    def construct_yaml_int(self, node):
+        """An int as PyYAML reads it; one past Python's digit limit for text is a YAML error."""
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"an integer of more than {sys.get_int_max_str_digits()} digits",
+                node.start_mark) from exc
 
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?([0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+"

@@ -15,6 +15,7 @@ from signed_influence import (
     InfluenceMatrix,
     NetworkValidationError,
     NoSuchEdgeError,
+    SinkKind,
     ZeroDeltaError,
     absolute_centrality,
     build_network,
@@ -23,7 +24,7 @@ from signed_influence import (
     prepare,
     steady_state,
 )
-from signed_influence import build_matrices, centrality
+from signed_influence import build_matrices, centrality, classify, graph
 from signed_influence.cli import main
 from signed_influence.pipeline import run_analysis
 
@@ -258,12 +259,18 @@ class TestFlipEdgeSigns:
         assert isinstance(info.value, NetworkValidationError)
 
     def test_one_spectrum_per_sink_and_no_rho(self, ref11, count_calls):
-        # one set-up per network, base and flipped: each computes its spectra once
+        # the base's spectra are computed once; the flipped network computes
+        # again only those of the sinks a flipped edge lies inside
         rho_calls = count_calls("spectral_radius")
         sinks = count_calls("sink_spectrum")
         flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5),))
         assert rho_calls == []
-        assert sorted(args[2] for args in sinks) == [0, 0, 2, 2]
+        assert sorted(args[2] for args in sinks) == [0, 2]
+        sinks.clear()
+        # every tie of agent 8 negated: sink 2 (8, 9, 10) turns cooperative
+        flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((8, 9), (8, 10), (9, 8), (10, 8)))
+        assert sorted(args[2] for args in sinks) == [0, 2, 2]
+        assert sinks[-1][1].sink_kind[2] == SinkKind.COOPERATIVE
 
     def test_flipped_matrices_equal_a_fresh_build(self, ref11):
         # negating the base's entries gives build_matrices' own numbers
@@ -332,6 +339,65 @@ class TestFlipEdgeSigns:
         res = flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((8, 9),))
         assert res.z_flipped[8] == pytest.approx(0.0, abs=1e-9)
         assert res.z_flipped[9] == pytest.approx(0.0, abs=1e-9)
+
+
+def _what_if_networks(ref11, zoo17):
+    """(name, net, params, x0) of both fixtures, the 200 netgen networks and synth n = 200."""
+    yield "reference11", ref11.net, ref11.params, ref11.x0
+    yield "showcase17", zoo17.net, zoo17.params, zoo17.x0
+    for seed in range(200):
+        rn = random_network(seed)
+        yield f"netgen {seed}", rn.net, rn.params, rn.x0
+    s = synth_network(200, 0)
+    yield "synth 200", s.net, s.params, s.x0
+
+
+class TestWhatIfEqualsAFreshRecomputation:
+    """Both what-if functions give, to the bit, what fresh set-ups give."""
+
+    def test_flips_inside_and_outside_a_sink(self, ref11, zoo17):
+        # one edge inside a sink leaves it unbalanced; negating every tie of
+        # one member re-colours it and keeps its unit eigenvalue
+        flips = {"inside": 0, "outside": 0, "re-colour": 0}
+        for name, net, params, x0 in _what_if_networks(ref11, zoo17):
+            cls = classify(net, params)
+            free = [m for s in sorted(cls.influence_free_sinks) for m in cls.sinks[s][1:2]]
+            candidates = {
+                "inside": [(i, j) for i, j, _ in net.edges if i in cls.group_leaders][:1],
+                "outside": [(i, j) for i, j, _ in net.edges if i in cls.followers][:1],
+                "re-colour": [(i, j) for i, j, _ in net.edges
+                              if free and free[0] in (i, j) and i not in cls.followers],
+            }
+            for where, edges in candidates.items():
+                if not edges:
+                    continue
+                flips[where] += 1
+                fresh = prepare(build_network(net.n, [
+                    (i, j, -w if (i, j) in edges else w) for i, j, w in net.edges]), params)
+                res = flip_edge_signs(net, params, x0, edges)
+                assert np.array_equal(res.z_flipped, steady_state(fresh, x0).z), (name, edges)
+                net_flipped, flip = graph._flip(net, edges)
+                flipped = centrality._flipped_model(prepare(net, params), net_flipped, params, flip)
+                for field in dataclasses.fields(fresh.classification):
+                    got = getattr(flipped.classification, field.name)
+                    assert got == getattr(fresh.classification, field.name), (name, edges, field)
+                assert flipped.spectra.keys() == fresh.spectra.keys(), (name, edges)
+                for sink, spec in fresh.spectra.items():
+                    reused = flipped.spectra[sink]
+                    assert reused.members == spec.members, (name, edges, sink)
+                    assert np.array_equal(reused.w, spec.w), (name, edges, sink)
+                    assert np.array_equal(reused.v, spec.v), (name, edges, sink)
+        assert min(flips.values()) >= 90, flips
+
+    def test_perturbation_equals_two_steady_states(self, ref11, zoo17):
+        for k, (name, net, params, x0) in enumerate(_what_if_networks(ref11, zoo17)):
+            agent = k % net.n
+            res = perturb_initial(net, params, x0, agent, 0.75)
+            model = prepare(net, params)
+            x0p = np.array(x0, dtype=float)
+            x0p[agent] += 0.75
+            assert np.array_equal(res.z_base, steady_state(model, x0).z), name
+            assert np.array_equal(res.z_perturbed, steady_state(model, x0p).z), name
 
 
 def _rel(a, b) -> float:

@@ -132,6 +132,18 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_int_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # written by hand: yaml.dump cannot write an int past Python's digit
+        # limit for text any more than PyYAML's int constructor can read one
+        path = tmp_path / "bad.yaml"
+        path.write_text("schema: signed-influence/1\nn: 2\nedges: [[0, 1, 1.0]]\n"
+                        f"gamma: [0.3, 0.4]\nbeta: [0.1, 0.0]\nx0: [1{'0' * 5000}, 1.0]\n")
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not valid YAML: an integer of more than"
+            f" {sys.get_int_max_str_digits()} digits"
+            f' in "{path}", line 6, column 6\n')
+
     @pytest.mark.parametrize("text", ["x0: " + "[" * 40_000 + "]" * 40_000 + "\n",
                                       "- " * 60_000 + "1\n"], ids=["flow", "block"])
     def test_deeply_nested_spec_exits_2(self, tmp_path, text):

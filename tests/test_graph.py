@@ -325,10 +325,18 @@ class TestOnePassClassify:
             assert set(cls.sigma) == balanced_members, name
 
     def test_makes_one_strong_components_call(self, zoo17, count_calls):
+        # the SCCs are found once per network: classifying it again and
+        # flipping signs, inside a sink or not, reuse them
+        net = build_network(zoo17.net.n, zoo17.net.edges)
         searches = count_calls("strong_components")
-        cls = classify(zoo17.net, zoo17.params)
+        cls = classify(net, zoo17.params)
         assert SinkKind.BALANCED in cls.sink_kind.values()
         assert SinkKind.UNBALANCED in cls.sink_kind.values()
+        assert len(searches) == 1
+        classify(net, zoo17.params)
+        inside = next((i, j) for i, j, _ in net.edges if i in cls.group_leaders)
+        outside = next((i, j) for i, j, _ in net.edges if i in cls.followers)
+        flip_edge_signs(net, zoo17.params, zoo17.x0, (inside, outside))
         assert len(searches) == 1
 
     def test_memory_stays_linear(self):
