@@ -271,7 +271,7 @@ def _flip(
         i, j, w = signed[k]
         signed[k] = (i, j, -w)
     flipped = SignedNetwork(n=net.n, edges=tuple(signed), weakly_connected=net.weakly_connected)
-    vars(flipped).update(_structure=net._structure, _position=position)  # the cache, shared
+    vars(flipped).update(_structure=net._structure, _position=position)
     return flipped, flip
 
 
@@ -291,8 +291,8 @@ def strong_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[tuple[int
     order and each node's successors in arc order; the pass emits every
     SCC after all the SCCs it listens to, and that order is kept, reversed.
     This is the condensation order: the SCCs are the condensation graph's
-    nodes, and `classify` reads its sinks off them with one pass over the
-    edges, never building the graph itself.
+    nodes, and `SignedNetwork._structure` reads the sinks off them with one
+    pass over the edges, never building the graph itself.
     """
     arcs = sorted(arcs, key=itemgetter(0))  # stable: each node's arcs in arc order
     tails = [arc[0] for arc in arcs]
