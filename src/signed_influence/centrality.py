@@ -101,16 +101,19 @@ def _flipped_model(
     ``flip`` maps each flipped edge to its position in ``net.edges``.  The
     taxonomy may differ, the rows only in the flipped signs.  A sink with
     no flipped edge inside keeps its block, its kind and its sigma, so its
-    unit eigenpair is the base's; a sink with one inside gets its own.
+    unit eigenpair is the base's; a sink with one inside gets its own.  P's
+    pattern and K, the agents the solve is for, read no sign, so the solve
+    layout is the base's.
     """
     cls = classify(net, params)
     model = Model(cls, _flipped(base.matrices, flip))
     at = set(flip.values())
     touched = {s for s, own in enumerate(net._structure.internal) if not at.isdisjoint(own)}
-    vars(model)["spectra"] = {  # Model.spectra's cache, filled before its first read
-        s: sink_spectrum(model.matrices, cls, s) if s in touched else base.spectra[s]
-        for s in sorted(cls.influence_free_sinks)
-    }
+    vars(model).update(  # Model's cached properties, filled before their first read
+        spectra={s: sink_spectrum(model.matrices, cls, s) if s in touched else base.spectra[s]
+                 for s in sorted(cls.influence_free_sinks)},
+        _layout=base._layout,
+    )
     return model
 
 

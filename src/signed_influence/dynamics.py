@@ -9,8 +9,12 @@ Gamma = diag(gamma) the self-belief and B = diag(beta) the stubbornness.
 
 `prepare(net, params)` makes the `Model` every later layer takes: the
 classification, P's rows and, computed when first read, the unit
-eigenpair of each stubborn-free balanced sink.  z, the gains, Θ and the
-centrality are functions of that model and x(0) alone.
+eigenpair of each stubborn-free balanced sink and the complement solve's
+layout.  z, the gains, Θ and the centrality are functions of that model
+and x(0) alone.  The network remembers the last model it was prepared
+into, for that very `AgentParams` object, so every analysis and what-if
+call on the same network and params shares one model and does its set-up
+once; the model's arrays are read-only.
 
 P is kept as CSR rows (`ModelMatrices`: indptr, cols, vals), one entry per
 edge plus p_ii, built from the edge list with numpy; every route computes
@@ -27,13 +31,15 @@ the classification's listener-first block order, I - P_KK is block upper
 triangular, so the solve is a back-substitution from the sinks.  Each
 chunk gathers its small dense block from its rows, and its coupling to the
 known and the later agents into slabs over the columns it uses, one
-product each.
+product each.  Where each entry of P goes in that solve reads no value:
+the model lays it out once (`_solve_layout`), and a sign flip, which keeps
+P's pattern and K, hands its layout on.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Sequence
@@ -70,10 +76,15 @@ class ModelMatrices:
     vals: np.ndarray
     beta: np.ndarray
 
+    def __post_init__(self):
+        _read_only(self)
+
     @cached_property
     def rows(self) -> np.ndarray:
         """The row of each entry."""
-        return np.arange(self.n).repeat(self.indptr[1:] - self.indptr[:-1])
+        rows = np.arange(self.n).repeat(self.indptr[1:] - self.indptr[:-1])
+        rows.flags.writeable = False
+        return rows
 
     def dense(self) -> np.ndarray:
         """P as a dense n x n array, the same numbers as the rows.
@@ -111,6 +122,18 @@ class ModelMatrices:
         return at if at < hi and self.cols[at] == j else None
 
 
+def _read_only(record) -> None:
+    """Mark every array field of a frozen dataclass non-writeable.
+
+    A prepared `Model` is shared by every caller that prepares the same
+    network and parameters, so no caller may change its numbers.
+    """
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
 def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entry indices of the given CSR rows, row after row, and each row's count."""
     starts = indptr[rows]
@@ -132,6 +155,9 @@ class SinkSpectrum:
     members: tuple[int, ...]
     w: np.ndarray
     v: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self)
 
 
 class SteadyStateMethod(enum.Enum):
@@ -305,7 +331,10 @@ class Model:
     sink, singleton leaders too (a singleton leader's block is [1], so its
     pair is w = v = [1]).  It is computed on first read, so a route that
     reads no spectrum, as `simulate` and the full signal-flow graph, does
-    not pay for one or fail on one.
+    not pay for one or fail on one.  So is ``_layout``, what the complement
+    solve reads of P but its values.  A model is shared by every caller
+    that prepares the same network and parameters (`prepare`), so all its
+    arrays are read-only.
     """
 
     classification: AgentClassification
@@ -317,41 +346,76 @@ class Model:
         return {sink: sink_spectrum(self.matrices, cls, sink)
                 for sink in sorted(cls.influence_free_sinks)}
 
+    @cached_property
+    def _layout(self) -> _SolveLayout:
+        """The layout of `_complete`'s solve: K in block order, chunked over its blocks."""
+        blocks = _solved_blocks(self.classification)
+        k = np.fromiter(chain.from_iterable(blocks), dtype=np.intp)
+        bounds = _chunk_bounds([len(block) for block in blocks])
+        return _solve_layout(self.matrices.indptr, self.matrices.cols, k, bounds)
+
 
 def prepare(net: SignedNetwork, params: AgentParams) -> Model:
-    """Classify the network and build P: the one set-up of every analysis."""
-    return Model(classify(net, params), build_matrices(net, params))
+    """Classify the network and build P: the one set-up of every analysis.
 
-
-def _solve_checked(
-    indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray, order: np.ndarray,
-    *, bounds: list[int],
-) -> np.ndarray:
-    """Solve x_N = M_N,: x + r_N in place, N the agents in ``order``, M as CSR rows.
-
-    Only the rows of ``order`` are read.  x (one row per column of M, and
-    any number of columns) holds r on N's rows and the known values on the
-    rest.  Laid out in ``order``, I - M_NN must be block upper triangular
-    over the chunks ``bounds``: chunk c is order[bounds[c]:bounds[c + 1]],
-    and an entry left of its row's chunk raises.  x is found from the last
-    chunk back, at each chunk's own rows.  Each chunk gathers its small
-    dense block from its rows' entries inside it, and its rows' entries to
-    known and to later columns into two slabs over the columns they use,
-    numbered by layout position with the known ones after N by id, each
-    taken in one product:
-
-        b_c = r_c + M_c,known x_known,  x_c = solve(I - M_cc, b_c + M_c,later x_later).
-
-    No chunk depends on an earlier one, so each chunk's residual is that of
-    the whole system; every row's must stay within the tolerance relative
-    to max|b|.
+    The network remembers the model it last made, for that ``params``
+    object: another call with the same network and the same object returns
+    it, with the spectra and the solve layout it has computed since.  The
+    key is the object, not its value, so a −0.0 in beta is never taken for
+    0.0; a new `AgentParams` prepares the network again and is remembered
+    in the old one's place.
     """
-    n_solved, width = bounds[-1], len(x) + bounds[-1]
+    held = vars(net).get("_prepared")
+    if held is not None and held[0] is params:
+        return held[1]
+    model = Model(classify(net, params), build_matrices(net, params))
+    vars(net)["_prepared"] = (params, model)  # the network's one remembered model
+    return model
+
+
+@dataclass(frozen=True)
+class _SolveLayout:
+    """What `_solve_checked` reads of M but its values: M's pattern laid out by chunk.
+
+    N is ``order``, chunked at ``bounds``.  The entries of N's rows are
+    ``gather`` into M's entries, sorted by chunk, then part (inside the
+    chunk 0, to a later chunk 1, to a known column 2), then column, so that
+    part p of chunk c, p' = 3 c + p, holds the entries runs[p']:runs[p' + 1].
+    Per entry, ``rows`` is its row within its chunk, ``cols`` its column by
+    layout position (the known columns after N, by id) and ``slot`` its
+    column in its part's slab, whose columns are the agents
+    used[used_runs[p']:used_runs[p' + 1]].
+    """
+
+    order: np.ndarray
+    bounds: tuple[int, ...]
+    gather: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    slot: np.ndarray
+    used: np.ndarray
+    runs: np.ndarray
+    used_runs: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self)
+
+
+def _solve_layout(
+    indptr: np.ndarray, cols: np.ndarray, order: np.ndarray, bounds: Sequence[int]
+) -> _SolveLayout:
+    """The layout of a chunked solve on the rows ``order`` of M, M's (n x n) pattern as CSR.
+
+    Reads no value, so every M with this pattern shares it.  An entry left
+    of its row's chunk raises: laid out in ``order``, I - M_NN must be
+    block upper triangular over the chunks.
+    """
+    n_solved, width = bounds[-1], len(indptr) - 1 + bounds[-1]
     edges = np.array(bounds)
     place = np.arange(n_solved, width)  # the known agents after N, by id
     place[order] = np.arange(n_solved)
     idx, counts = _entries(indptr, order)
-    agent_cols, vals = cols[idx], vals[idx]
+    agent_cols = cols[idx]
     cols = place[agent_cols]
     row = np.arange(n_solved).repeat(counts)
     chunk = edges.searchsorted(row, side="right") - 1
@@ -362,15 +426,44 @@ def _solve_checked(
     part = 3 * chunk + (cols >= edges[chunk + 1]) + (cols >= n_solved)
     key = part * width + cols
     perm = key.argsort(kind="stable")
-    key, part, cols, vals = key[perm], part[perm], cols[perm], vals[perm]
-    rows = row[perm] - edges[chunk[perm]]
+    key, part = key[perm], part[perm]
     new = np.empty(len(key), dtype=bool)
     new[:1] = True
     new[1:] = key[1:] != key[:-1]
-    used, slot = agent_cols[perm][new], new.cumsum() - 1
-    runs = part.searchsorted(np.arange(3 * len(bounds) - 2))
     used_runs = part[new].searchsorted(np.arange(3 * len(bounds) - 2))
-    slot -= used_runs[part]
+    return _SolveLayout(
+        order=order,
+        bounds=tuple(bounds),
+        gather=idx[perm],
+        rows=row[perm] - edges[chunk[perm]],
+        cols=cols[perm],
+        slot=new.cumsum() - 1 - used_runs[part],
+        used=agent_cols[perm][new],
+        runs=part.searchsorted(np.arange(3 * len(bounds) - 2)),
+        used_runs=used_runs,
+    )
+
+
+def _solve_checked(layout: _SolveLayout, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solve x_N = M_N,: x + r_N in place, N the agents in the layout's ``order``.
+
+    ``vals`` are M's entries in the pattern the layout was made from
+    (`_solve_layout`); only N's rows are read.  x (one row per agent, and
+    any number of columns) holds r on N's rows and the known values on
+    the rest.  x is found from the last chunk back, at each chunk's own
+    rows.  Each chunk gathers its small dense block from its rows' entries
+    inside it, and its rows' entries to known and to later columns into
+    two slabs over the columns they use, each taken in one product:
+
+        b_c = r_c + M_c,known x_known,  x_c = solve(I - M_cc, b_c + M_c,later x_later).
+
+    No chunk depends on an earlier one, so each chunk's residual is that of
+    the whole system; every row's must stay within the tolerance relative
+    to max|b|.
+    """
+    order, bounds, rows, cols = layout.order, layout.bounds, layout.rows, layout.cols
+    slot, runs, used, used_runs = layout.slot, layout.runs, layout.used, layout.used_runs
+    vals = vals[layout.gather]
 
     def product(p: int, height: int) -> np.ndarray | float:
         """Part p's entries times x, by one dense product over its columns."""
@@ -456,13 +549,10 @@ def _complete(model: Model, x: np.ndarray) -> np.ndarray:
     union of whole SCCs; laid out in the listener-first block order I - P_KK
     is block upper triangular, and `_solve_checked` runs the solve chunk by
     chunk over the condensation, from the sinks back, on P's own rows of K
-    and in place in x.
+    and in place in x, in the model's layout (`Model._layout`), made on
+    the first solve and read by every later one.
     """
-    matrices = model.matrices
-    blocks = _solved_blocks(model.classification)
-    k = np.fromiter(chain.from_iterable(blocks), dtype=np.intp)
-    bounds = _chunk_bounds([len(block) for block in blocks])
-    return _solve_checked(matrices.indptr, matrices.cols, matrices.vals, x, k, bounds=bounds)
+    return _solve_checked(model._layout, model.matrices.vals, x)
 
 
 def _final_opinions(model: Model, x0s: Sequence[np.ndarray]) -> np.ndarray:

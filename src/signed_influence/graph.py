@@ -75,6 +75,11 @@ class SignedNetwork:
     ``edges`` (`_position`).  A sign flip keeps the pattern, so `_flip`
     hands the last two to the flipped network, and classifying that one
     costs only the two-colouring of its sinks.
+
+    The network also remembers the last model `dynamics.prepare` made of
+    it, with the `AgentParams` object it was made for: a later call with
+    that same object, from any analysis or what-if function, gets the same
+    read-only model, and any other params object prepares it anew.
     """
 
     n: int

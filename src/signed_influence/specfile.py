@@ -90,8 +90,18 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                 None, None, f"an integer of more than {sys.get_int_max_str_digits()} digits",
                 node.start_mark) from exc
 
+    def construct_yaml_timestamp(self, node):
+        """A timestamp as PyYAML reads it; one that names no date or time is a YAML error."""
+        try:
+            return super().construct_yaml_timestamp(node)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"{node.value!r} is not a valid timestamp ({exc})",
+                node.start_mark) from exc
+
 
 _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+_Loader.add_constructor("tag:yaml.org,2002:timestamp", _Loader.construct_yaml_timestamp)
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?([0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+"

@@ -13,17 +13,23 @@ from signed_influence import (
     AgentParams,
     DuplicateEdgeError,
     InfluenceMatrix,
+    Model,
     NetworkValidationError,
     NoSuchEdgeError,
+    SignedInfluenceError,
     SinkKind,
     ZeroDeltaError,
     absolute_centrality,
     build_network,
     flip_edge_signs,
+    individual_influence,
+    load_spec,
     perturb_initial,
     prepare,
+    solve_gain,
     steady_state,
 )
+from conftest import REF11
 from signed_influence import build_matrices, centrality, classify, graph
 from signed_influence.cli import main
 from signed_influence.pipeline import run_analysis
@@ -179,19 +185,32 @@ class TestPerturbInitial:
         b = perturb_initial(ref11.net, ref11.params, ref11.x0, 8, 17.0)
         assert a.deviation_per_unit == pytest.approx(b.deviation_per_unit)
 
-    def test_sets_up_once(self, ref11, count_calls):
-        # base and perturbed runs share one network: classify it once
+    def test_sets_up_once(self, count_calls):
+        # base and perturbed runs share one set-up, and the network remembers
+        # it for the same params object: a later call classifies nothing
+        s = load_spec(str(REF11))
         calls = count_calls("classify")
-        perturb_initial(ref11.net, ref11.params, ref11.x0, 5, 1.0)
+        perturb_initial(s.net, s.params, s.x0, 5, 1.0)
         assert len(calls) == 1
+        perturb_initial(s.net, s.params, s.x0, 8, 2.0)
+        assert len(calls) == 1
+        perturb_initial(s.net, _same_values(s.params), s.x0, 5, 1.0)
+        assert len(calls) == 2
 
-    def test_one_spectrum_per_sink_and_no_rho(self, ref11, count_calls):
-        # rho is a report diagnostic; both steady states share one set of spectra
+    def test_one_spectrum_per_sink_and_no_rho(self, count_calls):
+        # rho is a report diagnostic; both steady states share one set of
+        # spectra, and so do later calls on the same network and params
+        s = load_spec(str(REF11))
         rho_calls = count_calls("spectral_radius")
         sinks = count_calls("sink_spectrum")
-        perturb_initial(ref11.net, ref11.params, ref11.x0, 5, 1.0)
+        perturb_initial(s.net, s.params, s.x0, 5, 1.0)
         assert rho_calls == []
         assert sorted(args[2] for args in sinks) == [0, 2]  # S_1 = {4}, S_3 = {8, 9, 10}
+        perturb_initial(s.net, s.params, s.x0, 8, 2.0)
+        assert sorted(args[2] for args in sinks) == [0, 2]
+        perturb_initial(s.net, _same_values(s.params), s.x0, 5, 1.0)
+        assert sorted(args[2] for args in sinks) == [0, 0, 2, 2]
+        assert rho_calls == []
 
     def test_matches_centrality_scores(self):
         for seed in range(15):
@@ -258,19 +277,25 @@ class TestFlipEdgeSigns:
             flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5), (1, 9), (0, 5)))
         assert isinstance(info.value, NetworkValidationError)
 
-    def test_one_spectrum_per_sink_and_no_rho(self, ref11, count_calls):
-        # the base's spectra are computed once; the flipped network computes
-        # again only those of the sinks a flipped edge lies inside
+    def test_one_spectrum_per_sink_and_no_rho(self, count_calls):
+        # the base's spectra are computed once per network and params; the
+        # flipped network computes again only those of the sinks a flipped
+        # edge lies inside
+        s = load_spec(str(REF11))
         rho_calls = count_calls("spectral_radius")
         sinks = count_calls("sink_spectrum")
-        flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5),))
+        flip_edge_signs(s.net, s.params, s.x0, ((0, 5),))
         assert rho_calls == []
         assert sorted(args[2] for args in sinks) == [0, 2]
         sinks.clear()
         # every tie of agent 8 negated: sink 2 (8, 9, 10) turns cooperative
-        flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((8, 9), (8, 10), (9, 8), (10, 8)))
-        assert sorted(args[2] for args in sinks) == [0, 2, 2]
+        flip_edge_signs(s.net, s.params, s.x0, ((8, 9), (8, 10), (9, 8), (10, 8)))
+        assert sorted(args[2] for args in sinks) == [2]
         assert sinks[-1][1].sink_kind[2] == SinkKind.COOPERATIVE
+        sinks.clear()
+        flip_edge_signs(s.net, _same_values(s.params), s.x0, ((0, 5),))
+        assert sorted(args[2] for args in sinks) == [0, 2]
+        assert rho_calls == []
 
     def test_flipped_matrices_equal_a_fresh_build(self, ref11):
         # negating the base's entries gives build_matrices' own numbers
@@ -298,10 +323,17 @@ class TestFlipEdgeSigns:
         assert np.array_equal(res.z_flipped, res.z_base)
         assert res.mean_abs_deviation == 0.0
 
-    def test_flip_builds_matrices_once(self, ref11, count_calls):
-        builds = count_calls("build_matrices")
-        flip_edge_signs(ref11.net, ref11.params, ref11.x0, ((0, 5), (8, 9)))
-        assert len(builds) == 1
+    def test_flip_builds_matrices_once(self, count_calls):
+        # the base's P and solve layout are made once per network and params;
+        # the flipped P is the base's up to signs, and its solve the base's layout
+        s = load_spec(str(REF11))
+        builds, layouts = count_calls("build_matrices"), count_calls("_solve_layout")
+        flip_edge_signs(s.net, s.params, s.x0, ((0, 5), (8, 9)))
+        assert (len(builds), len(layouts)) == (1, 1)
+        flip_edge_signs(s.net, s.params, s.x0, ((1, 9),))
+        assert (len(builds), len(layouts)) == (1, 1)
+        flip_edge_signs(s.net, _same_values(s.params), s.x0, ((0, 5), (8, 9)))
+        assert (len(builds), len(layouts)) == (2, 2)
 
     def test_flip_builds_no_network(self, ref11, count_calls):
         # only signs change, so the flipped network is not validated again
@@ -372,7 +404,7 @@ class TestWhatIfEqualsAFreshRecomputation:
                 if not edges:
                     continue
                 flips[where] += 1
-                fresh = prepare(build_network(net.n, [
+                fresh = _fresh_model(build_network(net.n, [
                     (i, j, -w if (i, j) in edges else w) for i, j, w in net.edges]), params)
                 res = flip_edge_signs(net, params, x0, edges)
                 assert np.array_equal(res.z_flipped, steady_state(fresh, x0).z), (name, edges)
@@ -393,11 +425,54 @@ class TestWhatIfEqualsAFreshRecomputation:
         for k, (name, net, params, x0) in enumerate(_what_if_networks(ref11, zoo17)):
             agent = k % net.n
             res = perturb_initial(net, params, x0, agent, 0.75)
-            model = prepare(net, params)
+            model = _fresh_model(net, params)
             x0p = np.array(x0, dtype=float)
             x0p[agent] += 0.75
             assert np.array_equal(res.z_base, steady_state(model, x0).z), name
             assert np.array_equal(res.z_perturbed, steady_state(model, x0p).z), name
+
+
+    def test_remembered_models_equal_fresh_ones(self, ref11, zoo17):
+        # the network's remembered model, its solve layout made, and a flip
+        # that takes that layout give z, c and Θ bit for bit as fresh models
+        layouts = 0
+        for name, net, params, x0 in _what_if_networks(ref11, zoo17):
+            base = prepare(net, params)
+            steady_state(base, x0)  # the layout is made on the first solve
+            assert _outputs(base, x0) == _outputs(_fresh_model(net, params), x0), name
+            cls = base.classification
+            for edges in ([(i, j) for i, j, _ in net.edges if i in cls.group_leaders][:1],
+                          [(i, j) for i, j, _ in net.edges if i in cls.followers][:1]):
+                if not edges:
+                    continue
+                net_flipped, flip = graph._flip(net, edges)
+                flipped = centrality._flipped_model(base, net_flipped, params, flip)
+                assert flipped._layout is base._layout, (name, edges)
+                fresh = _fresh_model(build_network(net.n, [
+                    (i, j, -w if (i, j) in edges else w) for i, j, w in net.edges]), params)
+                assert _outputs(flipped, x0) == _outputs(fresh, x0), (name, edges)
+                layouts += 1
+        assert layouts >= 300, layouts
+
+
+def _fresh_model(net, params) -> Model:
+    """The network prepared from nothing, past any model it remembers."""
+    return Model(classify(net, params), build_matrices(net, params))
+
+
+def _outputs(model, x0):
+    """The bytes of z, c and Θ, or the name of the error that stopped them."""
+    try:
+        collective = solve_gain(model)
+        theta = individual_influence(collective, model).theta
+        return steady_state(model, x0).z.tobytes(), collective.c.tobytes(), theta.tobytes()
+    except SignedInfluenceError as exc:
+        return type(exc).__name__
+
+
+def _same_values(params: AgentParams) -> AgentParams:
+    """A new params object equal to ``params``: a network's remembered model is not its."""
+    return AgentParams(gamma=params.gamma, beta=params.beta)
 
 
 def _rel(a, b) -> float:

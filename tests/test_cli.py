@@ -333,10 +333,21 @@ class TestInvalidArguments:
         assert flag in err
 
 
+class _NotADate(str):
+    """A scalar YAML 1.1 reads as a timestamp that names no date, such as 2020-02-30."""
+
+
+class _Dumper(yaml.SafeDumper):
+    """`yaml.safe_dump`'s dumper, which also writes a `_NotADate` as a bare timestamp."""
+
+
+_Dumper.add_representer(
+    _NotADate, lambda dumper, text: dumper.represent_scalar("tag:yaml.org,2002:timestamp", text))
 _REF11_DOC = yaml.safe_load(pathlib.Path(REF11_PATH).read_text())
 _JUNK = st.sampled_from([
     None, True, False, 0, -1, 2**70, -(2**70), 0.5, -0.0,
     float("nan"), float("inf"), float("-inf"), "1", "", [], {}, [0, 1],
+    _NotADate("2020-02-30"),
 ])
 _COMMANDS = (
     ["classify"], ["simulate"], ["influence"], ["centrality"],
@@ -376,7 +387,7 @@ def _mutated_ref11(draw):
 def test_mutated_specs_exit_cleanly(tmp_path_factory, doc):
     # every command either runs or names the fault in one line; none raises
     path = tmp_path_factory.mktemp("fuzz") / "spec.yaml"
-    path.write_text(yaml.safe_dump(doc))
+    path.write_text(yaml.dump(doc, Dumper=_Dumper))
     for command in _COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

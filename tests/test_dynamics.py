@@ -24,6 +24,7 @@ from signed_influence import (
     build_network,
     build_report,
     classify,
+    load_spec,
     prepare,
     run_analysis,
     simulate,
@@ -32,11 +33,14 @@ from signed_influence import (
     spectral_radius,
     steady_state,
 )
+from conftest import REF11
+from signed_influence import centrality
 from signed_influence.dynamics import (
     _CHUNK,
     block_spectral_radius,
     _chunk_bounds,
     _solve_checked,
+    _solve_layout,
     _solved_agents,
     _solved_blocks,
 )
@@ -306,11 +310,17 @@ class TestSinkSpectrum:
         assert spec.w.sum() == pytest.approx(1.0)
         assert np.all(spec.w > 0)
 
-    def test_run_analysis_computes_each_spectrum_once(self, ref11, count_calls):
+    def test_run_analysis_computes_each_spectrum_once(self, count_calls):
+        # once per network and params object: a second analysis computes none
+        s = load_spec(str(REF11))
         calls = count_calls("sink_spectrum")
-        run_analysis(ref11.net, ref11.params, ref11.x0, gain_method="solve")
-        cls = classify(ref11.net, ref11.params)
-        assert sorted(args[2] for args in calls) == sorted(cls.influence_free_sinks)
+        run_analysis(s.net, s.params, s.x0, gain_method="solve")
+        want = sorted(classify(s.net, s.params).influence_free_sinks)
+        assert sorted(args[2] for args in calls) == want
+        run_analysis(s.net, s.params, 2.0 * s.x0, gain_method="solve")
+        assert sorted(args[2] for args in calls) == want
+        run_analysis(s.net, _same_values(s.params), s.x0, gain_method="solve")
+        assert sorted(args[2] for args in calls) == sorted(want * 2)
 
     def test_rejects_stubborn_sink(self, ref11):
         cls, m = classify(ref11.net, ref11.params), build_matrices(ref11.net, ref11.params)
@@ -372,20 +382,34 @@ class TestSteadyState:
             assert np.allclose(zs[0], zs[1], atol=1e-8)
             assert np.allclose(zs[0], zs[2], atol=1e-6)
 
-    def test_direct_route_makes_one_complement_solve(self, ref11, count_calls):
-        # z and z_o share one solve on the 4 followers and the stubborn sink {5, 6, 7}
-        model = prepare(ref11.net, ref11.params)
-        solves = count_calls("_solve_checked")
-        steady_state(model, ref11.x0, method=SteadyStateMethod.DIRECT_SOLVE)
+    def test_direct_route_makes_one_complement_solve(self, count_calls):
+        # z and z_o share one solve on the 4 followers and the stubborn sink
+        # {5, 6, 7}, laid out once per network and params object
+        s = load_spec(str(REF11))
+        solves, layouts = count_calls("_solve_checked"), count_calls("_solve_layout")
+        steady_state(prepare(s.net, s.params), s.x0, method=SteadyStateMethod.DIRECT_SOLVE)
         # 7 rows solved; x holds them and the 4 given agents, z and z_o side by side
-        assert [(len(order), x.shape) for _, _, _, x, order in solves] == [(7, (11, 2))]
+        assert [(len(layout.order), x.shape) for layout, _, x in solves] == [(7, (11, 2))]
+        assert len(layouts) == 1
+        steady_state(prepare(s.net, s.params), s.x0, method=SteadyStateMethod.DIRECT_SOLVE)
+        assert (len(solves), len(layouts)) == (2, 1)
+        steady_state(prepare(s.net, _same_values(s.params)), s.x0)
+        assert (len(solves), len(layouts)) == (3, 2)
 
-    def test_solve_route_makes_two_solves(self, ref11, count_calls):
-        # one for the five gain columns, one for z and z_o, both on the same 7 agents
-        solves = count_calls("_solve_checked")
-        run_analysis(ref11.net, ref11.params, ref11.x0, gain_method="solve")
-        assert sorted((len(order), x.shape) for _, _, _, x, order in solves) == [
+    def test_solve_route_makes_two_solves(self, count_calls):
+        # one for the five gain columns, one for z and z_o, both on the same
+        # 7 agents and in one layout, made once per network and params object
+        s = load_spec(str(REF11))
+        solves, layouts = count_calls("_solve_checked"), count_calls("_solve_layout")
+        run_analysis(s.net, s.params, s.x0, gain_method="solve")
+        assert sorted((len(layout.order), x.shape) for layout, _, x in solves) == [
             (7, (11, 2)), (7, (11, 5))]
+        assert len(solves[0][0].order) == 7 and solves[0][0] is solves[1][0]
+        assert len(layouts) == 1
+        run_analysis(s.net, s.params, s.x0, gain_method="solve")
+        assert (len(solves), len(layouts)) == (4, 1)
+        run_analysis(s.net, _same_values(s.params), s.x0, gain_method="solve")
+        assert (len(solves), len(layouts)) == (6, 2)
 
     def test_convergent_case_solves_whole_system(self):
         rn = random_network(11, kinds=("cooperative",), stubborn_offsets=((0,),))
@@ -409,6 +433,50 @@ class TestSteadyState:
         assert np.allclose(zc, a * zx + b * zy, atol=1e-7)
 
 
+class TestPreparedModel:
+    """`prepare` remembers one read-only model per network, for one params object."""
+
+    def test_remembered_for_the_same_params_object(self):
+        s = load_spec(str(REF11))
+        model = prepare(s.net, s.params)
+        assert prepare(s.net, s.params) is model
+        other = _same_values(s.params)
+        assert other == s.params and prepare(s.net, other) is not model
+        assert prepare(s.net, other) is prepare(s.net, other)
+        assert prepare(s.net, s.params) is not model  # the network keeps the last one only
+
+    def test_negative_zero_beta_is_not_taken_for_zero(self):
+        # equal params, but beta x(0) differs in the sign of its zeros
+        net = build_network(2, [(0, 1, 1.0)])
+        plus = AgentParams(gamma=(0.5, 0.5), beta=(0.0, 0.0))
+        minus = AgentParams(gamma=(0.5, 0.5), beta=(-0.0, 0.0))
+        assert plus == minus
+        a, b = prepare(net, plus).matrices.beta, prepare(net, minus).matrices.beta
+        assert a.tobytes() != b.tobytes() and b.tobytes() == np.array([-0.0, 0.0]).tobytes()
+
+    def test_arrays_are_read_only(self):
+        s = load_spec(str(REF11))
+        first = run_analysis(s.net, s.params, s.x0, gain_method="solve")
+        model = first.model
+        m = model.matrices
+        arrays = [m.indptr, m.cols, m.vals, m.beta, m.rows]
+        arrays += [a for spec in model.spectra.values() for a in (spec.w, spec.v)]
+        arrays += [a for a in vars(model._layout).values() if isinstance(a, np.ndarray)]
+        arrays.append(centrality._flipped(m, {(0, 5)}).vals)
+        assert len(arrays) == 5 + 2 * 2 + 8 + 1
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        second = run_analysis(s.net, s.params, s.x0, gain_method="solve")
+        assert second.model is model
+        fresh = run_analysis(load_spec(str(REF11)).net, s.params, s.x0, gain_method="solve")
+        for res in (second, fresh):
+            assert res.steady.z.tobytes() == first.steady.z.tobytes()
+            assert res.collective.c.tobytes() == first.collective.c.tobytes()
+            assert res.influence.theta.tobytes() == first.influence.theta.tobytes()
+            assert res.centrality.scores.tobytes() == first.centrality.scores.tobytes()
+
+
 def _dense_complete(m, cls, x, rhs):
     """The whole-matrix oracle: one dense solve of (I - P_KK) X_K = P_K,given X_given + R_K."""
     k = _solved_agents(cls)
@@ -425,6 +493,17 @@ def _rows(m):
     rows, cols = np.nonzero(m)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(m)))))
     return indptr, cols, m[rows, cols]
+
+
+def _solve(m, x, order, bounds):
+    """`_solve_checked` on the rows ``order`` of the square matrix m, chunked at ``bounds``."""
+    indptr, cols, vals = _rows(m)
+    return _solve_checked(_solve_layout(indptr, cols, order, bounds), vals, x)
+
+
+def _same_values(params: AgentParams) -> AgentParams:
+    """A new params object equal to ``params``: a network's remembered model is not its."""
+    return AgentParams(gamma=params.gamma, beta=params.beta)
 
 
 def _assert_close(got, want):
@@ -519,19 +598,17 @@ class TestComplementSolve:
         # the rows are those of M in a = I - M
         a = np.eye(100)
         a[70, 3] = 0.5
-        rows = _rows(np.eye(100) - a)
         order = np.arange(100)
-        assert np.allclose(a @ _solve_checked(*rows, np.ones(100), order, bounds=[0, 100]), 1.0)
+        assert np.allclose(a @ _solve(np.eye(100) - a, np.ones(100), order, [0, 100]), 1.0)
         with pytest.raises(SingularSystemError):
-            _solve_checked(*rows, np.ones(100), order, bounds=[0, 64, 100])
+            _solve(np.eye(100) - a, np.ones(100), order, [0, 64, 100])
 
     def test_rejects_singular_chunk(self):
         a = np.eye(100) + np.triu(np.full((100, 100), 0.01), 1)
         a[90, 90] = 0.0
         a[90, 91:] = 0.0
         with pytest.raises(SingularSystemError):
-            _solve_checked(
-                *_rows(np.eye(100) - a), np.ones((100, 2)), np.arange(100), bounds=[0, 64, 100])
+            _solve(np.eye(100) - a, np.ones((100, 2)), np.arange(100), [0, 64, 100])
 
     def test_known_columns_enter_the_right_hand_side(self):
         # x_N = M x + r with x given past N: the oracle is one dense solve
@@ -540,8 +617,7 @@ class TestComplementSolve:
         m = np.vstack((m, np.zeros((30, 180))))
         x = np.concatenate((rng.uniform(-1, 1, (150, 3)), rng.uniform(-5, 5, (30, 3))))
         want = np.linalg.solve(np.eye(150) - m[:150, :150], x[:150] + m[:150, 150:] @ x[150:])
-        got = _solve_checked(
-            *_rows(m[:150]), x.copy(), np.arange(150), bounds=[0, 64, 128, 150])[:150]
+        got = _solve(m, x.copy(), np.arange(150), [0, 64, 128, 150])[:150]
         _assert_close(got, want)
 
 

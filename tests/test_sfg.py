@@ -398,13 +398,19 @@ class TestSolveGain:
         for agent in (5, 6, 7):
             assert np.allclose(ci.row(agent), [0.0, 0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
-    def test_one_complement_solve(self, ref11, count_calls):
-        # the five sources' gains on K = followers + stubborn sink {5, 6, 7}
-        model = prepare(ref11.net, ref11.params)
-        solves = count_calls("_solve_checked")
-        solve_gain(model)
+    def test_one_complement_solve(self, count_calls):
+        # the five sources' gains on K = followers + stubborn sink {5, 6, 7},
+        # laid out once per network and params object
+        s = load_spec(str(REF11))
+        solves, layouts = count_calls("_solve_checked"), count_calls("_solve_layout")
+        solve_gain(prepare(s.net, s.params))
         # 7 rows solved, x holding them and the 4 given agents
-        assert [(len(order), x.shape) for _, _, _, x, order in solves] == [(7, (11, 5))]
+        assert [(len(layout.order), x.shape) for layout, _, x in solves] == [(7, (11, 5))]
+        assert len(layouts) == 1
+        solve_gain(prepare(s.net, s.params))
+        assert (len(solves), len(layouts)) == (2, 1)
+        solve_gain(prepare(s.net, AgentParams(gamma=s.params.gamma, beta=s.params.beta)))
+        assert (len(solves), len(layouts)) == (3, 2)
 
     def test_matches_mason_on_random_networks(self):
         for seed in range(40):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import REF11, ZOO17
 from netgen import random_network
-from signed_influence import specfile
+from signed_influence import SpecFileError, specfile
 from signed_influence.specfile import load_spec
 from synth import spec_text, synth_network
 
@@ -118,9 +118,22 @@ def test_accepts_the_plain_form(text):
 @pytest.mark.parametrize("x", ["010", "1_0", "1:30", "+.5", ".5e3", ".5", "0x1F", "0o7", "+1",
                                "1e", ".inf", "-.inf", ".nan", "1" * 30, "yes", "~", "null",
                                "&a 1.0", "*a", "!!float 1", "1.0 # note", "'a,b'", '"a\\"b"',
-                               "{a: 1}", "[1.0]", "1.0, 2.0]"])
+                               "{a: 1}", "[1.0]", "1.0, 2.0]", "2020-02-01", "2020-02-30"])
 def test_declines_other_scalars(x):
     assert specfile._read_plain(_SPEC.format(x=x)) is None
+
+
+@pytest.mark.parametrize("x,why", [("2020-02-30", "day is out of range for month"),
+                                   ("2020-13-01", "month must be in 1..12"),
+                                   ("2020-02-01 25:00:00", "hour must be in 0..23")])
+def test_timestamp_that_names_no_date_is_a_yaml_error(tmp_path, x, why):
+    # YAML 1.1 reads each as a timestamp, and no date or time has it
+    path = tmp_path / "spec.yaml"
+    path.write_text(_SPEC.format(x=x))
+    with pytest.raises(SpecFileError) as info:
+        load_spec(str(path))
+    assert str(info.value) == (f"{path} is not valid YAML: {x!r} is not a valid timestamp"
+                               f' ({why}) in "{path}", line 7, column 11')
 
 
 @pytest.mark.parametrize("text", [
