@@ -7,12 +7,18 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
 
+from signed_influence import AgentParams
 from signed_influence.specfile import load_spec
 from synth import synth_network
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 REF11 = FIXTURES / "reference11.yaml"
 ZOO17 = FIXTURES / "showcase17.yaml"
+
+
+def new_params(params: AgentParams) -> AgentParams:
+    """A new params object equal to ``params``, which no network's remembered model is for."""
+    return AgentParams(gamma=params.gamma, beta=params.beta)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from signed_influence import (
     Model,
     NetworkValidationError,
     NoSuchEdgeError,
-    SignedInfluenceError,
     SinkKind,
     ZeroDeltaError,
     absolute_centrality,
@@ -29,7 +28,7 @@ from signed_influence import (
     solve_gain,
     steady_state,
 )
-from conftest import REF11
+from conftest import REF11, new_params
 from signed_influence import build_matrices, centrality, classify, graph
 from signed_influence.cli import main
 from signed_influence.pipeline import run_analysis
@@ -194,7 +193,7 @@ class TestPerturbInitial:
         assert len(calls) == 1
         perturb_initial(s.net, s.params, s.x0, 8, 2.0)
         assert len(calls) == 1
-        perturb_initial(s.net, _same_values(s.params), s.x0, 5, 1.0)
+        perturb_initial(s.net, new_params(s.params), s.x0, 5, 1.0)
         assert len(calls) == 2
 
     def test_one_spectrum_per_sink_and_no_rho(self, count_calls):
@@ -208,7 +207,7 @@ class TestPerturbInitial:
         assert sorted(args[2] for args in sinks) == [0, 2]  # S_1 = {4}, S_3 = {8, 9, 10}
         perturb_initial(s.net, s.params, s.x0, 8, 2.0)
         assert sorted(args[2] for args in sinks) == [0, 2]
-        perturb_initial(s.net, _same_values(s.params), s.x0, 5, 1.0)
+        perturb_initial(s.net, new_params(s.params), s.x0, 5, 1.0)
         assert sorted(args[2] for args in sinks) == [0, 0, 2, 2]
         assert rho_calls == []
 
@@ -293,7 +292,7 @@ class TestFlipEdgeSigns:
         assert sorted(args[2] for args in sinks) == [2]
         assert sinks[-1][1].sink_kind[2] == SinkKind.COOPERATIVE
         sinks.clear()
-        flip_edge_signs(s.net, _same_values(s.params), s.x0, ((0, 5),))
+        flip_edge_signs(s.net, new_params(s.params), s.x0, ((0, 5),))
         assert sorted(args[2] for args in sinks) == [0, 2]
         assert rho_calls == []
 
@@ -332,7 +331,7 @@ class TestFlipEdgeSigns:
         assert (len(builds), len(layouts)) == (1, 1)
         flip_edge_signs(s.net, s.params, s.x0, ((1, 9),))
         assert (len(builds), len(layouts)) == (1, 1)
-        flip_edge_signs(s.net, _same_values(s.params), s.x0, ((0, 5), (8, 9)))
+        flip_edge_signs(s.net, new_params(s.params), s.x0, ((0, 5), (8, 9)))
         assert (len(builds), len(layouts)) == (2, 2)
 
     def test_flip_builds_no_network(self, ref11, count_calls):
@@ -461,18 +460,10 @@ def _fresh_model(net, params) -> Model:
 
 
 def _outputs(model, x0):
-    """The bytes of z, c and Θ, or the name of the error that stopped them."""
-    try:
-        collective = solve_gain(model)
-        theta = individual_influence(collective, model).theta
-        return steady_state(model, x0).z.tobytes(), collective.c.tobytes(), theta.tobytes()
-    except SignedInfluenceError as exc:
-        return type(exc).__name__
-
-
-def _same_values(params: AgentParams) -> AgentParams:
-    """A new params object equal to ``params``: a network's remembered model is not its."""
-    return AgentParams(gamma=params.gamma, beta=params.beta)
+    """The bytes of z, c and Θ."""
+    collective = solve_gain(model)
+    theta = individual_influence(collective, model).theta
+    return steady_state(model, x0).z.tobytes(), collective.c.tobytes(), theta.tobytes()
 
 
 def _rel(a, b) -> float:

@@ -33,7 +33,7 @@ from signed_influence import (
     spectral_radius,
     steady_state,
 )
-from conftest import REF11
+from conftest import REF11, new_params
 from signed_influence import centrality
 from signed_influence.dynamics import (
     _CHUNK,
@@ -319,7 +319,7 @@ class TestSinkSpectrum:
         assert sorted(args[2] for args in calls) == want
         run_analysis(s.net, s.params, 2.0 * s.x0, gain_method="solve")
         assert sorted(args[2] for args in calls) == want
-        run_analysis(s.net, _same_values(s.params), s.x0, gain_method="solve")
+        run_analysis(s.net, new_params(s.params), s.x0, gain_method="solve")
         assert sorted(args[2] for args in calls) == sorted(want * 2)
 
     def test_rejects_stubborn_sink(self, ref11):
@@ -393,7 +393,7 @@ class TestSteadyState:
         assert len(layouts) == 1
         steady_state(prepare(s.net, s.params), s.x0, method=SteadyStateMethod.DIRECT_SOLVE)
         assert (len(solves), len(layouts)) == (2, 1)
-        steady_state(prepare(s.net, _same_values(s.params)), s.x0)
+        steady_state(prepare(s.net, new_params(s.params)), s.x0)
         assert (len(solves), len(layouts)) == (3, 2)
 
     def test_solve_route_makes_two_solves(self, count_calls):
@@ -404,11 +404,11 @@ class TestSteadyState:
         run_analysis(s.net, s.params, s.x0, gain_method="solve")
         assert sorted((len(layout.order), x.shape) for layout, _, x in solves) == [
             (7, (11, 2)), (7, (11, 5))]
-        assert len(solves[0][0].order) == 7 and solves[0][0] is solves[1][0]
+        assert solves[0][0] is solves[1][0]
         assert len(layouts) == 1
         run_analysis(s.net, s.params, s.x0, gain_method="solve")
         assert (len(solves), len(layouts)) == (4, 1)
-        run_analysis(s.net, _same_values(s.params), s.x0, gain_method="solve")
+        run_analysis(s.net, new_params(s.params), s.x0, gain_method="solve")
         assert (len(solves), len(layouts)) == (6, 2)
 
     def test_convergent_case_solves_whole_system(self):
@@ -440,7 +440,7 @@ class TestPreparedModel:
         s = load_spec(str(REF11))
         model = prepare(s.net, s.params)
         assert prepare(s.net, s.params) is model
-        other = _same_values(s.params)
+        other = new_params(s.params)
         assert other == s.params and prepare(s.net, other) is not model
         assert prepare(s.net, other) is prepare(s.net, other)
         assert prepare(s.net, s.params) is not model  # the network keeps the last one only
@@ -499,11 +499,6 @@ def _solve(m, x, order, bounds):
     """`_solve_checked` on the rows ``order`` of the square matrix m, chunked at ``bounds``."""
     indptr, cols, vals = _rows(m)
     return _solve_checked(_solve_layout(indptr, cols, order, bounds), vals, x)
-
-
-def _same_values(params: AgentParams) -> AgentParams:
-    """A new params object equal to ``params``: a network's remembered model is not its."""
-    return AgentParams(gamma=params.gamma, beta=params.beta)
 
 
 def _assert_close(got, want):

@@ -13,7 +13,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import REF11, ZOO17
+from conftest import REF11, ZOO17, new_params
 from netgen import random_network
 from signed_influence import (
     AgentParams,
@@ -409,7 +409,7 @@ class TestSolveGain:
         assert len(layouts) == 1
         solve_gain(prepare(s.net, s.params))
         assert (len(solves), len(layouts)) == (2, 1)
-        solve_gain(prepare(s.net, AgentParams(gamma=s.params.gamma, beta=s.params.beta)))
+        solve_gain(prepare(s.net, new_params(s.params)))
         assert (len(solves), len(layouts)) == (3, 2)
 
     def test_matches_mason_on_random_networks(self):
