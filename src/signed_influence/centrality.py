@@ -6,7 +6,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Model, ModelMatrices, _final_opinions, prepare, sink_spectrum, steady_state
+from .dynamics import Model, ModelMatrices, _final_opinions, _kept_inverses, prepare
+from .dynamics import sink_spectrum, steady_state
 from .errors import BadIdError, ZeroDeltaError
 from .graph import AgentParams, SignedNetwork, _flip, _is_id, classify
 from .sfg import InfluenceMatrix
@@ -103,7 +104,9 @@ def _flipped_model(
     no flipped edge inside keeps its block, its kind and its sigma, so its
     unit eigenpair is the base's; a sink with one inside gets its own.  P's
     pattern and K, the agents the solve is for, read no sign, so the solve
-    layout is the base's.
+    layout is the base's.  So is the inverse of every chunk of the solve
+    with no flipped entry inside its own block; a chunk with one is
+    inverted anew.
     """
     cls = classify(net, params)
     model = Model(cls, _flipped(base.matrices, flip))
@@ -113,6 +116,7 @@ def _flipped_model(
         spectra={s: sink_spectrum(model.matrices, cls, s) if s in touched else base.spectra[s]
                  for s in sorted(cls.influence_free_sinks)},
         _layout=base._layout,
+        _inverses=_kept_inverses(base, model.matrices.vals),
     )
     return model
 

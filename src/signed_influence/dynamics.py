@@ -33,7 +33,12 @@ chunk gathers its small dense block from its rows, and its coupling to the
 known and the later agents into slabs over the columns it uses, one
 product each.  Where each entry of P goes in that solve reads no value:
 the model lays it out once (`_solve_layout`), and a sign flip, which keeps
-P's pattern and K, hands its layout on.
+P's pattern and K, hands its layout on.  Nor does x(0) enter I - P_cc:
+the model inverts each chunk of fewer than 2·_CHUNK agents once, on its
+first solve, so every solve after takes x_c as one product with the held
+inverse; a larger chunk, one big SCC, holds no m x m inverse and is
+LU-solved each time.  A flip hands on the inverse of every chunk it
+leaves alone inside.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import enum
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -331,10 +336,12 @@ class Model:
     sink, singleton leaders too (a singleton leader's block is [1], so its
     pair is w = v = [1]).  It is computed on first read, so a route that
     reads no spectrum, as `simulate` and the full signal-flow graph, does
-    not pay for one or fail on one.  So is ``_layout``, what the complement
-    solve reads of P but its values.  A model is shared by every caller
-    that prepares the same network and parameters (`prepare`), so all its
-    arrays are read-only.
+    not pay for one or fail on one.  So are ``_layout``, what the complement
+    solve reads of P but its values, and ``_inverses``, the inverse of
+    each chunk's I - P_cc that the solve multiplies by (None for a chunk of
+    2·_CHUNK agents or more, which is solved afresh each time).  A model is
+    shared by every caller that prepares the same network and parameters
+    (`prepare`), so all its arrays are read-only.
     """
 
     classification: AgentClassification
@@ -353,6 +360,19 @@ class Model:
         k = np.fromiter(chain.from_iterable(blocks), dtype=np.intp)
         bounds = _chunk_bounds([len(block) for block in blocks])
         return _solve_layout(self.matrices.indptr, self.matrices.cols, k, bounds)
+
+    @cached_property
+    def _inverses(self) -> tuple[np.ndarray | None, ...]:
+        """(I - P_cc)⁻¹ of every chunk c of the solve, None where the chunk is large."""
+        layout = self._layout
+        return _chunk_inverses(layout, self.matrices.vals, range(len(layout.bounds) - 1))
+
+    @cached_property
+    def _agents(self) -> np.ndarray:
+        """K sorted: the agents the solve is for, and the rows of the gains."""
+        agents = np.sort(self._layout.order)
+        agents.flags.writeable = False
+        return agents
 
 
 def prepare(net: SignedNetwork, params: AgentParams) -> Model:
@@ -444,25 +464,85 @@ def _solve_layout(
     )
 
 
-def _solve_checked(layout: _SolveLayout, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _chunk(layout: _SolveLayout, vals: np.ndarray, c: int) -> np.ndarray:
+    """I - M_cc, chunk c's dense block, from its rows' entries inside it.
+
+    ``vals`` are M's entries in the layout's order, ``vals[layout.gather]``.
+    """
+    lo, hi = layout.bounds[c], layout.bounds[c + 1]
+    e = slice(layout.runs[3 * c], layout.runs[3 * c + 1])
+    a = np.zeros((hi - lo, hi - lo))
+    a[layout.rows[e], layout.cols[e] - lo] = -vals[e]
+    a[np.diag_indices(hi - lo)] += 1.0
+    return a
+
+
+def _chunk_inverses(
+    layout: _SolveLayout, vals: np.ndarray, chunks: Iterable[int]
+) -> tuple[np.ndarray | None, ...]:
+    """(I - M_cc)⁻¹ of each of the given chunks, read-only.
+
+    ``vals`` are M's entries in the pattern the layout was made from.  A
+    chunk of 2·_CHUNK agents or more, which `_chunk_bounds` makes only of
+    one big block, gets None: `_solve_checked` solves it afresh each time
+    rather than hold an m x m inverse.  A singular block raises.
+    """
+    vals = vals[layout.gather]
+    inverses = []
+    try:
+        for c in chunks:
+            if layout.bounds[c + 1] - layout.bounds[c] >= 2 * _CHUNK:
+                inverses.append(None)
+                continue
+            inverse = np.linalg.inv(_chunk(layout, vals, c))
+            inverse.flags.writeable = False
+            inverses.append(inverse)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    return tuple(inverses)
+
+
+def _kept_inverses(base: Model, vals: np.ndarray) -> tuple[np.ndarray | None, ...]:
+    """The chunk inverses of ``base``'s solve for the values ``vals`` in its pattern.
+
+    A chunk whose entries inside its own block ``vals`` leaves as they are
+    keeps the base's inverse; only the others are inverted anew.
+    """
+    layout = base._layout
+    moved = np.flatnonzero(vals[layout.gather] != base.matrices.vals[layout.gather])
+    part = layout.runs.searchsorted(moved, side="right") - 1  # 3 c: inside chunk c
+    inside = np.unique(part[part % 3 == 0] // 3).tolist()
+    inverses = list(base._inverses)
+    for c, inverse in zip(inside, _chunk_inverses(layout, vals, inside)):
+        inverses[c] = inverse
+    return tuple(inverses)
+
+
+def _solve_checked(
+    layout: _SolveLayout,
+    vals: np.ndarray,
+    inverses: Sequence[np.ndarray | None],
+    x: np.ndarray,
+) -> np.ndarray:
     """Solve x_N = M_N,: x + r_N in place, N the agents in the layout's ``order``.
 
     ``vals`` are M's entries in the pattern the layout was made from
-    (`_solve_layout`); only N's rows are read.  x (one row per agent, and
-    any number of columns) holds r on N's rows and the known values on
-    the rest.  x is found from the last chunk back, at each chunk's own
-    rows.  Each chunk gathers its small dense block from its rows' entries
-    inside it, and its rows' entries to known and to later columns into
-    two slabs over the columns they use, each taken in one product:
+    (`_solve_layout`); only N's rows are read.  ``inverses`` holds each
+    chunk's (I - M_cc)⁻¹ from those values (`_chunk_inverses`), or None
+    for a chunk to solve by LU here.  x (one row per agent, and any number
+    of columns) holds r on N's rows and the known values on the rest.  x
+    is found from the last chunk back, at each chunk's own rows.  Each
+    chunk's rows' entries to known and to later columns go into two slabs
+    over the columns they use, each taken in one product:
 
-        b_c = r_c + M_c,known x_known,  x_c = solve(I - M_cc, b_c + M_c,later x_later).
+        b_c = r_c + M_c,known x_known,  x_c = (I - M_cc)⁻¹ (b_c + M_c,later x_later).
 
     No chunk depends on an earlier one, so each chunk's residual is that of
-    the whole system; every row's must stay within the tolerance relative
-    to max|b|.
+    the whole system; every row's, with I - M_cc gathered again from its
+    rows, must stay within the tolerance relative to max|b|.
     """
-    order, bounds, rows, cols = layout.order, layout.bounds, layout.rows, layout.cols
-    slot, runs, used, used_runs = layout.slot, layout.runs, layout.used, layout.used_runs
+    order, bounds, rows, runs = layout.order, layout.bounds, layout.rows, layout.runs
+    slot, used, used_runs = layout.slot, layout.used, layout.used_runs
     vals = vals[layout.gather]
 
     def product(p: int, height: int) -> np.ndarray | float:
@@ -480,11 +560,10 @@ def _solve_checked(layout: _SolveLayout, vals: np.ndarray, x: np.ndarray) -> np.
             lo, hi = bounds[c], bounds[c + 1]
             b = x[order[lo:hi]] + product(3 * c + 2, hi - lo)
             rhs = b + product(3 * c + 1, hi - lo)
-            e = slice(runs[3 * c], runs[3 * c + 1])
-            a = np.zeros((hi - lo, hi - lo))
-            a[rows[e], cols[e] - lo] = -vals[e]
-            a[np.diag_indices(hi - lo)] += 1.0
-            x[order[lo:hi]] = solved = np.linalg.solve(a, rhs)
+            a = _chunk(layout, vals, c)
+            inverse = inverses[c]
+            solved = np.linalg.solve(a, rhs) if inverse is None else inverse @ rhs
+            x[order[lo:hi]] = solved
             resid = max(resid, np.max(np.abs(a @ solved - rhs), initial=0.0))
             scale = max(scale, np.max(np.abs(b), initial=0.0))
     except np.linalg.LinAlgError as exc:
@@ -549,10 +628,13 @@ def _complete(model: Model, x: np.ndarray) -> np.ndarray:
     union of whole SCCs; laid out in the listener-first block order I - P_KK
     is block upper triangular, and `_solve_checked` runs the solve chunk by
     chunk over the condensation, from the sinks back, on P's own rows of K
-    and in place in x, in the model's layout (`Model._layout`), made on
-    the first solve and read by every later one.
+    and in place in x.  It reads the model's layout (`Model._layout`) and
+    chunk inverses (`Model._inverses`), both made on the first solve and
+    read by every later one, so a later solve inverts nothing: each chunk
+    of fewer than 2·_CHUNK agents costs its slab products and one product
+    with its inverse, and only a larger one is LU-solved again.
     """
-    return _solve_checked(model._layout, model.matrices.vals, x)
+    return _solve_checked(model._layout, model.matrices.vals, model._inverses, x)
 
 
 def _final_opinions(model: Model, x0s: Sequence[np.ndarray]) -> np.ndarray:

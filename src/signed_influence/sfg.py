@@ -339,18 +339,29 @@ def _loop_conflicts(loops: list[frozenset[int]], cap: int) -> list[set[int]]:
 def _count_loop_sets(conflicts: list[set[int]], cap: int) -> int:
     """The number of nonempty sets of pairwise non-touching loops, capped.
 
-    The sets factor over the connected components of the conflict graph
-    (its strong components, as each conflict goes both ways), taken by
-    least loop: there are Π_c I_c − 1 of them, I_c counting component c's
-    sets with the empty one.  `_walk` counts each component's sets with
-    zero gains, only as far as the cap leaves room for, and the product
-    stops as soon as it passes the cap.  Δ's alternating sum walks the same
-    sets with the same code, and every cofactor's sum some of them, so no
-    sum can exceed the cap once the count is under it.
+    The sets factor over the connected components of the conflict graph,
+    taken by least loop: there are Π_c I_c − 1 of them, I_c counting
+    component c's sets with the empty one.  Each component is found only
+    when the product reaches it, by a search from the least loop not yet
+    seen, so a count that passes the cap early reads no further conflicts.
+    `_walk` counts each component's sets with zero gains, only as far as
+    the cap leaves room for, and the product stops as soon as it passes
+    the cap.  Δ's alternating sum walks the same sets with the same code,
+    and every cofactor's sum some of them, so no sum can exceed the cap
+    once the count is under it.
     """
-    arcs = ((k, j) for k, ks in enumerate(conflicts) for j in ks)
     product, zeros = 1, [0.0] * len(conflicts)
-    for component in sorted(strong_components(len(conflicts), arcs)):
+    seen = [False] * len(conflicts)
+    for least in range(len(conflicts)):
+        if seen[least]:
+            continue
+        seen[least], component = True, [least]
+        for k in component:  # grows as the search reaches new loops
+            for j in conflicts[k]:
+                if not seen[j]:
+                    seen[j] = True
+                    component.append(j)
+        component.sort()
         product *= 1 + _walk(zeros, conflicts, component, (cap + 1) // product - 1)[1]
         if product - 1 > cap:
             raise ComplexityCapExceededError(cap, "sets of non-touching loops", product - 1)
@@ -401,15 +412,16 @@ def solve_gain(model: Model) -> CollectiveInfluence:
 
     X is given as the fold matrix on the stubborn-free sinks, R is beta_i at
     stubborn agent i in its stubborn-initial column, and c is X on the
-    non-source agents.  One n x S array holds both.
+    non-source agents, K, read sorted off the model.  One n x S array holds
+    both.
     """
     sources = source_catalog(model.classification)
     x = _fold_matrix(sources, model.matrices.n)
     stubborn, columns = _stubborn_inputs(sources)
     x[stubborn, columns] = model.matrices.beta[stubborn]
     x = _complete(model, x)
-    agents = tuple(_solved_agents(model.classification))
-    return CollectiveInfluence(agents=agents, sources=sources, c=x[list(agents)])
+    agents = model._agents
+    return CollectiveInfluence(agents=tuple(agents.tolist()), sources=sources, c=x[agents])
 
 
 def mason_influence(

@@ -2,6 +2,7 @@ import importlib
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -59,3 +60,16 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """The shape of every matrix `np.linalg.inv` inverts from then on."""
+    real, shapes = np.linalg.inv, []
+
+    def counting(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return shapes

@@ -334,6 +334,39 @@ class TestFlipEdgeSigns:
         flip_edge_signs(s.net, new_params(s.params), s.x0, ((0, 5), (8, 9)))
         assert (len(builds), len(layouts)) == (2, 2)
 
+    def test_flip_reinverts_only_the_chunks_it_touches(self, inversions):
+        # synth n = 200: K in chunks of about 64; only an edge between two
+        # agents of one chunk lies inside its block
+        s = synth_network(200, 0)
+        base = prepare(s.net, s.params)
+        steady_state(base, s.x0)
+        bounds, order = base._layout.bounds, base._layout.order.tolist()
+        chunks = len(bounds) - 1
+        assert chunks > 2 and len(inversions) == chunks
+        chunk = {}  # agent -> its chunk; the stubborn-free sinks are in none
+        for c in range(chunks):
+            chunk.update(dict.fromkeys(order[bounds[c]:bounds[c + 1]], c))
+        where = {"inside": [], "to a later chunk": [], "to a sink": [], "in a sink": []}
+        for i, j, _ in s.net.edges:
+            if i not in chunk:
+                where["in a sink"].append((i, j))
+            elif j not in chunk:
+                where["to a sink"].append((i, j))
+            else:
+                where["inside" if chunk[i] == chunk[j] else "to a later chunk"].append((i, j))
+        assert min(map(len, where.values())) >= 2, where
+        outside = [edges[k] for edges in list(where.values())[1:] for k in (0, -1)]
+        for edges in [outside, where["inside"][:1], where["inside"][-1:] + outside]:
+            del inversions[:]
+            flip_edge_signs(s.net, s.params, s.x0, tuple(edges))
+            touched = {chunk[i] for i, j in edges if (i, j) in where["inside"]}
+            sizes = [(bounds[c + 1] - bounds[c],) * 2 for c in sorted(touched)]
+            assert inversions == sizes, edges
+            net_flipped, flip = graph._flip(s.net, edges)
+            flipped = centrality._flipped_model(base, net_flipped, s.params, flip)
+            kept = [a is b for a, b in zip(flipped._inverses, base._inverses)]
+            assert kept == [c not in touched for c in range(chunks)], edges
+
     def test_flip_builds_no_network(self, ref11, count_calls):
         # only signs change, so the flipped network is not validated again
         builds = count_calls("build_network")
@@ -432,13 +465,17 @@ class TestWhatIfEqualsAFreshRecomputation:
 
 
     def test_remembered_models_equal_fresh_ones(self, ref11, zoo17):
-        # the network's remembered model, its solve layout made, and a flip
-        # that takes that layout give z, c and Θ bit for bit as fresh models
-        layouts = 0
+        # the network's remembered model, its solve layout and chunk inverses
+        # made, and a flip that takes that layout and the inverses of the
+        # chunks it leaves alone give z, c, Θ and every inverse bit for bit
+        # as fresh models
+        layouts, kept, made = 0, 0, 0
         for name, net, params, x0 in _what_if_networks(ref11, zoo17):
             base = prepare(net, params)
-            steady_state(base, x0)  # the layout is made on the first solve
-            assert _outputs(base, x0) == _outputs(_fresh_model(net, params), x0), name
+            steady_state(base, x0)  # the layout and inverses are made on the first solve
+            fresh = _fresh_model(net, params)
+            assert _outputs(base, x0) == _outputs(fresh, x0), name
+            assert _inverse_bytes(base) == _inverse_bytes(fresh), name
             cls = base.classification
             for edges in ([(i, j) for i, j, _ in net.edges if i in cls.group_leaders][:1],
                           [(i, j) for i, j, _ in net.edges if i in cls.followers][:1]):
@@ -450,13 +487,22 @@ class TestWhatIfEqualsAFreshRecomputation:
                 fresh = _fresh_model(build_network(net.n, [
                     (i, j, -w if (i, j) in edges else w) for i, j, w in net.edges]), params)
                 assert _outputs(flipped, x0) == _outputs(fresh, x0), (name, edges)
+                assert _inverse_bytes(flipped) == _inverse_bytes(fresh), (name, edges)
+                shared = [a is b for a, b in zip(flipped._inverses, base._inverses)]
+                kept, made = kept + sum(shared), made + shared.count(False)
                 layouts += 1
         assert layouts >= 300, layouts
+        assert min(kept, made) >= 100, (kept, made)
 
 
 def _fresh_model(net, params) -> Model:
     """The network prepared from nothing, past any model it remembers."""
     return Model(classify(net, params), build_matrices(net, params))
+
+
+def _inverse_bytes(model):
+    """The bytes of each chunk's inverse, None for a chunk that holds none."""
+    return [None if a is None else a.tobytes() for a in model._inverses]
 
 
 def _outputs(model, x0):

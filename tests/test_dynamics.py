@@ -1,8 +1,10 @@
 """Model matrices, convergence, simulation, spectra and steady states."""
 
+import ast
 import sys
 import time
 import tracemalloc
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +41,13 @@ from signed_influence.dynamics import (
     _CHUNK,
     block_spectral_radius,
     _chunk_bounds,
+    _chunk_inverses,
     _solve_checked,
     _solve_layout,
     _solved_agents,
     _solved_blocks,
 )
-from signed_influence.sfg import _fold_matrix
+from signed_influence.sfg import _fold_matrix, _stubborn_inputs
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from synth import synth_network  # noqa: E402
@@ -387,9 +390,11 @@ class TestSteadyState:
         # {5, 6, 7}, laid out once per network and params object
         s = load_spec(str(REF11))
         solves, layouts = count_calls("_solve_checked"), count_calls("_solve_layout")
-        steady_state(prepare(s.net, s.params), s.x0, method=SteadyStateMethod.DIRECT_SOLVE)
+        model = prepare(s.net, s.params)
+        steady_state(model, s.x0, method=SteadyStateMethod.DIRECT_SOLVE)
         # 7 rows solved; x holds them and the 4 given agents, z and z_o side by side
-        assert [(len(layout.order), x.shape) for layout, _, x in solves] == [(7, (11, 2))]
+        assert [(len(layout.order), x.shape) for layout, _, _, x in solves] == [(7, (11, 2))]
+        assert solves[0][2] is model._inverses
         assert len(layouts) == 1
         steady_state(prepare(s.net, s.params), s.x0, method=SteadyStateMethod.DIRECT_SOLVE)
         assert (len(solves), len(layouts)) == (2, 1)
@@ -402,9 +407,9 @@ class TestSteadyState:
         s = load_spec(str(REF11))
         solves, layouts = count_calls("_solve_checked"), count_calls("_solve_layout")
         run_analysis(s.net, s.params, s.x0, gain_method="solve")
-        assert sorted((len(layout.order), x.shape) for layout, _, x in solves) == [
+        assert sorted((len(layout.order), x.shape) for layout, _, _, x in solves) == [
             (7, (11, 2)), (7, (11, 5))]
-        assert solves[0][0] is solves[1][0]
+        assert solves[0][0] is solves[1][0] and solves[0][2] is solves[1][2]
         assert len(layouts) == 1
         run_analysis(s.net, s.params, s.x0, gain_method="solve")
         assert (len(solves), len(layouts)) == (4, 1)
@@ -462,8 +467,9 @@ class TestPreparedModel:
         arrays = [m.indptr, m.cols, m.vals, m.beta, m.rows]
         arrays += [a for spec in model.spectra.values() for a in (spec.w, spec.v)]
         arrays += [a for a in vars(model._layout).values() if isinstance(a, np.ndarray)]
+        arrays += [a for a in model._inverses if a is not None] + [model._agents]
         arrays.append(centrality._flipped(m, {(0, 5)}).vals)
-        assert len(arrays) == 5 + 2 * 2 + 8 + 1
+        assert len(arrays) == 5 + 2 * 2 + 8 + 1 + 1 + 1
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
@@ -475,6 +481,55 @@ class TestPreparedModel:
             assert res.collective.c.tobytes() == first.collective.c.tobytes()
             assert res.influence.theta.tobytes() == first.influence.theta.tobytes()
             assert res.centrality.scores.tobytes() == first.centrality.scores.tobytes()
+
+
+class TestChunkInverses:
+    """Each small chunk of the complement solve is inverted once per model."""
+
+    @pytest.mark.parametrize("case", ["synth 1000", "big blocks"])
+    def test_run_analysis_inverts_each_chunk_once(self, case, inversions):
+        if case == "synth 1000":
+            s = synth_network(1000, 0)
+            net, params, x0 = s.net, s.params, s.x0
+        else:
+            net, params, x0 = _chunked_network()
+        first = run_analysis(net, params, x0, gain_method="solve")
+        sizes = np.diff(first.model._layout.bounds).tolist()
+        assert len(sizes) > 1 and max(sizes) < 2 * _CHUNK
+        # solve_gain and steady_state share the inverses
+        assert inversions == [(m, m) for m in sizes]
+        again = run_analysis(net, params, x0, gain_method="solve")
+        assert again.model is first.model and len(inversions) == len(sizes)
+        assert again.steady.z.tobytes() == first.steady.z.tobytes()
+        assert again.collective.c.tobytes() == first.collective.c.tobytes()
+
+    def test_large_scc_holds_no_inverse(self, inversions):
+        # 10 followers in a chain listen to a signed follower SCC of 150,
+        # which listens to one leader: chunks of 10 and of 150
+        rng = np.random.default_rng(0)
+        m, n = 150, 161
+        edges = {(i, i + 1): 1.0 for i in range(10)}
+        for i in range(10, 10 + m):
+            edges[i, 10 + (i - 9) % m] = rng.choice([-1.0, 1.0])
+            edges[i, int(rng.integers(10, 10 + m))] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2)
+        edges = {(i, j): w for (i, j), w in edges.items() if i != j}
+        edges[10, n - 1] = 1.0
+        net = build_network(n, [(i, j, w) for (i, j), w in edges.items()])
+        gamma = rng.uniform(0.1, 0.5, n)
+        beta = np.zeros(n)
+        params = AgentParams(gamma=tuple(gamma.tolist()), beta=tuple(beta.tolist()))
+        x0 = rng.uniform(-1.0, 1.0, n)
+        model = prepare(net, params)
+        z = steady_state(model, x0).z
+        assert model._layout.bounds == (0, 10, 10 + m)
+        assert [inv is None for inv in model._inverses] == [False, True]
+        assert inversions == [(10, 10)]
+        # the fixed point by the rows: z_i = P_i,: z + beta_i x0_i
+        mat = model.matrices
+        nxt = np.bincount(mat.rows, mat.vals * z[mat.cols], minlength=n) + beta * x0
+        assert np.max(np.abs(nxt - z)) <= 1e-12
+        assert z[-1] == x0[-1]
+        _assert_matches_dense(net, params, x0)
 
 
 def _dense_complete(m, cls, x, rhs):
@@ -498,7 +553,8 @@ def _rows(m):
 def _solve(m, x, order, bounds):
     """`_solve_checked` on the rows ``order`` of the square matrix m, chunked at ``bounds``."""
     indptr, cols, vals = _rows(m)
-    return _solve_checked(_solve_layout(indptr, cols, order, bounds), vals, x)
+    layout = _solve_layout(indptr, cols, order, bounds)
+    return _solve_checked(layout, vals, _chunk_inverses(layout, vals, range(len(bounds) - 1)), x)
 
 
 def _assert_close(got, want):
@@ -616,6 +672,104 @@ class TestComplementSolve:
         _assert_close(got, want)
 
 
+def _exact_p(net, params):
+    """P in exact rationals, from the exact values of the float inputs."""
+    n = net.n
+    gamma, beta = [F(g) for g in params.gamma], [F(b) for b in params.beta]
+    absrow = [F(0)] * n
+    for i, _, w in net.edges:
+        absrow[i] += abs(F(w))
+    p = [[F(0)] * n for _ in range(n)]
+    for i, j, w in net.edges:
+        p[i][j] = (1 - gamma[i] - beta[i]) * F(w) / absrow[i]
+    for i in range(n):
+        p[i][i] += gamma[i] + (0 if absrow[i] else 1 - gamma[i] - beta[i])
+    return p
+
+
+def _exact_complete(p, k, given, rhs):
+    """X_K of (I - P_KK) X_K = P_K,given X_given + R_K by Gauss-Jordan in rationals.
+
+    ``given`` and ``rhs`` map an agent to its row of X and of R."""
+    a = [[int(r == c) - p[r][c] for c in k] + [
+        rhs[r][t] + sum(p[r][j] * row[t] for j, row in given.items()) for t in range(len(rhs[r]))]
+        for r in k]
+    for c in range(len(k)):
+        pivot = next(r for r in range(c, len(k)) if a[r][c])
+        a[c], a[pivot] = a[pivot], a[c]
+        for r in range(len(k)):
+            if r != c and a[r][c]:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [[x / a[r][r] for x in a[r][len(k):]] for r in range(len(k))]
+
+
+def _exact_rel(got, exact) -> float:
+    """max |got - exact| over max |exact|, both row lists, in rationals."""
+    err = max(abs(F(g) - e) for grow, erow in zip(got, exact) for g, e in zip(grow, erow))
+    scale = max(abs(e) for row in exact for e in row)
+    return float(err / scale) if scale else float(err)
+
+
+def _near_singular_table():
+    """(name, net, params): 2-4-agent chains and small SCCs, each nearly
+    decoupled from its source by 10⁻ᵏ for k = 4 ... 14.  Every sink is a
+    singleton leader or stubborn, so the exact z needs no eigenvector."""
+    for k in range(4, 15):
+        eps = 10.0 ** -k
+        for m in (2, 3, 4):
+            # agent i listens to i + 1; m - 1 is the leader
+            chain = build_network(m, [(i, i + 1, (-1.0) ** i) for i in range(m - 1)])
+            for name, gamma, beta in (
+                ("gamma -> 1", 1.0 - eps, 0.0),
+                ("gamma + beta = 1 - eps", 0.5, 0.5 - eps),
+                ("stubborn, gamma + beta = 1 - eps", 0.75 - eps, 0.25),
+            ):
+                yield f"chain of {m}, {name}, k={k}", chain, AgentParams(
+                    gamma=(gamma,) * (m - 1) + (0.5,), beta=(beta,) * (m - 1) + (0.0,))
+        for m in (2, 3):
+            # a signed follower cycle, its first member listening to the leader m
+            scc = build_network(m + 1, [(i, (i + 1) % m, (-1.0) ** i) for i in range(m)]
+                                + [(0, m, 1.0)])
+            yield f"follower SCC of {m}, gamma -> 1, k={k}", scc, AgentParams(
+                gamma=(1.0 - eps,) * m + (0.5,), beta=(0.0,) * (m + 1))
+            yield f"follower SCC of {m}, gamma + beta = 1 - eps, k={k}", scc, AgentParams(
+                gamma=(0.5,) * (m + 1), beta=(0.5 - eps,) + (0.0,) * m)
+            # a stubborn sink cycle with gamma -> 1, and one follower of it
+            sink = build_network(m + 1, [(i, (i + 1) % m, 1.0) for i in range(m)] + [(m, 0, -1.0)])
+            yield f"stubborn sink of {m}, gamma -> 1, k={k}", sink, AgentParams(
+                gamma=(1.0 - 2 * eps,) + (1.0 - eps,) * (m - 1) + (0.3,), beta=(eps,) + (0.0,) * m)
+
+
+class TestExactOracle:
+    """The solve route against exact rational arithmetic near singularity."""
+
+    def test_answers_within_1e_8_of_the_exact_z_and_c(self):
+        # every case of the table is answered: none may be refused
+        cases = 0
+        for name, net, params in _near_singular_table():
+            n = net.n
+            x0 = np.array([0.3, -0.7, 0.9, -0.4, 0.6][:n])
+            model = prepare(net, params)
+            z = steady_state(model, x0).z
+            ci = solve_gain(model)
+            k = list(ci.agents)
+            given = [i for i in range(n) if i not in k]
+            assert all((i,) in model.classification.sinks for i in given), name
+            p, beta = _exact_p(net, params), [F(b) for b in params.beta]
+            exact_z = _exact_complete(p, k, {i: [F(x0[i])] for i in given},
+                                      {i: [beta[i] * F(x0[i])] for i in k})
+            assert _exact_rel([[z[i]] for i in k], exact_z) <= 1e-8, name
+            fold = _fold_matrix(ci.sources, n)
+            rhs = {i: [F(0)] * len(ci.sources) for i in k}
+            for i, column in zip(*_stubborn_inputs(ci.sources)):
+                rhs[i][column] = beta[i]
+            exact_c = _exact_complete(p, k, {i: list(map(F, fold[i])) for i in given}, rhs)
+            assert _exact_rel(ci.c.tolist(), exact_c) <= 1e-8, name
+            cases += 1
+        assert cases == 11 * (3 * 3 + 3 * 2)
+
+
 def _refuse_dense(monkeypatch):
     def refuse(self):
         raise AssertionError("dense P built")
@@ -706,3 +860,31 @@ def test_chain_of_a_hundred_thousand_in_linear_memory():
     assert np.max(np.abs(nxt - z)) <= 1e-12
     assert z[-1] == x0[-1]
     print(f"n = {n}: {elapsed:.2f} s, peak {peak / 1e6:.1f} MB")
+
+
+def test_linear_solves_only_in_the_chunk_kernel():
+    # the complement solve has one production route: np.linalg.solve and
+    # np.linalg.inv are called in src/ only by the chunk kernel, and
+    # np.linalg is never reached by another name
+    src = Path(__file__).resolve().parents[1] / "src" / "signed_influence"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "linalg" not in (node.module or ""), (path.name, node.lineno)
+            if isinstance(node, ast.Import):
+                assert not any("linalg" in alias.name for alias in node.names), path.name
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute) and node.attr in ("solve", "inv")
+                        and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                    found.add((path.name, func.name, node.attr))
+        linalg = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "linalg"]
+        used = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert all(id(node) in used for node in linalg), path.name  # no bare np.linalg
+    assert found == {("dynamics.py", "_solve_checked", "solve"),
+                     ("dynamics.py", "_chunk_inverses", "inv")}

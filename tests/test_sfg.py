@@ -354,6 +354,21 @@ class TestMasonInfluence:
         assert err.value.limit == DEFAULT_SUBSET_CAP
         assert str(err.value) == "more than 100000 sets of non-touching loops (at least 131071)"
 
+    def test_loop_set_count_stops_at_the_cap(self):
+        # 20 lone loops: the tenth component takes the count to 1023 > 1000,
+        # so the conflicts of the loops after it are never read
+        class Unread(set):
+            def __iter__(self):
+                raise AssertionError("conflicts read past the cap")
+
+        conflicts = [{k} for k in range(10)] + [Unread({k}) for k in range(10, 20)]
+        with pytest.raises(ComplexityCapExceededError) as err:
+            _count_loop_sets(conflicts, 1000)
+        assert str(err.value) == "more than 1000 sets of non-touching loops (at least 1023)"
+        # components are taken by least loop, each walked in loop order
+        conflicts = [{0, 3}, {1}, {2, 4}, {0, 3}, {2, 4}]
+        assert _count_loop_sets(conflicts, 100) == 3 * 2 * 3 - 1
+
     def test_cap_counts_the_sets_delta_walks(self, monkeypatch):
         # the count the cap is decided on is the number of sets Δ's sum visits
         walks = []
@@ -403,9 +418,11 @@ class TestSolveGain:
         # laid out once per network and params object
         s = load_spec(str(REF11))
         solves, layouts = count_calls("_solve_checked"), count_calls("_solve_layout")
-        solve_gain(prepare(s.net, s.params))
+        model = prepare(s.net, s.params)
+        solve_gain(model)
         # 7 rows solved, x holding them and the 4 given agents
-        assert [(len(layout.order), x.shape) for layout, _, x in solves] == [(7, (11, 5))]
+        assert [(len(layout.order), x.shape) for layout, _, _, x in solves] == [(7, (11, 5))]
+        assert solves[0][2] is model._inverses
         assert len(layouts) == 1
         solve_gain(prepare(s.net, s.params))
         assert (len(solves), len(layouts)) == (2, 1)
