@@ -511,7 +511,7 @@ def _kept_inverses(base: Model, vals: np.ndarray) -> tuple[np.ndarray | None, ..
     layout = base._layout
     moved = np.flatnonzero(vals[layout.gather] != base.matrices.vals[layout.gather])
     part = layout.runs.searchsorted(moved, side="right") - 1  # 3 c: inside chunk c
-    inside = np.unique(part[part % 3 == 0] // 3).tolist()
+    inside = sorted(set((part[part % 3 == 0] // 3).tolist()))
     inverses = list(base._inverses)
     for c, inverse in zip(inside, _chunk_inverses(layout, vals, inside)):
         inverses[c] = inverse
