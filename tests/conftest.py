@@ -63,13 +63,18 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
-def inversions(monkeypatch):
-    """The shape of every matrix `np.linalg.inv` inverts from then on."""
-    real, shapes = np.linalg.inv, []
+def linalg_calls(monkeypatch):
+    """linalg_calls(name) -> the shape of the matrix of every call to
+    `np.linalg.<name>` from then on."""
 
-    def counting(a):
-        shapes.append(a.shape)
-        return real(a)
+    def count(name):
+        real, shapes = getattr(np.linalg, name), []
 
-    monkeypatch.setattr(np.linalg, "inv", counting)
-    return shapes
+        def counting(a, *args):
+            shapes.append(a.shape)
+            return real(a, *args)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+        return shapes
+
+    return count

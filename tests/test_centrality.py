@@ -334,10 +334,11 @@ class TestFlipEdgeSigns:
         flip_edge_signs(s.net, new_params(s.params), s.x0, ((0, 5), (8, 9)))
         assert (len(builds), len(layouts)) == (2, 2)
 
-    def test_flip_reinverts_only_the_chunks_it_touches(self, inversions):
+    def test_flip_reinverts_only_the_chunks_it_touches(self, linalg_calls):
         # synth n = 200: K in chunks of about 64; only an edge between two
         # agents of one chunk lies inside its block
         s = synth_network(200, 0)
+        inversions = linalg_calls("inv")
         base = prepare(s.net, s.params)
         steady_state(base, s.x0)
         bounds, order = base._layout.bounds, base._layout.order.tolist()

@@ -487,7 +487,8 @@ class TestChunkInverses:
     """Each small chunk of the complement solve is inverted once per model."""
 
     @pytest.mark.parametrize("case", ["synth 1000", "big blocks"])
-    def test_run_analysis_inverts_each_chunk_once(self, case, inversions):
+    def test_run_analysis_inverts_each_chunk_once(self, case, linalg_calls):
+        inversions, lu_solves = linalg_calls("inv"), linalg_calls("solve")
         if case == "synth 1000":
             s = synth_network(1000, 0)
             net, params, x0 = s.net, s.params, s.x0
@@ -500,10 +501,12 @@ class TestChunkInverses:
         assert inversions == [(m, m) for m in sizes]
         again = run_analysis(net, params, x0, gain_method="solve")
         assert again.model is first.model and len(inversions) == len(sizes)
+        assert lu_solves == []  # each solve multiplies by the inverses
         assert again.steady.z.tobytes() == first.steady.z.tobytes()
         assert again.collective.c.tobytes() == first.collective.c.tobytes()
 
-    def test_large_scc_holds_no_inverse(self, inversions):
+    def test_large_scc_holds_no_inverse(self, linalg_calls):
+        inversions, lu_solves = linalg_calls("inv"), linalg_calls("solve")
         # 10 followers in a chain listen to a signed follower SCC of 150,
         # which listens to one leader: chunks of 10 and of 150
         rng = np.random.default_rng(0)
@@ -523,7 +526,9 @@ class TestChunkInverses:
         z = steady_state(model, x0).z
         assert model._layout.bounds == (0, 10, 10 + m)
         assert [inv is None for inv in model._inverses] == [False, True]
-        assert inversions == [(10, 10)]
+        assert inversions == [(10, 10)] and lu_solves == [(150, 150)]
+        steady_state(model, x0)
+        assert inversions == [(10, 10)] and lu_solves == [(150, 150)] * 2
         # the fixed point by the rows: z_i = P_i,: z + beta_i x0_i
         mat = model.matrices
         nxt = np.bincount(mat.rows, mat.vals * z[mat.cols], minlength=n) + beta * x0
