@@ -6,8 +6,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Model, ModelMatrices, _final_opinions, _kept_inverses, prepare
-from .dynamics import sink_spectrum, steady_state
+from .dynamics import Model, ModelMatrices, _final_opinions, _initial_opinions, _kept_inverses
+from .dynamics import prepare, sink_spectrum, steady_state
 from .errors import BadIdError, ZeroDeltaError
 from .graph import AgentParams, SignedNetwork, _flip, _is_id, classify
 from .sfg import InfluenceMatrix
@@ -144,9 +144,7 @@ def perturb_initial(
         raise BadIdError(agent, f"agent {agent!r} is not an integer id")
     if not (0 <= agent < net.n):
         raise BadIdError(agent)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (net.n,):
-        raise ValueError(f"x0 must have length {net.n}")
+    x0 = _initial_opinions(x0, net.n)
     x0p = x0.copy()
     x0p[agent] += delta
     shift = x0p[agent] - x0[agent]  # delta as rounded against x0[agent]
@@ -179,7 +177,7 @@ def flip_edge_signs(
     and the spectra of the sinks a flip touched are computed anew.
     """
     net_flipped, flip = _flip(net, edges)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _initial_opinions(x0, net.n)
     base = prepare(net, params)
     z_base = steady_state(base, x0).z
     z_flip = steady_state(_flipped_model(base, net_flipped, params, flip), x0).z

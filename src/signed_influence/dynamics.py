@@ -261,6 +261,16 @@ def _radius(block: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(block))))
 
 
+def _initial_opinions(x0, n: int) -> np.ndarray:
+    """x(0) as an array of n finite floats; any other raises a one-line ValueError."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have length {n}")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 entries must be finite")
+    return x0
+
+
 def simulate(
     matrices: ModelMatrices,
     x0: np.ndarray,
@@ -275,9 +285,7 @@ def simulate(
     iteration count; ``on_iterate(k, x)``, when given, is handed x(0) and
     then every iterate x(k) as it is computed.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (matrices.n,):
-        raise ValueError(f"x0 must have length {matrices.n}")
+    x0 = _initial_opinions(x0, matrices.n)
     rows, cols, vals = matrices.rows, matrices.cols, matrices.vals
     drive = matrices.beta * x0
     x = x0.copy()
@@ -539,7 +547,8 @@ def _solve_checked(
 
     No chunk depends on an earlier one, so each chunk's residual is that of
     the whole system; every row's, with I - M_cc gathered again from its
-    rows, must stay within the tolerance relative to max|b|.
+    rows, must stay within the tolerance relative to max|b|.  A solve that
+    overflows leaves an inf or NaN residual, and that raises too.
     """
     order, bounds, rows, runs = layout.order, layout.bounds, layout.rows, layout.runs
     slot, used, used_runs = layout.slot, layout.used, layout.used_runs
@@ -556,16 +565,18 @@ def _solve_checked(
 
     resid = scale = 0.0
     try:
-        for c in range(len(bounds) - 2, -1, -1):
-            lo, hi = bounds[c], bounds[c + 1]
-            b = x[order[lo:hi]] + product(3 * c + 2, hi - lo)
-            rhs = b + product(3 * c + 1, hi - lo)
-            a = _chunk(layout, vals, c)
-            inverse = inverses[c]
-            solved = np.linalg.solve(a, rhs) if inverse is None else inverse @ rhs
-            x[order[lo:hi]] = solved
-            resid = max(resid, np.max(np.abs(a @ solved - rhs), initial=0.0))
-            scale = max(scale, np.max(np.abs(b), initial=0.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # the residual check refuses inf and NaN
+            for c in range(len(bounds) - 2, -1, -1):
+                lo, hi = bounds[c], bounds[c + 1]
+                b = x[order[lo:hi]] + product(3 * c + 2, hi - lo)
+                rhs = b + product(3 * c + 1, hi - lo)
+                a = _chunk(layout, vals, c)
+                inverse = inverses[c]
+                solved = np.linalg.solve(a, rhs) if inverse is None else inverse @ rhs
+                x[order[lo:hi]] = solved
+                # np.maximum keeps a NaN, where max(0.0, nan) would drop it
+                resid = np.maximum(resid, np.max(np.abs(a @ solved - rhs), initial=0.0))
+                scale = max(scale, np.max(np.abs(b), initial=0.0))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
     if not np.isfinite(resid) or resid > _SOLVE_RESIDUAL_TOL * max(1.0, scale):
@@ -671,9 +682,7 @@ def steady_state(
     the update rule to convergence, with z_o from the unit eigenpairs; a
     run that reaches ``max_iters`` first raises `IterationCapError`.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.matrices.n,):
-        raise ValueError(f"x0 must have length {model.matrices.n}")
+    x0 = _initial_opinions(x0, model.matrices.n)
     limits = _unit_limits(model, x0)
     beta = model.matrices.beta
     stubborn = beta > 0.0

@@ -24,14 +24,17 @@ for it and for DOT export.  `mason_influence`
 enumerates the loops (Johnson's elementary circuits, on successor lists
 read off the branches), their conflicts and the graph determinant Δ once
 per graph, walks each source's simple paths once and memoises each path's
-cofactor on the loops the path touches.  One walker, `_walk`, visits the
-sets of non-touching loops both to count them and to sum Δ and the
-cofactors over them.  Before any sum it counts them, a product over the
-components of the loop-conflict graph, and a count over the cap raises
-`ComplexityCapExceededError` as a capped loop, pair or path enumeration
-does; Δ or a cofactor that cancels to fewer than 8 significant digits (as
-when γ nears 1 at followers) raises `SingularSystemError`.  `auto` falls
-back to the solve on both.
+cofactor on the loops the path touches.  Loops in different components
+of the loop-conflict graph never touch, so Δ and every cofactor are
+products over the components, and each component's alternating sum is
+walked on its own loops and memoised on those of them the path touches.
+One walker, `_walk`, visits the sets of non-touching loops both to count
+them and to sum them.  Before any sum the sets a single sum over all the
+loops would visit are counted, the product over the components, and a
+count over the cap raises `ComplexityCapExceededError` as a capped loop,
+pair or path enumeration does; Δ or a cofactor that cancels to fewer than
+8 significant digits (as when γ nears 1 at followers) raises
+`SingularSystemError`.  `auto` falls back to the solve on both.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -336,33 +339,42 @@ def _loop_conflicts(loops: list[frozenset[int]], cap: int) -> list[set[int]]:
     return conflicts
 
 
-def _count_loop_sets(conflicts: list[set[int]], cap: int) -> int:
-    """The number of nonempty sets of pairwise non-touching loops, capped.
+def _loop_groups(conflicts: list[set[int]]) -> Iterator[list[int]]:
+    """The connected components of the loop-conflict graph, each sorted.
 
-    The sets factor over the connected components of the conflict graph,
-    taken by least loop: there are Π_c I_c − 1 of them, I_c counting
-    component c's sets with the empty one.  Each component is found only
-    when the product reaches it, by a search from the least loop not yet
-    seen, so a count that passes the cap early reads no further conflicts.
-    `_walk` counts each component's sets with zero gains, only as far as
-    the cap leaves room for, and the product stops as soon as it passes
-    the cap.  Δ's alternating sum walks the same sets with the same code,
-    and every cofactor's sum some of them, so no sum can exceed the cap
-    once the count is under it.
+    Taken by least loop, each found only when the next is asked for, by a
+    search from the least loop not yet seen.
     """
-    product, zeros = 1, [0.0] * len(conflicts)
     seen = [False] * len(conflicts)
     for least in range(len(conflicts)):
         if seen[least]:
             continue
-        seen[least], component = True, [least]
-        for k in component:  # grows as the search reaches new loops
+        seen[least], group = True, [least]
+        for k in group:  # grows as the search reaches new loops
             for j in conflicts[k]:
                 if not seen[j]:
                     seen[j] = True
-                    component.append(j)
-        component.sort()
-        product *= 1 + _walk(zeros, conflicts, component, (cap + 1) // product - 1)[1]
+                    group.append(j)
+        group.sort()
+        yield group
+
+
+def _count_loop_sets(conflicts: list[set[int]], cap: int) -> int:
+    """The number of nonempty sets of pairwise non-touching loops, capped.
+
+    The sets factor over the connected components of the conflict graph
+    (`_loop_groups`): there are Π_c I_c − 1 of them, I_c counting component
+    c's sets with the empty one.  Each component is found only when the
+    product reaches it, so a count that passes the cap early reads no
+    further conflicts.  `_walk` counts each component's sets with zero
+    gains, only as far as the cap leaves room for, and the product stops
+    as soon as it passes the cap.  Mason's sums run per component, each
+    over at most I_c − 1 sets, but the cap stays on the product: the
+    number of sets a single sum over all the loops would visit.
+    """
+    product, zeros = 1, [0.0] * len(conflicts)
+    for group in _loop_groups(conflicts):
+        product *= 1 + _walk(zeros, conflicts, group, (cap + 1) // product - 1)[1]
         if product - 1 > cap:
             raise ComplexityCapExceededError(cap, "sets of non-touching loops", product - 1)
     return product - 1
@@ -401,10 +413,57 @@ def _walk(
         stack.append([pos + 1, blocked | conflicts[idx], 1.0, 0.0])
 
 
-def _alternating_sum(gains: list[float], conflicts: list[set[int]], allowed: set[int]) -> float:
-    """Δ, a cofactor or its Σ|terms|: the walk over the sets of ``allowed``, uncapped
-    here because `_count_loop_sets` capped their number before any sum."""
-    return _walk(gains, conflicts, sorted(allowed), math.inf)[0]
+def _alternating_sum(gains: list[float], conflicts: list[set[int]], order: Sequence[int]) -> float:
+    """One group's factor of Δ, a cofactor or its Σ|terms|: the walk over the sets
+    of the loops ``order``, uncapped here because `_count_loop_sets` capped
+    their number before any sum."""
+    return _walk(gains, conflicts, order, math.inf)[0]
+
+
+class _Cofactors(dict):
+    """Mason's Δ and cofactors, by the loops a path touches.
+
+    ``self[touched]``, ``touched`` a bit mask of loops, is the alternating
+    sum over the sets of non-touching loops that touch none of them, so
+    ``self[0]`` is Δ; each is summed on its first lookup.  Loops in
+    different groups (`_loop_groups`) never touch, so the sum is the
+    product, in group order, of each group's sum over its loops left, and
+    each group's sum is memoised on the loops of it that are touched.  A
+    product that keeps fewer than 8 significant digits of its Σ|terms|,
+    the product of the groups' Σ|terms|, raises `SingularSystemError`.
+    """
+
+    def __init__(self, gains: list[float], conflicts: list[set[int]], groups: list[list[int]]):
+        super().__init__()
+        self.gains, self.conflicts, self.groups = gains, conflicts, groups
+        self.flipped = [-abs(gain) for gain in gains]  # turns every term of a sum into its |term|
+        self.masks = [sum(1 << k for k in group) for group in groups]
+        self.sums = {}  # (of |terms|, group, its loops touched) -> the group's sum
+
+    def _product(self, weights: list[float], touched: int) -> float:
+        total = 1.0
+        for c, group in enumerate(self.groups):
+            key = (weights is self.flipped, c, touched & self.masks[c])
+            if key not in self.sums:
+                left = [k for k in group if not key[2] >> k & 1]
+                self.sums[key] = _alternating_sum(weights, self.conflicts, left)
+            total *= self.sums[key]
+        return total
+
+    def __missing__(self, touched: int) -> float:
+        total = self._product(self.gains, touched)
+        if not np.isfinite(total):
+            raise SingularSystemError(f"Mason's alternating sum is {total}")
+        # Σ|terms| <= Π(1 + |g|); only a sum that bound cannot clear pays for Σ|terms|
+        bound = math.prod(1.0 + abs(g) for k, g in enumerate(self.gains) if not touched >> k & 1)
+        if abs(total) < _MIN_RELATIVE_SUM * bound:
+            scale = self._product(self.flipped, touched)
+            if abs(total) < _MIN_RELATIVE_SUM * scale:
+                raise SingularSystemError(
+                    f"Mason's alternating sum cancels to {total:.3g} of {scale:.3g}"
+                )
+        self[touched] = total
+        return total
 
 
 def solve_gain(model: Model) -> CollectiveInfluence:
@@ -436,10 +495,11 @@ def mason_influence(
     The caps are decided in turn: ``enum_cap`` on the loops as they are
     enumerated, then on their pairs before the conflicts are built;
     ``subset_cap`` on the sets of non-touching loops, counted by
-    `_count_loop_sets` before any sum (each sum visits at most that many);
-    ``enum_cap`` again on the paths walked from one source.  An alternating
-    sum that keeps fewer than 8 significant digits raises
-    `SingularSystemError`.
+    `_count_loop_sets` before any sum as the product over the loop groups
+    (each group's sum visits at most that many); ``enum_cap`` again on the
+    paths walked from one source.  Δ and the cofactors are products of the
+    groups' sums (`_Cofactors`); one that keeps fewer than 8 significant
+    digits raises `SingularSystemError`.
     """
     pos, out = _adjacency(g)
     loops = []
@@ -450,29 +510,13 @@ def mason_influence(
         loops.append((frozenset(cyc), gain))
     conflicts = _loop_conflicts([nodes for nodes, _ in loops], enum_cap)
     _count_loop_sets(conflicts, subset_cap)
-    gains = [gain for _, gain in loops]
-    flipped = [-abs(gain) for gain in gains]  # turns every term of a sum into its |term|
-
-    def cofactor(allowed: set[int]) -> float:
-        total = _alternating_sum(gains, conflicts, allowed)
-        if not np.isfinite(total):
-            raise SingularSystemError(f"Mason's alternating sum is {total}")
-        # Σ|terms| <= Π(1 + |g|); only a sum that bound cannot clear pays for Σ|terms|
-        if abs(total) < _MIN_RELATIVE_SUM * math.prod(1.0 + abs(gains[k]) for k in allowed):
-            scale = _alternating_sum(flipped, conflicts, allowed)
-            if abs(total) < _MIN_RELATIVE_SUM * scale:
-                raise SingularSystemError(
-                    f"Mason's alternating sum cancels to {total:.3g} of {scale:.3g}"
-                )
-        return total
-
-    delta = cofactor(set(range(len(loops))))
+    cofactors = _Cofactors([gain for _, gain in loops], conflicts, list(_loop_groups(conflicts)))
+    delta = cofactors[0]
 
     touches = [0] * len(pos)  # node -> bit mask of the loops through it
     for k, (nodes, _) in enumerate(loops):
         for node in nodes:
             touches[node] |= 1 << k
-    cofactors = {0: delta}  # bit mask of touched loops -> cofactor
 
     agents = g.nonsource_agents()
     row = {pos["agent", i]: k for k, i in enumerate(agents)}
@@ -496,9 +540,6 @@ def mason_influence(
                 raise ComplexityCapExceededError(enum_cap, "paths from one source")
             gain *= branch_gain
             touched |= touches[nxt]
-            if touched not in cofactors:
-                allowed = {k for k in range(len(loops)) if not touched >> k & 1}
-                cofactors[touched] = cofactor(allowed)
             c[row[nxt], r] += gain * cofactors[touched]
             on_path.add(nxt)
             stack.append((nxt, iter(out[nxt].items()), gain, touched))

@@ -1,6 +1,7 @@
 """Absolute influence centrality and the what-if experiments."""
 
 import dataclasses
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -25,6 +26,7 @@ from signed_influence import (
     load_spec,
     perturb_initial,
     prepare,
+    simulate,
     solve_gain,
     steady_state,
 )
@@ -250,6 +252,23 @@ class TestWrongShapedX0:
         ]
         for call in calls:
             with pytest.raises(ValueError, match=f"^x0 must have length {net.n}$"):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_refuses_a_non_finite_x0(self, ref11, bad):
+        net, params = ref11.net, ref11.params
+        x0 = np.zeros(net.n)
+        x0[2] = bad
+        edge = net.edges[0][:2]
+        calls = [
+            lambda: simulate(prepare(net, params).matrices, x0),
+            lambda: steady_state(prepare(net, params), x0),
+            lambda: run_analysis(net, params, x0),
+            lambda: perturb_initial(net, params, x0, 0, 1.0),
+            lambda: flip_edge_signs(net, params, x0, (edge,)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^x0 entries must be finite$"):
                 call()
 
 

@@ -38,9 +38,11 @@ from signed_influence.sfg import (
     DEFAULT_SUBSET_CAP,
     _adjacency,
     _circuits,
+    _Cofactors,
     _count_loop_sets,
     _fold_matrix,
     _loop_conflicts,
+    _loop_groups,
     _walk,
 )
 
@@ -236,6 +238,24 @@ def _mason_c_in_process(hash_seed, net_seed):
     ).stdout
 
 
+def _recorded_walks(monkeypatch):
+    """Every `_walk` call from then on, as (its arguments, its result)."""
+    walks = []
+
+    def recording(*args):
+        walks.append((args, _walk(*args)))
+        return walks[-1][1]
+
+    monkeypatch.setattr("signed_influence.sfg._walk", recording)
+    return walks
+
+
+def _loops(g):
+    """The loops of ``g`` as Mason's formula numbers them: node sets, sorted."""
+    _, out = _adjacency(g)
+    return [frozenset(cyc) for cyc in sorted(_circuits(out, DEFAULT_ENUM_CAP))]
+
+
 def _loop_oracle_graphs():
     for path in (REF11, ZOO17):
         spec = load_spec(str(path))
@@ -370,23 +390,78 @@ class TestMasonInfluence:
         assert _count_loop_sets(conflicts, 100) == 3 * 2 * 3 - 1
 
     def test_cap_counts_the_sets_delta_walks(self, monkeypatch):
-        # the count the cap is decided on is the number of sets Δ's sum visits
-        walks = []
-
-        def recording(*args):
-            walks.append((args, _walk(*args)))
-            return walks[-1][1]
-
-        monkeypatch.setattr("signed_influence.sfg._walk", recording)
+        # Δ is summed per loop group, group by group before any cofactor;
+        # the cap counts the product of the groups' sets, the sets one sum
+        # over all the loops would visit
+        walks = _recorded_walks(monkeypatch)
         for name, g in itertools.islice(_loop_oracle_graphs(), 202):  # fixtures, netgen
             walks.clear()
             mason_influence(g)
-            (_, conflicts, _, _), (_, visited) = next(w for w in walks if w[0][3] == math.inf)
+            conflicts = _loop_conflicts(_loops(g), DEFAULT_ENUM_CAP)
+            groups = list(_loop_groups(conflicts))
+            delta_walks = [w for w in walks if w[0][3] == math.inf][:len(groups)]
+            assert [list(args[2]) for args, _ in delta_walks] == groups, name
+            visited = math.prod(1 + seen for _, (_, seen) in delta_walks) - 1
             for cap in (visited, visited + 1, 2 * visited):
                 assert _count_loop_sets(conflicts, cap) == visited, name
             for cap in {0, visited // 2, visited - 1} & set(range(visited)):
                 with pytest.raises(ComplexityCapExceededError):
                     _count_loop_sets(conflicts, cap)
+
+    def test_grouped_sums_match_one_flat_sum(self, monkeypatch):
+        # Δ, every cofactor and c against one walk over all the loops a
+        # path leaves, as a single sum over every group would take them
+        class Recording(_Cofactors):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        class Flat(Recording):
+            def __missing__(self, touched):
+                left = [k for k in range(len(self.gains)) if not touched >> k & 1]
+                self[touched] = _walk(self.gains, self.conflicts, left, math.inf)[0]
+                return self[touched]
+
+        for name, g in itertools.islice(_loop_oracle_graphs(), 202):  # fixtures, netgen
+            made = []
+            monkeypatch.setattr("signed_influence.sfg._Cofactors", Recording)
+            grouped = mason_influence(g)
+            monkeypatch.setattr("signed_influence.sfg._Cofactors", Flat)
+            flat = mason_influence(g)
+            assert made[0].keys() == made[1].keys(), name
+            for touched, value in made[0].items():
+                assert value == pytest.approx(made[1][touched], rel=1e-12, abs=0), name
+            assert np.allclose(grouped.c, flat.c, rtol=1e-12, atol=0), name
+
+    def test_unbounded_walks_visit_each_group_alone(self, monkeypatch):
+        # netgen seed 59: 42 352 sets when every sum walked all the loops
+        rn = random_network(59)
+        _, _, reduced = _stack(rn.net, rn.params)
+        walks = _recorded_walks(monkeypatch)
+        mason_influence(reduced)
+        sums = [seen for args, (_, seen) in walks if args[3] == math.inf]
+        assert sums and sum(sums) <= 1000
+
+    @pytest.mark.parametrize("k", [4, 16, 64])
+    def test_disjoint_two_cycles_sum_in_linear_visits(self, k, monkeypatch):
+        # agents 2i and 2i + 1 feed each other; 2i feeds 2i + 2 and the
+        # source agent 0: k lone groups, k + 1 distinct touched sets
+        source = SourceSpec(SourceKind.STUBBORN_INITIAL, agent=0, members=(0,))
+        branches = [(("source", 0), ("agent", 0), 0.5)]
+        for i in range(k):
+            branches += [(("agent", 2 * i), ("agent", 2 * i + 1), 0.3),
+                         (("agent", 2 * i + 1), ("agent", 2 * i), -0.4)]
+            if i + 1 < k:
+                branches.append((("agent", 2 * i), ("agent", 2 * i + 2), 0.6))
+        nodes = tuple(("agent", i) for i in range(2 * k)) + (("source", 0),)
+        g = SfgGraph(nodes=nodes, sources=(source,), branches=tuple(branches))
+        walks = _recorded_walks(monkeypatch)
+        ci = mason_influence(g, subset_cap=2**k)
+        # Δ visits each lone loop once; a path's cofactor leaves a group
+        # whole or empty, and whole ones are Δ's, already summed
+        assert sum(seen for args, (_, seen) in walks if args[3] == math.inf) == k
+        # the chain's first pair alone: 0.5 / (1 + 0.12) into agent 0
+        assert ci.c[0, 0] == pytest.approx(0.5 / 1.12, rel=1e-12)
 
     def test_auto_takes_the_solve_past_the_subset_cap(self):
         s = synth_network(100, 0)
