@@ -565,18 +565,17 @@ def _solve_checked(
 
     resid = scale = 0.0
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the residual check refuses inf and NaN
-            for c in range(len(bounds) - 2, -1, -1):
-                lo, hi = bounds[c], bounds[c + 1]
-                b = x[order[lo:hi]] + product(3 * c + 2, hi - lo)
-                rhs = b + product(3 * c + 1, hi - lo)
-                a = _chunk(layout, vals, c)
-                inverse = inverses[c]
-                solved = np.linalg.solve(a, rhs) if inverse is None else inverse @ rhs
-                x[order[lo:hi]] = solved
-                # np.maximum keeps a NaN, where max(0.0, nan) would drop it
-                resid = np.maximum(resid, np.max(np.abs(a @ solved - rhs), initial=0.0))
-                scale = max(scale, np.max(np.abs(b), initial=0.0))
+        for c in range(len(bounds) - 2, -1, -1):
+            lo, hi = bounds[c], bounds[c + 1]
+            b = x[order[lo:hi]] + product(3 * c + 2, hi - lo)
+            rhs = b + product(3 * c + 1, hi - lo)
+            a = _chunk(layout, vals, c)
+            inverse = inverses[c]
+            solved = np.linalg.solve(a, rhs) if inverse is None else inverse @ rhs
+            x[order[lo:hi]] = solved
+            # np.maximum keeps a NaN, where max(0.0, nan) would drop it
+            resid = np.maximum(resid, np.max(np.abs(a @ solved - rhs), initial=0.0))
+            scale = max(scale, np.max(np.abs(b), initial=0.0))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
     if not np.isfinite(resid) or resid > _SOLVE_RESIDUAL_TOL * max(1.0, scale):
