@@ -3,7 +3,7 @@
 Subcommands: classify, simulate, influence, centrality, whatif, export-sfg.
 Exit codes: 0 success, 2 input validation failure, 3 internal consistency
 failure (check mismatch, iteration cap, singular solve, zero Mason
-determinant), 4 enumeration complexity cap hit with no fallback permitted.
+determinant), 4 enumeration complexity cap hit under --method mason.
 """
 
 from __future__ import annotations
@@ -208,7 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH", help="write the trajectory table")
 
     p = add("influence", cmd_influence, help="collective and individual influence")
-    p.add_argument("--method", choices=["mason", "solve", "auto"], default="auto")
+    p.add_argument("--method", choices=["mason", "solve", "auto"], default="auto",
+                   help="solve, or mason for the oracle; auto is kept as an alias of solve")
     p.add_argument("--check", action="store_true",
                    help="verify the influence prediction against a simulation run")
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")

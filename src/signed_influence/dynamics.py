@@ -243,9 +243,9 @@ def block_spectral_radius(matrices: ModelMatrices, blocks: Sequence[Sequence[int
     support, as `AgentClassification.blocks` does.  Permuted to
     condensation order, P is block triangular over them, so its eigenvalues
     are those of the diagonal blocks.  A 1x1 block contributes |p_ii|; a larger one the
-    dense eigenvalues of its block, gathered from the rows.  Diagnostic
-    only, read by the report; convergence decisions are structural, never
-    spectral.
+    dense eigenvalues of its block, gathered from the rows.  Read by the
+    report of a convergent model alone (rho = 1 if semi-convergent); the
+    convergence decision is structural, never spectral.
     """
     singles = [block[0] for block in blocks if len(block) == 1]
     rho = float(np.max(np.abs(matrices.diagonal()[singles]), initial=0.0))
@@ -296,7 +296,7 @@ def simulate(
     converged = False
     while iters < max_iters:
         nxt = np.bincount(rows, vals * x[cols], minlength=matrices.n) + drive
-        residual = float(np.max(np.abs(nxt - x)))
+        residual = float(abs(nxt - x).max())  # methods: np.max wraps each call in Python
         x = nxt
         iters += 1
         if on_iterate is not None:

@@ -8,7 +8,6 @@ import numpy as np
 
 from .centrality import CentralityResult, absolute_centrality
 from .dynamics import Model, SteadyState, prepare, steady_state
-from .errors import ComplexityCapExceededError, SingularSystemError
 from .graph import AgentParams, SignedNetwork
 from .sfg import (
     CollectiveInfluence,
@@ -35,26 +34,21 @@ def run_analysis(
     net: SignedNetwork,
     params: AgentParams,
     x0,
-    gain_method: str = "auto",
+    gain_method: str = "solve",
 ) -> AnalysisResult:
     """Run the whole stack and return every intermediate product.
 
-    gain_method: "solve" for the algebraic gains, "mason" for path/loop
-    enumeration (raises on the complexity cap or a zero determinant),
-    "auto" for enumeration with algebraic fallback on either.
+    gain_method: "solve" (or its alias "auto") for the algebraic gains,
+    "mason" for path/loop enumeration, the oracle, which raises on the
+    complexity cap or a sum that cancels.
     """
     x0 = np.asarray(x0, dtype=float)
     model = prepare(net, params)
 
-    if gain_method == "solve":
+    if gain_method in ("solve", "auto"):
         collective, used = solve_gain(model), "solve"
-    elif gain_method in ("mason", "auto"):
-        try:
-            collective, used = mason_influence(reduce_sfg(model)), "mason"
-        except (ComplexityCapExceededError, SingularSystemError):
-            if gain_method == "mason":
-                raise
-            collective, used = solve_gain(model), "solve"
+    elif gain_method == "mason":
+        collective, used = mason_influence(reduce_sfg(model)), "mason"
     else:
         raise ValueError(f"unknown gain method {gain_method!r}")
 

@@ -18,9 +18,9 @@ agent j's column of Θ is a factor (1, or the sink's w_j) times one column
 of H, and it is the one place that reads the source kinds and the sink
 spectra to say which.  The centrality reads H's column norms; the n x n Θ
 is built only when read, by one gather of H's columns.  Mason's
-formula is the paper's method, the first try of the `auto` gain route and
-the oracle the solve is checked against; the `SfgGraph` is built only
-for it and for DOT export.  `mason_influence`
+formula is the paper's method and the oracle the solve is checked
+against (`--method mason`; the default `auto` is the solve); the
+`SfgGraph` is built only for it and for DOT export.  `mason_influence`
 enumerates the loops (Johnson's elementary circuits, on successor lists
 read off the branches), their conflicts and the graph determinant Δ once
 per graph, walks each source's simple paths once and memoises each path's
@@ -34,7 +34,7 @@ loops would visit are counted, the product over the components, and a
 count over the cap raises `ComplexityCapExceededError` as a capped loop,
 pair or path enumeration does; Δ or a cofactor that cancels to fewer than
 8 significant digits (as when γ nears 1 at followers) raises
-`SingularSystemError`.  `auto` falls back to the solve on both.
+`SingularSystemError`.
 """
 
 from __future__ import annotations

@@ -371,7 +371,9 @@ def build_report(result: AnalysisResult, tol: float, max_iters: int) -> dict:
         },
         "convergence": {
             "kind": cls.convergence,
-            "spectral_radius_estimate": _num(block_spectral_radius(model.matrices, cls.blocks)),
+            # semi-convergent: ||P||_inf = max(1 - beta_i) <= 1 and a unit eigenvalue
+            "spectral_radius_estimate": 1.0 if cls.convergence == "semi-convergent"
+            else _num(block_spectral_radius(model.matrices, cls.blocks)),
             "unit_eigen_count": cls.unit_eigen_count,
         },
         "steady_state": {

@@ -1,7 +1,8 @@
 """Write the 404 `influence` reports and 202 `simulate` runs, or compare two corpora.
 
-The corpus is the CLI's `influence` report under `--method auto` and
-`--method solve` for both fixtures and the 200 netgen seeds, and for each
+The corpus is the CLI's `influence` report under `--method mason`, the
+oracle, and `--method solve`, the production route that the default
+`auto` also takes, for both fixtures and the 200 netgen seeds, and for each
 of those specs the `simulate --csv` table with the lines `simulate` prints,
 written with PYTHONHASHSEED=0.  Two corpora, say from a commit and from its
 parent, are the same outputs when every report is byte-identical or
@@ -36,7 +37,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 REPO = TESTS.parent
-METHODS = ("auto", "solve")
+METHODS = ("mason", "solve")
 NETGEN_SEEDS = 200
 
 

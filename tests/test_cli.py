@@ -26,6 +26,7 @@ from netgen import random_network
 from signed_influence import AgentParams, build_network, cli
 from signed_influence.cli import main
 from signed_influence.specfile import diff_reports
+from synth import spec_text
 
 REF11_PATH = str(REF11)
 ZOO17_PATH = str(ZOO17)
@@ -505,7 +506,7 @@ class TestInfluenceCommand:
         assert report["schema"] == "signed-influence/report/1"
         c = np.array(report["collective_influence"]["c"])
         assert np.allclose(c[0], [0.02, 0.12, 0.04, 0.5, 0.32], atol=1e-9)
-        assert report["provenance"]["gain_method"] == "mason"  # auto, under cap
+        assert report["provenance"]["gain_method"] == "solve"  # auto is the solve
 
     def test_exponent_without_decimal_point_is_a_number(self, tmp_path, capsys):
         # YAML 1.1 reads 1e300 as a string; the spec reads it as YAML 1.2 does
@@ -545,14 +546,51 @@ class TestInfluenceCommand:
         assert doc[:3] == [np.inf, -np.inf, np.inf] and np.isnan(doc[3])
         assert doc[4:] == [0.5, "._e3"]
 
-    @pytest.mark.parametrize("method", ["auto", "solve"])
+    @pytest.mark.parametrize("method", ["mason", "solve", "auto"])
     @pytest.mark.parametrize("path", [REF11_PATH, ZOO17_PATH], ids=["reference11", "showcase17"])
     def test_reproduces_golden_report(self, tmp_path, path, method):
         # tests/golden holds the reports as committed; any drift in the output shows here
         out = tmp_path / "report.yaml"
         assert main(["influence", path, "--method", method, "--out", str(out)]) == 0
-        golden = GOLDEN / f"{pathlib.Path(path).stem}-{method}.yaml"
+        golden = GOLDEN / f"{pathlib.Path(path).stem}-{method.replace('auto', 'solve')}.yaml"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_default_report_is_the_solve_report(self, tmp_path, capsys):
+        specs = [REF11_PATH, ZOO17_PATH]
+        for seed in range(200):
+            rn = random_network(seed)
+            specs.append(tmp_path / f"netgen-{seed}.yaml")
+            specs[-1].write_text(spec_text(rn.net, rn.params, rn.x0))
+        differ = []
+        for path in map(str, specs):
+            reports = []
+            for method in ([], ["--method", "solve"]):
+                assert main(["influence", path, *method]) == 0
+                reports.append(capsys.readouterr().out)
+            if reports[0] != reports[1]:
+                differ.append(path)
+        assert differ == []
+
+    @pytest.mark.parametrize("path, agent", [(REF11_PATH, "6"), (ZOO17_PATH, "0")],
+                             ids=["reference11", "showcase17"])
+    def test_no_oracle_on_the_hot_path(self, monkeypatch, capsys, path, agent):
+        commands = [["influence", path, "--check"], ["centrality", path],
+                    ["whatif", path, "--perturb", agent, "0.5"]]
+        want = []
+        for argv in commands:
+            assert main(argv) == 0
+            want.append(capsys.readouterr().out)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an oracle ran")
+
+        for name in ("mason_influence", "reduce_sfg"):
+            monkeypatch.setattr(signed_influence.pipeline, name, refused)
+        with pytest.raises(AssertionError, match="^an oracle ran$"):
+            main(["influence", path, "--method", "mason"])
+        for argv, out in zip(commands, want):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
 
     def test_round_trip_diff_is_empty(self, tmp_path):
         a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
@@ -603,7 +641,7 @@ class TestInfluenceCommand:
         assert main(["influence", path, "--check", "--out", out]) == 0
         assert main(["influence", path, "--check", "--out", out, "--max-iters", "1"]) == 3
 
-    def test_mason_cap_exits_4_and_auto_falls_back(self, tmp_path, capsys):
+    def test_mason_cap_exits_4_and_auto_runs_the_solve(self, tmp_path, capsys):
         # a dense follower web has far too many loops for enumeration
         n = 9
         edges = [[i, j, 1.0] for i in range(8) for j in range(8) if i != j]
@@ -623,7 +661,7 @@ class TestInfluenceCommand:
         report = yaml.safe_load(out.read_text())
         assert report["provenance"]["gain_method"] == "solve"
 
-    def test_zero_mason_determinant_exits_3_and_auto_falls_back(self, tmp_path, capsys):
+    def test_zero_mason_determinant_exits_3_and_auto_runs_the_solve(self, tmp_path, capsys):
         # three followers' self-loops of gain 0.999999 make Mason's Δ cancel to 0
         path = _write_spec(
             tmp_path,
@@ -643,7 +681,7 @@ class TestInfluenceCommand:
         assert np.allclose(report["collective_influence"]["c"], [[1.0]] * 3, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("gamma", [0.999, 0.9999, 0.99999])
-    def test_mason_cancellation_exits_3_and_auto_solves(self, tmp_path, capsys, gamma):
+    def test_mason_cancellation_exits_3_and_auto_runs_the_solve(self, tmp_path, capsys, gamma):
         # followers' self-loops near 1: Δ and the cofactors lose their digits
         x0 = [0.0, 0.0, 0.0, 1.0, 3.0]
         path = _write_spec(

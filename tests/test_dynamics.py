@@ -208,6 +208,23 @@ class TestSpectralRadius:
         assert searches == []
         assert report["convergence"]["spectral_radius_estimate"] == 1.0
 
+    def test_semi_convergent_rho_is_one_by_structure(self, ref11, zoo17, count_calls):
+        # ||P||_inf <= 1 and a stubborn-free balanced sink has eigenvalue 1:
+        # the eigenvalues agree with the 1.0 the report writes without them
+        radii = count_calls("block_spectral_radius")
+        semi = 0
+        for case in [ref11, zoo17, *map(random_network, range(200))]:
+            cls, m = classify(case.net, case.params), build_matrices(case.net, case.params)
+            report = build_report(run_analysis(case.net, case.params, case.x0), 1e-10, 10)
+            rho = report["convergence"]["spectral_radius_estimate"]
+            if cls.convergence == "semi-convergent":
+                semi += 1
+                assert rho == 1.0 == centrality._num(block_spectral_radius(m, cls.blocks))
+            else:
+                assert rho == centrality._num(block_spectral_radius(m, cls.blocks)) < 1.0
+        assert semi == 137
+        assert len(radii) == 202 - semi  # the report computes rho on convergent models only
+
 
 class TestConvergenceVerdict:
     def test_reference_network_is_semi_convergent(self, ref11):

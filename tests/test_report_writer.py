@@ -35,7 +35,7 @@ def _report(net, params, x0, method) -> dict:
     return build_report(run_analysis(net, params, x0, gain_method=method), 1e-10, 100_000)
 
 
-@pytest.mark.parametrize("method", ["auto", "solve"])
+@pytest.mark.parametrize("method", ["mason", "solve"])
 @pytest.mark.parametrize("path", [REF11, ZOO17], ids=["reference11", "showcase17"])
 def test_fixture_reports_match_libyaml(path, method):
     spec = load_spec(str(path))
@@ -47,7 +47,7 @@ def test_netgen_reports_match_libyaml():
     differ = []
     for seed in range(200):
         rn = random_network(seed)
-        report = _report(rn.net, rn.params, rn.x0, "auto")
+        report = _report(rn.net, rn.params, rn.x0, "mason")
         if dump_report(report) != libyaml(report):
             differ.append(seed)
     assert differ == []

@@ -463,8 +463,10 @@ class TestMasonInfluence:
         # the chain's first pair alone: 0.5 / (1 + 0.12) into agent 0
         assert ci.c[0, 0] == pytest.approx(0.5 / 1.12, rel=1e-12)
 
-    def test_auto_takes_the_solve_past_the_subset_cap(self):
+    def test_mason_stops_at_the_subset_cap_and_auto_runs_the_solve(self):
         s = synth_network(100, 0)
+        with pytest.raises(ComplexityCapExceededError, match="^more than 100000 sets"):
+            run_analysis(s.net, s.params, s.x0, "mason")
         assert run_analysis(s.net, s.params, s.x0, "auto").gain_method_used == "solve"
 
     def test_bit_identical_across_processes(self):
