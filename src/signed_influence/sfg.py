@@ -42,7 +42,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
@@ -122,7 +121,8 @@ class InfluenceMatrix:
     G_r − G_{r+1}.  ``factor`` is 1 for a singleton leader or a stubborn
     initial opinion and w_j for a member j of a cooperative or balanced
     sink, w being the sink's left eigenvector.  The n x n ``theta`` is
-    built the first time it is read.
+    built anew on each read and not kept, so it lives only while its
+    reader holds it.
     """
 
     h: np.ndarray
@@ -130,7 +130,7 @@ class InfluenceMatrix:
     column: np.ndarray  # the column of h that each one's is a multiple of
     factor: np.ndarray
 
-    @cached_property
+    @property
     def theta(self) -> np.ndarray:
         """Θ itself, n x n: one gather of h's columns, scaled in place."""
         theta = np.zeros((len(self.h), len(self.h)))

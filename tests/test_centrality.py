@@ -146,6 +146,13 @@ class TestFactoredCentrality:
         assert "theta" not in res.influence.__dict__
         assert peak <= 64 * 2**20, peak
 
+    def test_theta_is_not_kept(self, ref11):
+        # each read builds Θ anew: the result holds no n x n array after its reader is done
+        influence = run_analysis(ref11.net, ref11.params, ref11.x0).influence
+        first = influence.theta
+        assert "theta" not in influence.__dict__ and influence.theta is not first
+        np.testing.assert_array_equal(influence.theta, first)
+
     @pytest.mark.parametrize("command", ["centrality", "whatif --perturb", "whatif --flip-edge"])
     def test_commands_build_no_theta(self, tmp_path, monkeypatch, capsys, command):
         s = synth_network(200, 0)
