@@ -296,7 +296,7 @@ def simulate(
     converged = False
     while iters < max_iters:
         nxt = np.bincount(rows, vals * x[cols], minlength=matrices.n) + drive
-        residual = float(abs(nxt - x).max())  # methods: np.max wraps each call in Python
+        residual = float(abs(nxt - x).max())  # the methods skip np.max's Python wrapper
         x = nxt
         iters += 1
         if on_iterate is not None:
