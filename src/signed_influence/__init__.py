@@ -1,10 +1,10 @@
 """Opinion dynamics on signed networks.
 
 Classify agents and sinks of a signed weighted digraph, decide convergence
-of the stubborn opinion update structurally, compute steady states by three
-independent routes, quantify influence through signal-flow-graph gains
-(Mason's formula with an algebraic cross-check), and rank agents by
-absolute influence centrality.
+of the stubborn opinion update structurally, compute steady states by one
+linear solve (checked by plain iteration), quantify influence through
+signal-flow-graph gains (the same solve, with Mason's formula as its
+oracle), and rank agents by absolute influence centrality.
 """
 
 from .centrality import (

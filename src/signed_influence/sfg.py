@@ -26,15 +26,11 @@ read off the branches), their conflicts and the graph determinant Δ once
 per graph, walks each source's simple paths once and memoises each path's
 cofactor on the loops the path touches.  Loops in different components
 of the loop-conflict graph never touch, so Δ and every cofactor are
-products over the components, and each component's alternating sum is
-walked on its own loops and memoised on those of them the path touches.
-One walker, `_walk`, visits the sets of non-touching loops both to count
-them and to sum them.  Before any sum the sets a single sum over all the
-loops would visit are counted, the product over the components, and a
-count over the cap raises `ComplexityCapExceededError` as a capped loop,
-pair or path enumeration does; Δ or a cofactor that cancels to fewer than
-8 significant digits (as when γ nears 1 at followers) raises
-`SingularSystemError`.
+products over the components.  One walk of a component's sets of
+non-touching loops (`_walk`) counts them and sums both the alternating
+sum and its Σ|terms|: Δ's walks decide the cap on the sets, and a sum
+that cancels to fewer than 8 significant digits of its Σ|terms| (as when
+γ nears 1 at followers) raises `SingularSystemError`.
 """
 
 from __future__ import annotations
@@ -359,41 +355,21 @@ def _loop_groups(conflicts: list[set[int]]) -> Iterator[list[int]]:
         yield group
 
 
-def _count_loop_sets(conflicts: list[set[int]], cap: int) -> int:
-    """The number of nonempty sets of pairwise non-touching loops, capped.
-
-    The sets factor over the connected components of the conflict graph
-    (`_loop_groups`): there are Π_c I_c − 1 of them, I_c counting component
-    c's sets with the empty one.  Each component is found only when the
-    product reaches it, so a count that passes the cap early reads no
-    further conflicts.  `_walk` counts each component's sets with zero
-    gains, only as far as the cap leaves room for, and the product stops
-    as soon as it passes the cap.  Mason's sums run per component, each
-    over at most I_c − 1 sets, but the cap stays on the product: the
-    number of sets a single sum over all the loops would visit.
-    """
-    product, zeros = 1, [0.0] * len(conflicts)
-    for group in _loop_groups(conflicts):
-        product *= 1 + _walk(zeros, conflicts, group, (cap + 1) // product - 1)[1]
-        if product - 1 > cap:
-            raise ComplexityCapExceededError(cap, "sets of non-touching loops", product - 1)
-    return product - 1
-
-
 def _walk(
     gains: list[float], conflicts: list[set[int]], order: Sequence[int], limit: float
-) -> tuple[float, int]:
+) -> tuple[float, float, int]:
     """Sum over the sets of non-touching loops among ``order`` of
-    (-1)^|set| * product of gains, and the number of nonempty sets visited.
+    (-1)^|set| * product of gains, the sum of those terms' absolute values
+    and the number of nonempty sets visited.
 
     Depth first over the sets in increasing position in ``order``, on an
     explicit stack, so a long run of non-touching loops cannot exhaust the
     interpreter's recursion limit.  A frame holds the next position to try,
-    the loops blocked so far, its partial sum and the gain of the loop whose
-    sets it is expanding.  The walk stops as soon as it visits more than
-    ``limit`` sets, and then the sum is NaN.
+    the loops blocked so far, its two partial sums and the gain of the loop
+    whose sets it is expanding.  The walk stops as soon as it visits more
+    than ``limit`` sets, and then both sums are NaN.
     """
-    stack, visited = [[0, set(), 1.0, 0.0]], 0
+    stack, visited = [[0, set(), 1.0, 1.0, 0.0]], 0
     while True:
         frame = stack[-1]
         pos, blocked = frame[0], frame[1]
@@ -402,22 +378,17 @@ def _walk(
         if pos == len(order):
             stack.pop()
             if not stack:
-                return frame[2], visited
-            stack[-1][2] += -stack[-1][3] * frame[2]
+                return frame[2], frame[3], visited
+            parent = stack[-1]
+            parent[2] += -parent[4] * frame[2]
+            parent[3] += abs(parent[4]) * frame[3]
             continue
         visited += 1
         if visited > limit:
-            return math.nan, visited
+            return math.nan, math.nan, visited
         idx = order[pos]
-        frame[0], frame[3] = pos + 1, gains[idx]
-        stack.append([pos + 1, blocked | conflicts[idx], 1.0, 0.0])
-
-
-def _alternating_sum(gains: list[float], conflicts: list[set[int]], order: Sequence[int]) -> float:
-    """One group's factor of Δ, a cofactor or its Σ|terms|: the walk over the sets
-    of the loops ``order``, uncapped here because `_count_loop_sets` capped
-    their number before any sum."""
-    return _walk(gains, conflicts, order, math.inf)[0]
+        frame[0], frame[4] = pos + 1, gains[idx]
+        stack.append([pos + 1, blocked | conflicts[idx], 1.0, 1.0, 0.0])
 
 
 class _Cofactors(dict):
@@ -428,40 +399,45 @@ class _Cofactors(dict):
     ``self[0]`` is Δ; each is summed on its first lookup.  Loops in
     different groups (`_loop_groups`) never touch, so the sum is the
     product, in group order, of each group's sum over its loops left, and
-    each group's sum is memoised on the loops of it that are touched.  A
-    product that keeps fewer than 8 significant digits of its Σ|terms|,
-    the product of the groups' Σ|terms|, raises `SingularSystemError`.
+    each group's sum and Σ|terms| are memoised on the loops of it that are
+    touched.  Each whole group is walked once, as the groups are found, for
+    its factor of Δ and only as far as ``cap`` leaves room for: the cap is
+    on the product over the groups of their sets, the empty one included,
+    less one, the sets one sum over all the loops would visit, and a
+    product past it raises `ComplexityCapExceededError` before the next
+    group is read.  A group's sum under 1e-8 of its Σ|terms|, or a product
+    that is not finite or underflows to 0, raises `SingularSystemError`.
     """
 
-    def __init__(self, gains: list[float], conflicts: list[set[int]], groups: list[list[int]]):
+    def __init__(self, gains: list[float], conflicts: list[set[int]], cap: int):
         super().__init__()
-        self.gains, self.conflicts, self.groups = gains, conflicts, groups
-        self.flipped = [-abs(gain) for gain in gains]  # turns every term of a sum into its |term|
-        self.masks = [sum(1 << k for k in group) for group in groups]
-        self.sums = {}  # (of |terms|, group, its loops touched) -> the group's sum
-
-    def _product(self, weights: list[float], touched: int) -> float:
-        total = 1.0
-        for c, group in enumerate(self.groups):
-            key = (weights is self.flipped, c, touched & self.masks[c])
-            if key not in self.sums:
-                left = [k for k in group if not key[2] >> k & 1]
-                self.sums[key] = _alternating_sum(weights, self.conflicts, left)
-            total *= self.sums[key]
-        return total
+        self.gains, self.conflicts, self.groups, self.masks = gains, conflicts, [], []
+        self.sums = {}  # (group, its loops touched) -> the group's sum and Σ|terms|
+        product = 1
+        for group in _loop_groups(conflicts):
+            total, scale, visited = _walk(gains, conflicts, group, (cap + 1) // product - 1)
+            product *= 1 + visited
+            if product - 1 > cap:
+                raise ComplexityCapExceededError(cap, "sets of non-touching loops", product - 1)
+            self.sums[len(self.groups), 0] = total, scale
+            self.groups.append(group)
+            self.masks.append(sum(1 << k for k in group))
 
     def __missing__(self, touched: int) -> float:
-        total = self._product(self.gains, touched)
-        if not np.isfinite(total):
-            raise SingularSystemError(f"Mason's alternating sum is {total}")
-        # Σ|terms| <= Π(1 + |g|); only a sum that bound cannot clear pays for Σ|terms|
-        bound = math.prod(1.0 + abs(g) for k, g in enumerate(self.gains) if not touched >> k & 1)
-        if abs(total) < _MIN_RELATIVE_SUM * bound:
-            scale = self._product(self.flipped, touched)
-            if abs(total) < _MIN_RELATIVE_SUM * scale:
+        total = 1.0
+        for c, group in enumerate(self.groups):
+            key = (c, touched & self.masks[c])
+            if key not in self.sums:
+                left = [k for k in group if not key[1] >> k & 1]
+                self.sums[key] = _walk(self.gains, self.conflicts, left, math.inf)[:2]
+            part, scale = self.sums[key]
+            if abs(part) < _MIN_RELATIVE_SUM * scale:
                 raise SingularSystemError(
-                    f"Mason's alternating sum cancels to {total:.3g} of {scale:.3g}"
+                    f"Mason's alternating sum cancels to {part:.3g} of {scale:.3g}"
                 )
+            total *= part
+        if total == 0 or not math.isfinite(total):
+            raise SingularSystemError(f"Mason's alternating sum is {total}")
         self[touched] = total
         return total
 
@@ -494,12 +470,11 @@ def mason_influence(
     Loops are taken in a canonical order, so c is the same in every process.
     The caps are decided in turn: ``enum_cap`` on the loops as they are
     enumerated, then on their pairs before the conflicts are built;
-    ``subset_cap`` on the sets of non-touching loops, counted by
-    `_count_loop_sets` before any sum as the product over the loop groups
-    (each group's sum visits at most that many); ``enum_cap`` again on the
-    paths walked from one source.  Δ and the cofactors are products of the
-    groups' sums (`_Cofactors`); one that keeps fewer than 8 significant
-    digits raises `SingularSystemError`.
+    ``subset_cap`` on the sets of non-touching loops, as Δ's walks count
+    them; ``enum_cap`` again on the paths walked from one source.  Δ and
+    the cofactors are products of the loop groups' sums (`_Cofactors`); a
+    group's sum that keeps fewer than 8 significant digits raises
+    `SingularSystemError`.
     """
     pos, out = _adjacency(g)
     loops = []
@@ -509,8 +484,7 @@ def mason_influence(
             gain *= out[a][b]
         loops.append((frozenset(cyc), gain))
     conflicts = _loop_conflicts([nodes for nodes, _ in loops], enum_cap)
-    _count_loop_sets(conflicts, subset_cap)
-    cofactors = _Cofactors([gain for _, gain in loops], conflicts, list(_loop_groups(conflicts)))
+    cofactors = _Cofactors([gain for _, gain in loops], conflicts, subset_cap)
     delta = cofactors[0]
 
     touches = [0] * len(pos)  # node -> bit mask of the loops through it

@@ -661,40 +661,42 @@ class TestInfluenceCommand:
         report = yaml.safe_load(out.read_text())
         assert report["provenance"]["gain_method"] == "solve"
 
-    def test_zero_mason_determinant_exits_3_and_auto_runs_the_solve(self, tmp_path, capsys):
-        # three followers' self-loops of gain 0.999999 make Mason's Δ cancel to 0
-        path = _write_spec(
-            tmp_path,
-            n=5,
-            edges=[[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0], [4, 3, 1.0]],
-            gamma=[0.999999] * 3 + [0.5, 0.5],
-            beta=[0.0] * 5,
-            x0=[0.0, 0.0, 0.0, 1.0, 3.0],
-        )
-        assert main(["influence", path, "--method", "mason"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        out = tmp_path / "r.yaml"
-        assert main(["influence", path, "--method", "auto", "--out", str(out)]) == 0
-        report = yaml.safe_load(out.read_text())
-        assert report["provenance"]["gain_method"] == "solve"
-        assert np.allclose(report["collective_influence"]["c"], [[1.0]] * 3, rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("gamma", [0.999, 0.9999, 0.99999])
-    def test_mason_cancellation_exits_3_and_auto_runs_the_solve(self, tmp_path, capsys, gamma):
-        # followers' self-loops near 1: Δ and the cofactors lose their digits
-        x0 = [0.0, 0.0, 0.0, 1.0, 3.0]
+    @pytest.mark.parametrize("gamma", [0.999, 0.9999, 0.99999, 0.999999])
+    def test_mason_answers_near_one_gamma_chains(self, tmp_path, capsys, gamma):
+        # three followers' self-loops near 1: each loop group sums to 1 - γ
+        # of 1 + γ, and Mason's c equals the solve's
         path = _write_spec(
             tmp_path,
             n=5,
             edges=[[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0], [4, 3, 1.0]],
             gamma=[gamma] * 3 + [0.5, 0.5],
             beta=[0.0] * 5,
+            x0=[0.0, 0.0, 0.0, 1.0, 3.0],
+        )
+        c = {}
+        for method in ("mason", "solve"):
+            out = tmp_path / f"{method}.yaml"
+            assert main(["influence", path, "--method", method, "--out", str(out)]) == 0
+            report = yaml.safe_load(out.read_text())
+            assert report["provenance"]["gain_method"] == method
+            c[method] = np.array(report["collective_influence"]["c"])
+        assert np.max(np.abs(c["mason"] - c["solve"])) <= 1e-12
+        assert np.allclose(c["solve"], [[1.0]] * 3, rtol=0, atol=1e-9)
+
+    def test_mason_cancellation_exits_3_and_auto_runs_the_solve(self, tmp_path, capsys):
+        # γ = 1 - 1e-9 at the followers: each loop group keeps ~7 digits
+        x0 = [0.0, 0.0, 0.0, 1.0, 3.0]
+        path = _write_spec(
+            tmp_path,
+            n=5,
+            edges=[[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0], [4, 3, 1.0]],
+            gamma=[1 - 1e-9] * 3 + [0.5, 0.5],
+            beta=[0.0] * 5,
             x0=x0,
         )
         assert main(["influence", path, "--method", "mason"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: Mason's alternating sum cancels to 1e-09 of 2\n"
         spec = signed_influence.load_spec(path)
         res = signed_influence.run_analysis(spec.net, spec.params, spec.x0, gain_method="auto")
         assert res.gain_method_used == "solve"

@@ -20,6 +20,7 @@ from signed_influence import (
     ComplexityCapExceededError,
     Model,
     SfgGraph,
+    SingularSystemError,
     SinkKind,
     SourceKind,
     SourceSpec,
@@ -39,7 +40,6 @@ from signed_influence.sfg import (
     _adjacency,
     _circuits,
     _Cofactors,
-    _count_loop_sets,
     _fold_matrix,
     _loop_conflicts,
     _loop_groups,
@@ -250,10 +250,17 @@ def _recorded_walks(monkeypatch):
     return walks
 
 
-def _loops(g):
-    """The loops of ``g`` as Mason's formula numbers them: node sets, sorted."""
-    _, out = _adjacency(g)
-    return [frozenset(cyc) for cyc in sorted(_circuits(out, DEFAULT_ENUM_CAP))]
+def _made_cofactors(monkeypatch):
+    """Every `_Cofactors` that `mason_influence` makes from then on."""
+    made = []
+
+    class Recording(_Cofactors):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr("signed_influence.sfg._Cofactors", Recording)
+    return made
 
 
 def _loop_oracle_graphs():
@@ -347,6 +354,7 @@ class TestMasonInfluence:
             mason_influence(reduced, enum_cap=4)
 
     def test_loop_set_count_matches_brute_force(self):
+        # the cap raises exactly below the number of sets of non-touching loops
         for seed in range(30):
             rn = random_network(seed)
             _, _, reduced = _stack(rn.net, rn.params)
@@ -357,25 +365,26 @@ class TestMasonInfluence:
                 for size in range(1, len(loops) + 1)
                 for subset in itertools.combinations(loops, size)
             )
-            conflicts = _loop_conflicts(loops, len(loops) ** 2)
-            assert _count_loop_sets(conflicts, brute) == brute, seed
+            conflicts, gains = _loop_conflicts(loops, len(loops) ** 2), [0.5] * len(loops)
+            _Cofactors(gains, conflicts, brute)
             for cap in range(brute):
                 with pytest.raises(ComplexityCapExceededError):
-                    _count_loop_sets(conflicts, cap)
+                    _Cofactors(gains, conflicts, cap)
 
-    def test_subset_cap_decided_before_any_sum(self, count_calls):
-        # synth n = 100: 95 lone follower self-loops, 2^95 - 1 sets of them
+    def test_subset_cap_decided_before_any_cofactor(self, monkeypatch):
+        # synth n = 100: 95 lone follower self-loops, 2^95 - 1 sets of them;
+        # Δ's walks of the first 17 pass the cap, and no cofactor is walked
         s = synth_network(100, 0)
         _, _, reduced = _stack(s.net, s.params)
-        sums = count_calls("_alternating_sum")
+        walks = _recorded_walks(monkeypatch)
         with pytest.raises(ComplexityCapExceededError) as err:
             mason_influence(reduced)
-        assert sums == []
+        assert len(walks) == 17 and all(args[3] < math.inf for args, _ in walks)
         assert err.value.limit == DEFAULT_SUBSET_CAP
         assert str(err.value) == "more than 100000 sets of non-touching loops (at least 131071)"
 
     def test_loop_set_count_stops_at_the_cap(self):
-        # 20 lone loops: the tenth component takes the count to 1023 > 1000,
+        # 20 lone loops: the tenth group takes the count to 1023 > 1000,
         # so the conflicts of the loops after it are never read
         class Unread(set):
             def __iter__(self):
@@ -383,30 +392,61 @@ class TestMasonInfluence:
 
         conflicts = [{k} for k in range(10)] + [Unread({k}) for k in range(10, 20)]
         with pytest.raises(ComplexityCapExceededError) as err:
-            _count_loop_sets(conflicts, 1000)
+            _Cofactors([0.5] * 20, conflicts, 1000)
         assert str(err.value) == "more than 1000 sets of non-touching loops (at least 1023)"
-        # components are taken by least loop, each walked in loop order
-        conflicts = [{0, 3}, {1}, {2, 4}, {0, 3}, {2, 4}]
-        assert _count_loop_sets(conflicts, 100) == 3 * 2 * 3 - 1
+        # groups are taken by least loop, each walked in loop order: 3 * 2 * 3 - 1 sets
+        conflicts, gains = [{0, 3}, {1}, {2, 4}, {0, 3}, {2, 4}], [0.1, 0.2, 0.3, 0.4, 0.5]
+        cofactors = _Cofactors(gains, conflicts, 17)
+        assert cofactors.groups == [[0, 3], [1], [2, 4]]
+        assert cofactors[0] == pytest.approx((1 - 0.1 - 0.4) * (1 - 0.2) * (1 - 0.3 - 0.5))
+        with pytest.raises(ComplexityCapExceededError, match=r"\(at least 17\)$"):
+            _Cofactors(gains, conflicts, 16)
 
     def test_cap_counts_the_sets_delta_walks(self, monkeypatch):
-        # Δ is summed per loop group, group by group before any cofactor;
-        # the cap counts the product of the groups' sets, the sets one sum
-        # over all the loops would visit
-        walks = _recorded_walks(monkeypatch)
+        # Δ is summed per loop group, one walk of each whole group, before
+        # any cofactor; the cap counts the product of the groups' sets, the
+        # sets one sum over all the loops would visit
+        made, walks = _made_cofactors(monkeypatch), _recorded_walks(monkeypatch)
         for name, g in itertools.islice(_loop_oracle_graphs(), 202):  # fixtures, netgen
+            made.clear()
             walks.clear()
             mason_influence(g)
-            conflicts = _loop_conflicts(_loops(g), DEFAULT_ENUM_CAP)
-            groups = list(_loop_groups(conflicts))
-            delta_walks = [w for w in walks if w[0][3] == math.inf][:len(groups)]
-            assert [list(args[2]) for args, _ in delta_walks] == groups, name
-            visited = math.prod(1 + seen for _, (_, seen) in delta_walks) - 1
+            gains, conflicts = made[0].gains, made[0].conflicts
+            delta_walks = walks[:len(made[0].groups)]
+            assert [list(args[2]) for args, _ in delta_walks] == list(_loop_groups(conflicts)), name
+            assert made[0][0] == math.prod(total for _, (total, _, _) in delta_walks), name
+            visited = math.prod(1 + seen for _, (_, _, seen) in delta_walks) - 1
             for cap in (visited, visited + 1, 2 * visited):
-                assert _count_loop_sets(conflicts, cap) == visited, name
+                walks.clear()
+                _Cofactors(gains, conflicts, cap)
+                assert [result for _, result in walks] == [r for _, r in delta_walks], name
             for cap in {0, visited // 2, visited - 1} & set(range(visited)):
                 with pytest.raises(ComplexityCapExceededError):
-                    _count_loop_sets(conflicts, cap)
+                    _Cofactors(gains, conflicts, cap)
+
+    def test_abs_sum_is_the_walk_over_minus_abs_gains(self, monkeypatch):
+        # Σ|terms| rides on the same walk, bit for bit what a separate walk
+        # over -|g| sums, capped walks included
+        walks = _recorded_walks(monkeypatch)
+        s = synth_network(60, 0)
+        graphs = itertools.chain(itertools.islice(_loop_oracle_graphs(), 202), [
+            ("chain-5", _stack(*_follower_chain(5, 0.9999))[2]),
+            ("synth-60", _stack(s.net, s.params)[2]),
+        ])
+        checked = 0
+        for name, g in graphs:
+            walks.clear()
+            try:
+                mason_influence(g, subset_cap=1000)
+            except ComplexityCapExceededError:
+                pass
+            checked += len(walks)
+            for (gains, conflicts, order, limit), (total, scale, seen) in walks:
+                want = _walk([-abs(gain) for gain in gains], conflicts, order, limit)
+                assert want[2] == seen, name
+                assert want[0] == scale or math.isnan(want[0]) and math.isnan(scale), name
+                assert math.isnan(total) == math.isnan(scale), name
+        assert checked > 1000
 
     def test_grouped_sums_match_one_flat_sum(self, monkeypatch):
         # Δ, every cofactor and c against one walk over all the loops a
@@ -433,14 +473,14 @@ class TestMasonInfluence:
                 assert value == pytest.approx(made[1][touched], rel=1e-12, abs=0), name
             assert np.allclose(grouped.c, flat.c, rtol=1e-12, atol=0), name
 
-    def test_unbounded_walks_visit_each_group_alone(self, monkeypatch):
-        # netgen seed 59: 42 352 sets when every sum walked all the loops
+    def test_walks_visit_each_group_alone(self, monkeypatch):
+        # netgen seed 59: 42 352 sets when every sum walked all the loops;
+        # Δ's walks and the cofactors' together visit at most 1000
         rn = random_network(59)
         _, _, reduced = _stack(rn.net, rn.params)
         walks = _recorded_walks(monkeypatch)
         mason_influence(reduced)
-        sums = [seen for args, (_, seen) in walks if args[3] == math.inf]
-        assert sums and sum(sums) <= 1000
+        assert walks and sum(seen for _, (_, _, seen) in walks) <= 1000
 
     @pytest.mark.parametrize("k", [4, 16, 64])
     def test_disjoint_two_cycles_sum_in_linear_visits(self, k, monkeypatch):
@@ -459,7 +499,7 @@ class TestMasonInfluence:
         ci = mason_influence(g, subset_cap=2**k)
         # Δ visits each lone loop once; a path's cofactor leaves a group
         # whole or empty, and whole ones are Δ's, already summed
-        assert sum(seen for args, (_, seen) in walks if args[3] == math.inf) == k
+        assert sum(seen for _, (_, _, seen) in walks) == k
         # the chain's first pair alone: 0.5 / (1 + 0.12) into agent 0
         assert ci.c[0, 0] == pytest.approx(0.5 / 1.12, rel=1e-12)
 
@@ -479,6 +519,22 @@ class TestMasonInfluence:
         model, _, reduced = _stack(net, params)
         enumerated = mason_influence(reduced)
         assert np.allclose(enumerated.c, solve_gain(model).c, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("followers", [3, 5, 8])
+    @pytest.mark.parametrize("gamma", [0.9999, 0.99999, 0.999999])
+    def test_near_one_gamma_chain_matches_solve(self, gamma, followers):
+        # each lone self-loop's group sums to 1 - γ of 1 + γ: few digits lost
+        # per group, however small the product of the groups gets
+        model, _, reduced = _stack(*_follower_chain(followers, gamma))
+        enumerated = mason_influence(reduced)
+        assert np.allclose(enumerated.c, solve_gain(model).c, rtol=0, atol=1e-12)
+
+    def test_underflowing_determinant_is_refused(self):
+        # 1100 lone self-loops of gain 0.5: every group sums to 0.5, and
+        # their product underflows to 0, which Δ must never be
+        _, _, reduced = _stack(*_follower_chain(1100, 0.5))
+        with pytest.raises(SingularSystemError, match="^Mason's alternating sum is 0.0$"):
+            mason_influence(reduced, subset_cap=2**1100)
 
 
 class TestSolveGain:
