@@ -667,7 +667,7 @@ def steady_state(
     tol: float = 1e-10,
     max_iters: int = 100_000,
 ) -> SteadyState:
-    """Final opinion vector by one of three routes; only iteration skips the solve.
+    """Final opinion vector by one of three routes; only iteration finds z without the solve.
 
     Convergence is structural: semi-convergent iff a stubborn-free balanced
     sink exists.  Every route reads those sinks' unit eigenpairs from
